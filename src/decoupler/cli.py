@@ -15,6 +15,8 @@ from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
 from .hadamard import DEFAULT_SIZE_CAP, best_order, recipe_str, write_matrix
 from .ghm import compose_sylvester, gh_for_lambda
 from .schemes import (
+    _Candidate,
+    _candidates,
     check_scheme,
     parse_task,
     read_scheme,
@@ -22,10 +24,9 @@ from .schemes import (
     sylvester_triple_count,
     write_scheme,
 )
-from .pulses import compile_general, compile_zz, write_schedule
+from .pulses import compile_general, write_schedule
 from .schur import partition_sylvester, write_partition
 from .simulate import random_hamiltonian, read_hamiltonian, verify
-from .schemes import SignMatrix
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,13 @@ class AnalyzerRow:
     construction: str
 
 
-def _general_capacity_sylvester(r: int) -> int:
-    """Planning capacity of sylvester(r): the Schur-triple count, plus the
-    extra all-+ row available at odd r (local terms of that qubit handled
-    outside the scheme).  Equals floor((2^r - 1)/3)."""
-    return (2 ** r - 1) // 3
+def _planning_capacity(cand: _Candidate) -> int:
+    """Qubits analyze plans on a construction: its Schur-triple count plus
+    one extra all-+ row (local terms of that qubit handled outside the
+    scheme).  floor((2^r - 1)/3) for sylvester(r)."""
+    if cand.kind == "sylvester":
+        return (2 ** cand.r - 1) // 3
+    return 4 * cand.lam * sylvester_triple_count(cand.r) + 1
 
 
 def analyze_rows(n_max: int, framework: str, sylvester_only: bool = False,
@@ -61,26 +64,14 @@ def analyze_rows(n_max: int, framework: str, sylvester_only: bool = False,
             rows.append(AnalyzerRow(n, "zz", entry.achieved,
                                     entry.achieved / n, recipe_str(entry.recipe)))
         return rows
-    candidates: list[tuple[int, int, str]] = []  # (intervals, capacity, label)
-    r = 2
-    while (1 << r) <= cap:
-        candidates.append(
-            (1 << r, _general_capacity_sylvester(r), f"sylvester({r})"))
-        r += 1
-    if not sylvester_only:
-        lam = 1
-        while 16 * lam <= cap:
-            r0 = 2
-            while 4 * lam * (1 << r0) <= cap:
-                capacity = 4 * lam * sylvester_triple_count(r0) + 1
-                candidates.append((4 * lam * (1 << r0), capacity,
-                                   f"compose(sylvester({r0}),gh(4,{lam}))"))
-                r0 += 1
-            lam *= 2
-    candidates.sort(key=lambda t: (t[0], "compose" in t[2]))
+    table = [(_planning_capacity(c), c) for c in _candidates(cap)
+             if not sylvester_only or c.kind == "sylvester"]
     for n in range(1, n_max + 1):
-        m, _, label = next(c for c in candidates if c[1] >= n)
-        rows.append(AnalyzerRow(n, "general", m, m / (3 * n), label))
+        cand = next((c for capacity, c in table if capacity >= n), None)
+        if cand is None:
+            raise SizeCapExceeded(f"no construction holds {n} qubits under cap {cap}")
+        m = cand.intervals
+        rows.append(AnalyzerRow(n, "general", m, m / (3 * n), cand.describe()))
     return rows
 
 
@@ -192,11 +183,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "compile":
         scheme, _task = read_scheme(args.scheme)
-        if isinstance(scheme, SignMatrix):
-            schedule = compile_zz(scheme, args.tau)
-        else:
-            schedule = compile_general(scheme, args.tau)
-        write_schedule(schedule, args.out)
+        write_schedule(compile_general(scheme, args.tau), args.out)
         return 0
 
     if args.command == "verify":

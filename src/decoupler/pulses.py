@@ -6,6 +6,7 @@ A schedule is a sequence of steps: a gate layer is a string over I/X/Y/Z
 schedules carry the conjugating layer before and after every interval;
 simplification multiplies adjacent layers (Pauli product with global phase
 discarded, which is safe because the gates act purely by conjugation).
+With I/X/Y/Z coded as 0..3 that product is the XOR of the codes.
 """
 
 from __future__ import annotations
@@ -13,31 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO
 
-from .schemes import SignMatrix, SignTriple
+import numpy as np
+
+from .schemes import GATES, Scheme, SignMatrix, gate_codes, header_fields, merged_codes
 
 Step = str | None
 
-# phaseless single-qubit Pauli products
-_PAULIS = "IXYZ"
-_PRODUCT: dict[tuple[str, str], str] = {}
-for _a in _PAULIS:
-    for _b in _PAULIS:
-        if _a == "I":
-            _PRODUCT[(_a, _b)] = _b
-        elif _b == "I":
-            _PRODUCT[(_a, _b)] = _a
-        elif _a == _b:
-            _PRODUCT[(_a, _b)] = "I"
-        else:
-            _PRODUCT[(_a, _b)] = next(c for c in "XYZ" if c not in (_a, _b))
-
-# gate realizing a sign column (s_x, s_y, s_z)
-_GATE_FOR_SIGNS = {
-    (1, 1, 1): "I",
-    (1, -1, -1): "X",
-    (-1, 1, -1): "Y",
-    (-1, -1, 1): "Z",
-}
+_CODE = {c: i for i, c in enumerate(GATES)}
+_LETTERS = np.frombuffer(GATES.encode(), dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -48,7 +32,7 @@ class PulseSchedule:
 
     def __post_init__(self):
         for s in self.steps:
-            if s is not None and (len(s) != self.qubits or set(s) - set(_PAULIS)):
+            if s is not None and (len(s) != self.qubits or set(s) - set(GATES)):
                 raise ValueError(f"bad gate layer {s!r}")
 
     @property
@@ -61,45 +45,30 @@ class PulseSchedule:
 
 
 def _merge_layers(a: str, b: str) -> str:
-    return "".join(_PRODUCT[(x, y)] for x, y in zip(a, b))
+    return "".join(GATES[_CODE[x] ^ _CODE[y]] for x, y in zip(a, b))
+
+
+def _layers(codes: np.ndarray) -> list[str]:
+    """One I/X/Y/Z string per column of an n x k code array."""
+    return [column.tobytes().decode() for column in _LETTERS[codes.T]]
 
 
 def compile_zz(s: SignMatrix, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
     """A '-' entry at (i, a) puts X on qubit i before and after interval a."""
-    n, m = s.qubits, s.intervals
-    layers = ["".join("X" if s.entries[q, a] == -1 else "I" for q in range(n))
-              for a in range(m)]
-    steps: list[Step] = []
-    for a in range(m):
-        steps.append(layers[a])
-        steps.append(None)
-        steps.append(layers[a])
-    raw = PulseSchedule(n, tau, tuple(steps))
-    return simplify(raw) if merged else raw
+    return compile_general(s, tau, merged)
 
 
-def compile_general(t: SignTriple, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
-    """Sign column (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z conjugation."""
-    n, m = t.qubits, t.intervals
-    layers = []
-    for a in range(m):
-        chars = []
-        for q in range(n):
-            signs = (int(t.sx.entries[q, a]), int(t.sy.entries[q, a]),
-                     int(t.sz.entries[q, a]))
-            gate = _GATE_FOR_SIGNS.get(signs)
-            if gate is None:
-                raise ValueError(f"sign column {signs} at qubit {q}, interval {a} "
-                                 "is not realizable (corrupted input)")
-            chars.append(gate)
-        layers.append("".join(chars))
-    steps: list[Step] = []
-    for a in range(m):
-        steps.append(layers[a])
-        steps.append(None)
-        steps.append(layers[a])
-    raw = PulseSchedule(n, tau, tuple(steps))
-    return simplify(raw) if merged else raw
+def compile_general(scheme: Scheme, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
+    """Sign column (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z conjugation;
+    a zz scheme S lowers as the triple (1, S, S)."""
+    codes = gate_codes(scheme)
+    steps: list[Step]
+    if merged:
+        steps = [None] * (2 * scheme.intervals + 1)
+        steps[::2] = _layers(merged_codes(codes))
+    else:
+        steps = [step for layer in _layers(codes) for step in (layer, None, layer)]
+    return PulseSchedule(scheme.qubits, tau, tuple(steps))
 
 
 def simplify(p: PulseSchedule) -> PulseSchedule:
@@ -141,7 +110,7 @@ def read_schedule(stream: IO[str]) -> PulseSchedule:
     header = stream.readline().split()
     if not header or header[0] != "pulses":
         raise ValueError("schedule file must start with 'pulses ...'")
-    fields = dict(part.split("=", 1) for part in header[1:])
+    fields = header_fields(header[1:], ("n", "m", "tau"))
     n = int(fields["n"])
     tau = float(fields["tau"])
     steps: list[Step] = []

@@ -3,7 +3,10 @@ pair coupling and time reversal.
 
 A zz-framework scheme is one n x m sign matrix; a general-framework scheme is
 three sign matrices S_x, S_y, S_z tied by the entry-wise product
-S_x * S_y = S_z.  Qubit indices in the public API are 0-based.
+S_x * S_y = S_z.  A zz scheme S is the triple (1, S, S), so both are checked
+and lowered by one path.  Each sign column names one conjugating gate, coded
+0..3 for I/X/Y/Z; the phaseless product of two gates is the XOR of their
+codes.  Qubit indices in the public API are 0-based.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
 from .schur import five_rows, partition_sylvester, sylvester
 
 LABELS = ("x", "y", "z")
+GATES = "IXYZ"  # gate code c conjugates with GATES[c]
 
 
 @dataclass(frozen=True)
@@ -360,15 +364,34 @@ def synth(task: TaskSpec, n: int, cap: int = DEFAULT_SIZE_CAP) -> Scheme:
 # ---------------------------------------------------------------------------
 # criteria checking
 
-def _stacked(scheme: SignTriple) -> tuple[np.ndarray, list[tuple[str, int]]]:
-    """All 3n rows with (label, qubit) identity, grouped x/y/z per qubit."""
-    rows = []
-    ident = []
-    for q in range(scheme.qubits):
-        for l in LABELS:
-            rows.append(scheme.matrix(l).entries[q])
-            ident.append((l, q))
-    return np.stack(rows), ident
+def sign_columns(scheme: Scheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S_x, S_y, S_z) of a scheme.  A zz scheme S embeds as (1, S, S): a '-'
+    entry is X conjugation, whose sign column is (+,-,-)."""
+    if isinstance(scheme, SignMatrix):
+        return np.ones_like(scheme.entries), scheme.entries, scheme.entries
+    return scheme.sx.entries, scheme.sy.entries, scheme.sz.entries
+
+
+def gate_codes(scheme: Scheme) -> np.ndarray:
+    """n x m conjugating gates as codes 0..3 for I/X/Y/Z: sign column
+    (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z.  The phaseless product
+    of two gates is the XOR of their codes."""
+    sx, sy, sz = sign_columns(scheme)
+    bad = np.argwhere((sx * sy != sz).T)
+    if len(bad):
+        a, q = (int(v) for v in bad[0])
+        signs = (int(sx[q, a]), int(sy[q, a]), int(sz[q, a]))
+        raise ValueError(f"sign column {signs} at qubit {q}, interval {a} "
+                         "is not realizable (corrupted input)")
+    return (sy < 0).astype(np.uint8) | ((sx < 0).astype(np.uint8) << 1)
+
+
+def merged_codes(codes: np.ndarray) -> np.ndarray:
+    """The m+1 layers of the merged schedule: codes[:, 0] before the first
+    interval, codes[:, a-1] ^ codes[:, a] between intervals a-1 and a, and
+    codes[:, -1] after the last."""
+    padded = np.pad(codes, ((0, 0), (1, 1)))
+    return padded[:, :-1] ^ padded[:, 1:]
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
@@ -376,119 +399,81 @@ def _gram(rows: np.ndarray) -> np.ndarray:
 
 
 def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
-    """Evaluate every applicable criterion with exact integer arithmetic."""
-    from .pulses import compile_general, compile_zz, gate_count
+    """Evaluate every applicable criterion with exact integer arithmetic.
 
+    The criteria act on the rows that matter: S for zz (the S_z rows of the
+    embedding (1, S, S)), S_x/S_y/S_z stacked at index 3q + label for
+    general.  Each task is a target Gram matrix plus a mask of skipped pairs.
+    """
     checks: dict[str, CheckOutcome] = {}
     n = scheme.qubits
     m = scheme.intervals
     if task.kind in ("select", "select_pair") and max(task.qubits) >= n:
         raise ValueError("task qubit index out of range for scheme")
+    zz = isinstance(scheme, SignMatrix)
+    if task.framework != ("zz" if zz else "general"):
+        raise ValueError("single sign matrix is a zz-framework scheme" if zz
+                         else "a sign triple is a general-framework scheme")
 
-    if isinstance(scheme, SignMatrix):
-        if task.framework != "zz":
-            raise ValueError("single sign matrix is a zz-framework scheme")
-        gram = _gram(scheme.entries)
-        target = m * np.eye(n, dtype=np.int64)
-        if task.kind == "decouple":
-            bad = _offdiag_mismatches(gram, target)
-            checks["orthogonality"] = _outcome(bad)
-        elif task.kind == "select":
-            i, j = task.qubits
-            target[i, j] = target[j, i] = m
-            bad = _offdiag_mismatches(gram, target)
-            checks["orthogonality"] = _outcome(bad)
-            checks["designated_pair"] = CheckOutcome(
-                bool(np.array_equal(scheme.entries[i], scheme.entries[j])),
-                f"rows {i} and {j} must be identical")
-        elif task.kind == "reverse":
-            bad = [(i, j) for i in range(n) for j in range(i + 1, n)
-                   if gram[i, j] != -1]
-            checks["inner_products"] = _outcome(bad, "row pairs with inner product != -1")
-            if task.remove_local_terms:
-                sums = scheme.entries.sum(axis=1)
-                checks["row_sums"] = _outcome(
-                    [int(q) for q in np.nonzero(sums != -1)[0]], "rows with sum != -1")
-        else:
-            raise ValueError(f"task {task.kind} unsupported in zz framework")
-        if task.kind in ("decouple", "select") and task.remove_local_terms:
-            sums = scheme.entries.sum(axis=1)
-            checks["zero_row_sums"] = _outcome(
-                [int(q) for q in np.nonzero(sums != 0)[0]], "rows with nonzero sum")
-        schedule = compile_zz(scheme)
-        overhead = m / n
+    sx, sy, sz = sign_columns(scheme)
+    bad_cells = np.argwhere(sx * sy != sz)
+    if not zz:
+        checks["schur_product"] = _outcome(bad_cells, "cells violating S_x*S_y=S_z")
+    labels = ("z",) if zz else LABELS
+    mats = dict(zip(LABELS, (sx, sy, sz)))
+    rows = np.stack([mats[l] for l in labels], axis=1).reshape(len(labels) * n, m)
+
+    def row(label: str, qubit: int) -> int:
+        return len(labels) * qubit + labels.index(label)
+
+    total = len(rows)
+    skip = np.tri(total, dtype=bool)  # each unordered pair once, diagonal never
+    reverse = task.kind == "reverse"
+    target = np.full((total, total), -1 if reverse else 0, dtype=np.int64)
+    if task.kind == "select":
+        l, k = task.qubits
+        g, e = ("z", "z") if zz else task.labels
+        a, b = row(g, l), row(e, k)
+        target[a, b] = target[b, a] = m
+        detail = (f"rows {l} and {k} must be identical" if zz
+                  else f"S_{g} row {l} must equal S_{e} row {k}")
+        checks["designated_pair"] = CheckOutcome(
+            bool(np.array_equal(rows[a], rows[b])), detail)
+    elif task.kind == "select_pair":
+        i, j = task.qubits
+        pair = [row(lb, q) for q in (i, j) for lb in labels]
+        skip[np.ix_(pair, pair)] = True
+        checks["pair_rows_all_plus"] = CheckOutcome(
+            bool(np.all(rows[pair] == 1)), f"rows of qubits {i},{j} must be all +")
+    bad = np.argwhere((_gram(rows) != target) & ~skip)
+    if reverse:
+        checks["inner_products"] = _outcome(bad, "row pairs with inner product != -1")
     else:
-        if task.framework != "general":
-            raise ValueError("a sign triple is a general-framework scheme")
-        prod = scheme.sx.entries * scheme.sy.entries * scheme.sz.entries
-        bad_cells = list(zip(*np.nonzero(prod != 1)))
-        checks["schur_product"] = _outcome(
-            [(int(a), int(b)) for a, b in bad_cells], "cells violating S_x*S_y=S_z")
-        rows, ident = _stacked(scheme)
-        gram = _gram(rows)
-        total = len(ident)
+        checks["orthogonality"] = _outcome(bad)
+    if task.remove_local_terms and task.kind != "select_pair":
+        bad_sums = np.nonzero(rows.sum(axis=1) != (-1 if reverse else 0))[0]
+        if reverse:
+            checks["row_sums"] = _outcome(bad_sums, "rows with sum != -1")
+        else:
+            checks["zero_row_sums"] = _outcome(bad_sums, "rows with nonzero sum")
 
-        def pos(label: str, qubit: int) -> int:
-            return ident.index((label, qubit))
-
-        if task.kind == "decouple":
-            bad = _offdiag_mismatches(gram, m * np.eye(total, dtype=np.int64))
-            checks["orthogonality"] = _outcome(bad)
-        elif task.kind == "select":
-            g, e = task.labels
-            l, k = task.qubits
-            target = m * np.eye(total, dtype=np.int64)
-            a, b = pos(g, l), pos(e, k)
-            target[a, b] = target[b, a] = m
-            bad = _offdiag_mismatches(gram, target)
-            checks["orthogonality"] = _outcome(bad)
-            checks["designated_pair"] = CheckOutcome(
-                bool(np.array_equal(rows[a], rows[b])),
-                f"S_{g} row {l} must equal S_{e} row {k}")
-        elif task.kind == "select_pair":
-            i, j = task.qubits
-            pair_rows = {pos(l, q) for l in LABELS for q in (i, j)}
-            ones = all(np.all(rows[p] == 1) for p in pair_rows)
-            checks["pair_rows_all_plus"] = CheckOutcome(
-                ones, f"rows of qubits {i},{j} must be all +")
-            bad = [(a, b) for a in range(total) for b in range(a + 1, total)
-                   if not (a in pair_rows and b in pair_rows) and gram[a, b] != 0]
-            checks["orthogonality"] = _outcome(bad)
-        elif task.kind == "reverse":
-            bad = [(a, b) for a in range(total) for b in range(a + 1, total)
-                   if gram[a, b] != -1]
-            checks["inner_products"] = _outcome(bad, "row pairs with inner product != -1")
-            if task.remove_local_terms:
-                sums = rows.sum(axis=1)
-                checks["row_sums"] = _outcome(
-                    [int(q) for q in np.nonzero(sums != -1)[0]], "rows with sum != -1")
-        if task.kind in ("decouple", "select") and task.remove_local_terms:
-            sums = rows.sum(axis=1)
-            checks["zero_row_sums"] = _outcome(
-                [int(q) for q in np.nonzero(sums != 0)[0]], "rows with nonzero sum")
-        # a triple violating the Schur constraint has no gate realization
-        schedule = compile_general(scheme) if checks["schur_product"].passed else None
-        overhead = m / (3 * n)
-
+    # a triple violating the Schur constraint has no gate realization
+    gates = 0 if len(bad_cells) else np.count_nonzero(merged_codes(gate_codes(scheme)))
     return SchemeReport(
         qubits=n,
         framework=task.framework,
         intervals=m,
-        overhead=overhead,
-        gate_count=gate_count(schedule) if schedule is not None else 0,
+        overhead=m / total,
+        gate_count=int(gates),
         checks=checks,
     )
 
 
-def _offdiag_mismatches(gram: np.ndarray, target: np.ndarray) -> list[tuple[int, int]]:
-    bad = np.argwhere((gram != target) & ~np.eye(gram.shape[0], dtype=bool))
-    return [(int(a), int(b)) for a, b in bad if a < b]
-
-
-def _outcome(bad: list, what: str = "non-orthogonal row pairs") -> CheckOutcome:
-    if not bad:
+def _outcome(bad: np.ndarray, what: str = "non-orthogonal row pairs") -> CheckOutcome:
+    """Offending row pairs, cells or rows; text shows the first eight."""
+    if not len(bad):
         return CheckOutcome(True)
-    shown = ", ".join(map(str, bad[:8]))
+    shown = ", ".join(str(tuple(b) if isinstance(b, list) else b) for b in bad[:8].tolist())
     more = "" if len(bad) <= 8 else f" (+{len(bad) - 8} more)"
     return CheckOutcome(False, f"{what}: {shown}{more}")
 
@@ -567,12 +552,21 @@ def write_scheme(scheme: Scheme, task: TaskSpec, stream: IO[str]) -> None:
             _write_block(scheme.matrix(l).entries, stream)
 
 
+def header_fields(parts: list[str], required: tuple[str, ...]) -> dict[str, str]:
+    """Parse `key=value` header words; a missing required key is a ValueError."""
+    fields = dict(part.split("=", 1) for part in parts)
+    missing = [key for key in required if key not in fields]
+    if missing:
+        raise ValueError(f"header lacks field(s) {', '.join(f'{k}=' for k in missing)}")
+    return fields
+
+
 def read_scheme(stream: IO[str]) -> tuple[Scheme, TaskSpec]:
     header = stream.readline().split()
     if len(header) < 2 or header[0] != "scheme":
         raise ValueError("scheme file must start with 'scheme <framework> ...'")
     framework = header[1]
-    fields = dict(part.split("=", 1) for part in header[2:])
+    fields = header_fields(header[2:], ("n", "m", "task"))
     task = parse_task(fields["task"], framework, bool(int(fields.get("local", "1"))))
     if framework == "zz":
         scheme: Scheme = SignMatrix(_read_block(stream))

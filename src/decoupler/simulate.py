@@ -13,8 +13,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .pulses import PulseSchedule, compile_general, compile_zz
-from .schemes import Scheme, SignMatrix, TaskSpec, check_scheme
+from .pulses import PulseSchedule, compile_general
+from .schemes import Scheme, TaskSpec, check_scheme
 
 PAULI = {
     "I": np.eye(2, dtype=np.complex128),
@@ -161,10 +161,6 @@ def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
 
-def layer_unitary(layer: str) -> np.ndarray:
-    return word_matrix(layer)
-
-
 def run_schedule(p: PulseSchedule, h: PauliHamiltonian, tau: float | None = None) -> np.ndarray:
     """Multiply gate layers and free evolutions in schedule order; later
     operations act on the left."""
@@ -180,7 +176,7 @@ def run_schedule(p: PulseSchedule, h: PauliHamiltonian, tau: float | None = None
             u = u_free @ u
         else:
             if step not in cache:
-                cache[step] = layer_unitary(step)
+                cache[step] = word_matrix(step)
             u = cache[step] @ u
     return u
 
@@ -199,12 +195,6 @@ def phase_aligned_distance(u: np.ndarray, target: np.ndarray) -> float:
     gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
     width = 2 * np.pi - gaps.max()
     return float(2 * np.sin(min(width / 4, np.pi / 2)))
-
-
-def _compile(scheme: Scheme, tau: float) -> PulseSchedule:
-    if isinstance(scheme, SignMatrix):
-        return compile_zz(scheme, tau)
-    return compile_general(scheme, tau)
 
 
 def selection_word(task: TaskSpec, n: int) -> str:
@@ -240,6 +230,8 @@ def verify(task: TaskSpec, scheme: Scheme, h: PauliHamiltonian,
            total_time: float, reps: int, tolerance: float | None = None) -> VerificationResult:
     """Compile and run the scheme `reps` times with tau = T/(m*reps), compare
     against the task's target unitary after global-phase alignment."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     report = check_scheme(scheme, task)
     if not report.passed:
         failed = [k for k, v in report.checks.items() if not v.passed]
@@ -248,7 +240,7 @@ def verify(task: TaskSpec, scheme: Scheme, h: PauliHamiltonian,
         raise ValueError("scheme and Hamiltonian qubit counts differ")
     m = scheme.intervals
     tau = total_time / (m * reps)
-    schedule = _compile(scheme, tau)
+    schedule = compile_general(scheme, tau)
     u_pass = run_schedule(schedule, h)
     if not np.allclose(u_pass @ u_pass.conj().T, np.eye(u_pass.shape[0]),
                        atol=UNITARITY_TOL):

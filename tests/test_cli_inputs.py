@@ -1,0 +1,44 @@
+"""Malformed input and out-of-range requests exit 2 with an error line,
+never a traceback."""
+
+import io
+
+import pytest
+
+from decoupler.cli import main
+from decoupler.pulses import read_schedule
+
+ZZ_SCHEME = "scheme zz n=2 m=2 task=decouple local=0\nrows 2 2\n++\n+-\n"
+
+
+def run_cli(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code, err
+
+
+@pytest.mark.parametrize("text,command,named", [
+    (ZZ_SCHEME.replace(" n=2", ""), ["check"], "n="),
+    (ZZ_SCHEME.replace(" m=2", ""), ["check"], "m="),
+    (ZZ_SCHEME.replace(" task=decouple", ""), ["compile"], "task="),
+    (ZZ_SCHEME, ["verify", "--ham", "random:1", "--reps", "0"], "reps"),
+], ids=["no-n", "no-m", "no-task", "reps-0"])
+def test_bad_input_exits_2(tmp_path, capsys, text, command, named):
+    path = tmp_path / "scheme.txt"
+    path.write_text(text)
+    code, err = run_cli(capsys, [command[0], str(path), *command[1:]])
+    assert code == 2
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def test_schedule_without_interval_count():
+    with pytest.raises(ValueError, match="m="):
+        read_schedule(io.StringIO("pulses n=1 tau=1.0\nG I\nF 1.0\nG I\n"))
+
+
+def test_analyze_beyond_every_construction_exits_2(capsys):
+    # 3 * 1366 <= 4100, but no construction under the cap holds 1366 qubits
+    code, err = run_cli(capsys, ["--cap", "4100", "analyze", "--n-max", "1366",
+                                 "--framework", "general"])
+    assert code == 2
+    assert "1366" in err and "Traceback" not in err
