@@ -1,9 +1,14 @@
-"""Dense-matrix simulator: executes pulse schedules against concrete
-pairwise Pauli Hamiltonians and certifies decoupling, selection and reversal.
+"""Simulator: executes pulse schedules against concrete pairwise Pauli
+Hamiltonians and certifies decoupling, selection and reversal.
 
 Evolution follows e^{-iHt}; reversal targets e^{+iHt}.  Distances are
 spectral norms after optimal global-phase alignment, which for unitary
 operands reduces to the spread of the eigenphases of U_target^dag U_scheme.
+
+A Pauli word, and every pass of a schedule under a Z-diagonal Hamiltonian,
+is a monomial (flip, u): U|x> = u[x] |x ^ flip>.  Those run on 2^n vectors;
+any other Hamiltonian runs on dense 2^n x 2^n matrices, which stay the
+reference the vector path is tested against.
 """
 
 from __future__ import annotations
@@ -16,16 +21,16 @@ import numpy as np
 from .pulses import PulseSchedule, compile_general
 from .schemes import Scheme, TaskSpec, check_scheme
 
-PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
 GENERAL_QUBIT_CAP = 6
 ZZ_QUBIT_CAP = 10
+# verify runs a Z-diagonal Hamiltonian on 2^n vectors, any other on 2^n x 2^n
+# matrices; each backend refuses n above its cap before allocating
+DENSE_QUBIT_CAP = ZZ_QUBIT_CAP
+DIAGONAL_QUBIT_CAP = 20
 UNITARITY_TOL = 1e-10
+
+_SIGN = np.array([1.0, -1.0])
+_I_POWERS = (1, 1j, -1, -1j)
 
 
 @dataclass(frozen=True)
@@ -123,37 +128,67 @@ def random_hamiltonian(n: int, seed: int, kind: str = "zz",
     return PauliHamiltonian(n, tuple(terms))
 
 
-def word_matrix(word: str) -> np.ndarray:
-    out = np.array([[1]], dtype=np.complex128)
-    for c in word:
-        out = np.kron(out, PAULI[c])
+def _sign_tensor(n: int, qubits: Iterable[int]) -> np.ndarray:
+    """(-1)^(sum of the bits of x at `qubits`), shaped to broadcast over (2,)*n."""
+    out = np.ones((1,) * n)
+    for q in qubits:
+        out = out * _SIGN.reshape((1,) * q + (2,) + (1,) * (n - q - 1))
     return out
+
+
+def word_monomial(word: str) -> tuple[int, np.ndarray]:
+    """A Pauli word P as (flip, phase) with P|x> = phase[x] |x ^ flip>.
+
+    Basis state x has qubit 0 as its most significant bit (np.kron order).
+    X and Y flip their qubit, Y and Z contribute (-1)^bit, each Y a factor i.
+    """
+    n = len(word)
+    flip = sum(1 << (n - 1 - q) for q, c in enumerate(word) if c in "XY")
+    signs = _sign_tensor(n, [q for q, c in enumerate(word) if c in "YZ"])
+    phase = np.broadcast_to(signs, (2,) * n).reshape(-1) * _I_POWERS[word.count("Y") % 4]
+    return flip, phase
+
+
+def monomial_matrix(flip: int, u: np.ndarray) -> np.ndarray:
+    """Dense matrix of the monomial U|x> = u[x] |x ^ flip>."""
+    idx = np.arange(u.size)
+    out = np.zeros((u.size, u.size), dtype=np.complex128)
+    out[idx ^ flip, idx] = u
+    return out
+
+
+def word_matrix(word: str) -> np.ndarray:
+    return monomial_matrix(*word_monomial(word))
 
 
 def hamiltonian_matrix(h: PauliHamiltonian) -> np.ndarray:
     dim = 2 ** h.qubits
+    idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=np.complex128)
     for coeff, word in h.terms:
-        out += coeff * word_matrix(word)
+        flip, phase = word_monomial(word)
+        out[idx ^ flip, idx] += coeff * phase
     return out
 
 
 def _diagonal_phases(h: PauliHamiltonian) -> np.ndarray:
     """Diagonal of a Z/I-only Hamiltonian without building the matrix."""
-    dim = 2 ** h.qubits
-    diag = np.zeros(dim, dtype=np.float64)
+    n = h.qubits
+    diag = np.zeros((2,) * n)
     for coeff, word in h.terms:
-        sign = np.array([1.0])
-        for c in word:
-            sign = np.kron(sign, np.array([1.0, -1.0]) if c == "Z" else np.ones(2))
-        diag += coeff * sign
-    return diag
+        diag += coeff * _sign_tensor(n, [q for q, c in enumerate(word) if c == "Z"])
+    return diag.reshape(-1)
+
+
+def _diagonal_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:
+    """Diagonal of e^{-iHt} for a Z/I-only Hamiltonian."""
+    return np.exp(-1j * _diagonal_phases(h) * t)
 
 
 def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:
     """Exact e^{-iHt} via eigendecomposition (diagonal fast path for Z/I)."""
     if h.is_diagonal():
-        return np.diag(np.exp(-1j * _diagonal_phases(h) * t))
+        return np.diag(_diagonal_evolution(h, t))
     m = hamiltonian_matrix(h)
     if not np.allclose(m, m.conj().T, atol=1e-12):
         raise ValueError("assembled Hamiltonian is not Hermitian")
@@ -181,20 +216,71 @@ def run_schedule(p: PulseSchedule, h: PauliHamiltonian, tau: float | None = None
     return u
 
 
-def phase_aligned_distance(u: np.ndarray, target: np.ndarray) -> float:
-    """min over phi of the spectral norm of (u - e^{i phi} target).
+def run_schedule_diagonal(p: PulseSchedule, h: PauliHamiltonian) -> tuple[int, np.ndarray]:
+    """run_schedule for a Z-diagonal Hamiltonian, as the monomial (flip, u)
+    with U|x> = u[x] |x ^ flip>: every step is a phase or a Pauli flip, so a
+    pass costs O(steps * 2^n) and no 2^n x 2^n matrix is built."""
+    if p.qubits != h.qubits:
+        raise ValueError(f"schedule is for {p.qubits} qubits, Hamiltonian for {h.qubits}")
+    if not h.is_diagonal():
+        raise ValueError("Hamiltonian is not Z-diagonal")
+    d = _diagonal_evolution(h, p.tau)
+    idx = np.arange(d.size)
+    flip, u = 0, np.ones_like(d)
+    layers: dict[str, tuple[int, np.ndarray]] = {}
+    for step in p.steps:
+        if step is None:
+            u *= d[idx ^ flip]
+            continue
+        if step not in layers:
+            layers[step] = word_monomial(step)
+        layer_flip, phase = layers[step]
+        u *= phase[idx ^ flip]
+        flip ^= layer_flip
+    return flip, u
 
-    Both operands unitary: W = target^dag u is normal, so the norm equals the
-    largest eigenvalue distance to e^{i phi}; the optimum phi is the midpoint
-    of the smallest arc enclosing the eigenphases of W.
-    """
-    w = target.conj().T @ u
-    angles = np.sort(np.angle(np.linalg.eigvals(w)))
+
+def monomial_power(flip: int, u: np.ndarray, k: int) -> tuple[int, np.ndarray]:
+    """U^k (k >= 1) of the monomial U|x> = u[x] |x ^ flip>."""
+    if flip == 0:
+        return 0, u ** k
+    # U^2 is diagonal, v[x] = u[x] u[x ^ flip], and U^(2j+1) = U (U^2)^j
+    v = u * u[np.arange(u.size) ^ flip]
+    j, odd = divmod(k, 2)
+    return (flip, u * v ** j) if odd else (0, v ** j)
+
+
+def _arc_distance(eigenvalues: np.ndarray) -> float:
+    """min over phi of max |lambda - e^{i phi}| for unit-modulus eigenvalues:
+    the optimum phi is the midpoint of the smallest arc enclosing them."""
+    angles = np.sort(np.angle(eigenvalues))
     if len(angles) == 1:
         return 0.0
     gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
     width = 2 * np.pi - gaps.max()
     return float(2 * np.sin(min(width / 4, np.pi / 2)))
+
+
+def phase_aligned_distance(u: np.ndarray, target: np.ndarray) -> float:
+    """min over phi of the spectral norm of (u - e^{i phi} target).
+
+    Both operands unitary: W = target^dag u is normal, so the norm equals the
+    largest eigenvalue distance to e^{i phi}.
+    """
+    return _arc_distance(np.linalg.eigvals(target.conj().T @ u))
+
+
+def monomial_distance(flip: int, u: np.ndarray, target: np.ndarray) -> float:
+    """phase_aligned_distance of the monomial (flip, u) to diag(target),
+    with the eigenvalues of W = target^dag U read off directly."""
+    idx = np.arange(u.size)
+    w = u * target[idx ^ flip].conj()   # W|x> = w[x] |x ^ flip>
+    if flip:
+        # W swaps |x> and |x ^ flip>: eigenvalues +-sqrt(w[x] w[x ^ flip]) per pair
+        lower = idx[(idx & (1 << (flip.bit_length() - 1))) == 0]
+        root = np.sqrt(w[lower] * w[lower ^ flip])
+        w = np.concatenate([root, -root])
+    return _arc_distance(w)
 
 
 def selection_word(task: TaskSpec, n: int) -> str:
@@ -209,49 +295,81 @@ def selection_word(task: TaskSpec, n: int) -> str:
     return "".join(word)
 
 
-def target_unitary(task: TaskSpec, h: PauliHamiltonian, total_time: float,
-                   intervals: int) -> np.ndarray:
-    dim = 2 ** h.qubits
+def _target_hamiltonian(task: TaskSpec, h: PauliHamiltonian, total_time: float,
+                        intervals: int) -> tuple[PauliHamiltonian, float]:
+    """(H', t') such that the task's target unitary is e^{-iH't'}; H' is
+    Z-diagonal whenever h is."""
     if task.kind == "decouple":
-        return np.eye(dim, dtype=np.complex128)
+        return PauliHamiltonian(h.qubits, ()), total_time
     if task.kind == "select":
         word = selection_word(task, h.qubits)
         g = h.coefficient(word)
-        return evolve(PauliHamiltonian(h.qubits, ((g, word),)), total_time)
+        # a word h lacks (g = 0) targets the identity, Z-diagonal or not
+        return PauliHamiltonian(h.qubits, ((g, word),) if g else ()), total_time
     if task.kind == "select_pair":
-        return evolve(h.restricted(task.qubits), total_time)
+        return h.restricted(task.qubits), total_time
     if task.kind == "reverse":
         # one pass reverses for the duration of a single interval
-        return evolve(h, -total_time / intervals)
+        return h, -total_time / intervals
     raise ValueError(f"unknown task kind {task.kind!r}")
 
 
-def verify(task: TaskSpec, scheme: Scheme, h: PauliHamiltonian,
-           total_time: float, reps: int, tolerance: float | None = None) -> VerificationResult:
-    """Compile and run the scheme `reps` times with tau = T/(m*reps), compare
-    against the task's target unitary after global-phase alignment."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    report = check_scheme(scheme, task)
-    if not report.passed:
-        failed = [k for k, v in report.checks.items() if not v.passed]
-        raise ValueError(f"scheme fails its criteria: {failed}")
-    if scheme.qubits != h.qubits:
-        raise ValueError("scheme and Hamiltonian qubit counts differ")
-    m = scheme.intervals
-    tau = total_time / (m * reps)
-    schedule = compile_general(scheme, tau)
+def target_unitary(task: TaskSpec, h: PauliHamiltonian, total_time: float,
+                   intervals: int) -> np.ndarray:
+    return evolve(*_target_hamiltonian(task, h, total_time, intervals))
+
+
+def _dense_distance(task: TaskSpec, schedule: PulseSchedule, h: PauliHamiltonian,
+                    total_time: float, reps: int, intervals: int) -> float:
     u_pass = run_schedule(schedule, h)
     if not np.allclose(u_pass @ u_pass.conj().T, np.eye(u_pass.shape[0]),
                        atol=UNITARITY_TOL):
         raise AssertionError("schedule unitary failed the unitarity check")
     u = np.linalg.matrix_power(u_pass, reps)
-    target = target_unitary(task, h, total_time, m)
+    return phase_aligned_distance(u, target_unitary(task, h, total_time, intervals))
+
+
+def _diagonal_distance(task: TaskSpec, schedule: PulseSchedule, h: PauliHamiltonian,
+                       total_time: float, reps: int, intervals: int) -> float:
+    flip, u_pass = run_schedule_diagonal(schedule, h)
+    # a monomial is unitary exactly when every |u[x]| = 1
+    if not np.allclose(np.abs(u_pass) ** 2, 1, atol=UNITARITY_TOL):
+        raise AssertionError("schedule unitary failed the unitarity check")
+    target = _diagonal_evolution(*_target_hamiltonian(task, h, total_time, intervals))
+    return monomial_distance(*monomial_power(flip, u_pass, reps), target)
+
+
+def verify(task: TaskSpec, scheme: Scheme, h: PauliHamiltonian,
+           total_time: float, reps: int, tolerance: float | None = None) -> VerificationResult:
+    """Compile and run the scheme `reps` times with tau = T/(m*reps), compare
+    against the task's target unitary after global-phase alignment.
+
+    A Z-diagonal h runs on 2^n vectors (up to DIAGONAL_QUBIT_CAP qubits), any
+    other h on dense 2^n x 2^n matrices (up to DENSE_QUBIT_CAP)."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not np.isfinite(total_time):
+        raise ValueError(f"time must be finite, got {total_time}")
+    if scheme.qubits != h.qubits:
+        raise ValueError("scheme and Hamiltonian qubit counts differ")
+    diagonal = h.is_diagonal()
+    cap = DIAGONAL_QUBIT_CAP if diagonal else DENSE_QUBIT_CAP
+    if h.qubits > cap:
+        kind = "Z-diagonal" if diagonal else "non-diagonal"
+        raise ValueError(f"n={h.qubits} exceeds the {cap}-qubit simulation cap "
+                         f"for a {kind} Hamiltonian")
+    report = check_scheme(scheme, task)
+    if not report.passed:
+        failed = [k for k, v in report.checks.items() if not v.passed]
+        raise ValueError(f"scheme fails its criteria: {failed}")
+    m = scheme.intervals
+    schedule = compile_general(scheme, total_time / (m * reps))
+    backend = _diagonal_distance if diagonal else _dense_distance
     if tolerance is None:
         tolerance = 1e-10 if task.framework == "zz" else 2e-2
     return VerificationResult(
         task=task,
-        distance=phase_aligned_distance(u, target),
+        distance=backend(task, schedule, h, total_time, reps, m),
         trotter_steps=reps,
         tolerance=tolerance,
     )

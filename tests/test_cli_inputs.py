@@ -42,3 +42,12 @@ def test_analyze_beyond_every_construction_exits_2(capsys):
                                  "--framework", "general"])
     assert code == 2
     assert "1366" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("time", ["inf", "nan"])
+def test_verify_non_finite_time_exits_2(tmp_path, capsys, time):
+    path = tmp_path / "scheme.txt"
+    path.write_text(ZZ_SCHEME)
+    code, err = run_cli(capsys, ["verify", str(path), "--ham", "random:1", "--time", time])
+    assert code == 2
+    assert err.startswith("error: ") and "time" in err and "Traceback" not in err
