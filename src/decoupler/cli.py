@@ -153,6 +153,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "partition":
+        if args.r >= args.cap.bit_length():  # 2^r > cap, without building 2^r
+            raise SizeCapExceeded(f"sylvester order 2^{args.r} exceeds cap {args.cap}")
         write_partition(partition_sylvester(args.r), sys.stdout)
         return 0
 

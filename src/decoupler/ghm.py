@@ -16,7 +16,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
-from .hadamard import DEFAULT_SIZE_CAP, HadamardMatrix, is_normalized
+from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, format_rows, gram,
+                       is_normalized, parse_rows)
 from .schur import partition_sylvester, sylvester
 
 # sign of coordinate t for element g: rows e, x, y, z
@@ -75,15 +76,15 @@ def gh4_base() -> GhMatrix:
 
 
 def verify_gh(g: GhMatrix) -> GhValidityReport:
-    """Check the quotient-count property for every row pair."""
-    e = g.entries
-    bad = []
-    for i in range(g.order):
-        for j in range(i + 1, g.order):
-            counts = np.bincount(e[i] ^ e[j], minlength=4)
-            if not np.all(counts == g.lam):
-                bad.append((i, j))
-    return GhValidityReport(lam=g.lam, offending_pairs=tuple(bad))
+    """Check the quotient-count property for every row pair.
+
+    The three sign coordinates are the nontrivial characters of GF(4)'s
+    additive group, so rows i and j have every quotient element exactly lam
+    times iff rows 3i+t and 3j+t of level(g) are orthogonal for t = 0, 1, 2.
+    """
+    bad = np.any([gram(TRIPLE_SIGNS[g.entries, t]) != 0 for t in range(3)], axis=0)
+    pairs = np.argwhere(np.triu(bad, 1))
+    return GhValidityReport(lam=g.lam, offending_pairs=tuple(map(tuple, pairs.tolist())))
 
 
 def gh_kron(a: GhMatrix, b: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> GhMatrix:
@@ -178,11 +179,7 @@ def constructible_lambdas(cap: int = DEFAULT_SIZE_CAP) -> list[int]:
 def level(g: GhMatrix) -> np.ndarray:
     """Convert the triple array into a (12 lam) x (4 lam) array of +/-1:
     row 3b+t holds coordinate t of row b."""
-    n = g.order
-    out = np.empty((3 * n, n), dtype=np.int8)
-    for t in range(3):
-        out[t::3] = TRIPLE_SIGNS[g.entries, t]
-    return out
+    return TRIPLE_SIGNS[g.entries].transpose(0, 2, 1).reshape(3 * g.order, g.order)
 
 
 @dataclass(frozen=True)
@@ -280,6 +277,9 @@ def compose(
 
 def compose_sylvester(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> CompositionResult:
     """Compose sylvester(r) (all its Schur triples) with gamma."""
+    # r >= cap.bit_length() is 2^r > cap, and keeps 2 ** r small otherwise
+    if r >= cap.bit_length() or 4 * gamma.lam * 2 ** r > cap:
+        raise SizeCapExceeded(f"composed order 4*{gamma.lam}*2^{r} exceeds cap {cap}")
     p = partition_sylvester(r)
     schur_rows = [i for t in p.triples for i in t]
     leftover = list(p.remainder)
@@ -308,8 +308,7 @@ def interval_bound(r: int, t: int) -> tuple[int, int]:
 
 def write_gh(g: GhMatrix, stream: IO[str]) -> None:
     stream.write(f"gh 4 {g.lam}\n")
-    for row in g.entries:
-        stream.write("".join(ELEMENT_CHARS[v] for v in row) + "\n")
+    stream.write(format_rows(g.entries, ELEMENT_CHARS))
 
 
 def read_gh(stream: IO[str]) -> GhMatrix:
@@ -317,11 +316,4 @@ def read_gh(stream: IO[str]) -> GhMatrix:
     if len(header) != 3 or header[0] != "gh" or header[1] != "4":
         raise ValueError("gh file must start with 'gh 4 <lambda>'")
     lam = int(header[2])
-    n = 4 * lam
-    rows = []
-    for _ in range(n):
-        line = stream.readline().strip()
-        if len(line) != n or set(line) - set(ELEMENT_CHARS):
-            raise ValueError(f"bad gh row {line!r}")
-        rows.append([ELEMENT_CHARS.index(c) for c in line])
-    return GhMatrix(np.array(rows, dtype=np.uint8), lam=lam)
+    return GhMatrix(parse_rows(stream, 4 * lam, 4 * lam, ELEMENT_CHARS, "gh"), lam=lam)

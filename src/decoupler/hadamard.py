@@ -1,14 +1,13 @@
-"""Hadamard matrix constructions and the constructible-order catalog.
-
-All entries are small signed integers and every check is exact integer
-arithmetic; orthogonality is tested through bit-packed row XOR/popcount so
-that even order-1024 matrices verify in well under a second.
+"""Hadamard matrix constructions and the constructible-order catalog, plus
+the two kernels every sign matrix goes through: `gram`, the exact integer
+Gram matrix by which all orthogonality is tested, and `format_rows` /
+`parse_rows`, the one codec between code matrices and lines of letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import IO
 
 import numpy as np
@@ -81,36 +80,27 @@ class OrderCatalogEntry:
         )
 
 
-_POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint16)
+def gram(rows) -> np.ndarray:
+    """Exact int64 rows @ rows.T of +/-1 rows, by float32 BLAS: every partial
+    sum is an integer of magnitude <= the row width, exact in float32 in any
+    summation order while the width is <= 2^24; wider rows raise ValueError."""
+    rows = np.asarray(rows)
+    if rows.shape[1] > 1 << 24:
+        raise ValueError(f"row width {rows.shape[1]} exceeds the exact float32 bound 2^24")
+    f = rows.astype(np.float32)
+    return (f @ f.T).astype(np.int64)
 
 
 def is_hadamard(entries) -> ValidityReport:
-    """Exact orthogonality check; reports every non-orthogonal row pair.
-
-    Rows are bit-packed and compared through XOR + popcount (inner product
-    is m - 2*disagreements), so the test is integer-exact and fast even at
-    order 1024.
-    """
+    """Exact orthogonality check; reports every non-orthogonal row pair
+    (i < j, row-major order)."""
     e = np.asarray(entries)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ValueError(f"matrix must be square, got shape {e.shape}")
     if not np.all(np.abs(e) == 1):
         raise ValueError("matrix entries must be +1/-1")
-    m = e.shape[0]
-    packed = np.packbits(e == -1, axis=1)  # zero padding XORs to zero
-    bad: list[tuple[int, int]] = []
-    words = packed.shape[1]
-    chunk = max(1, (1 << 22) // max(1, words * m))
-    for start in range(0, m, chunk):
-        block = packed[start:start + chunk]
-        disagree = _POPCOUNT[block[:, None, :] ^ packed[None, :, :]].sum(
-            axis=2, dtype=np.int64)
-        rows_i, rows_j = np.nonzero(2 * disagree != m)
-        for di, j in zip(rows_i, rows_j):
-            i = start + int(di)
-            if i < j:
-                bad.append((i, int(j)))
-    return ValidityReport(order=m, offending_pairs=tuple(bad))
+    bad = np.argwhere(np.triu(gram(e) != 0, 1))
+    return ValidityReport(order=e.shape[0], offending_pairs=tuple(map(tuple, bad.tolist())))
 
 
 def sylvester(r: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
@@ -120,12 +110,8 @@ def sylvester(r: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
     m = 1 << r
     if m > cap:
         raise SizeCapExceeded(f"sylvester order {m} exceeds cap {cap}")
-    idx = np.arange(m, dtype=np.uint32)
-    # popcount of i & j decides the sign
-    anded = idx[:, None] & idx[None, :]
-    bits = np.unpackbits(anded.view(np.uint8).reshape(m, m, 4), axis=2, bitorder="little")
-    parity = bits.sum(axis=2) & 1
-    entries = (1 - 2 * parity).astype(np.int8)
+    h2 = np.array([[1, 1], [1, -1]], dtype=np.int8)
+    entries = reduce(np.kron, [h2] * r, np.ones((1, 1), dtype=np.int8))
     return HadamardMatrix(entries, provenance=f"sylvester({r})")
 
 
@@ -285,13 +271,48 @@ def catalog_gaps(limit: int, cap: int = DEFAULT_SIZE_CAP) -> list[tuple[int, int
 
 
 # ---------------------------------------------------------------------------
-# Matrix text format: first line "order m", then m lines of m chars from {+,-}.
+# Text formats, all through one row codec.  Matrix files: first line
+# "order m", then m lines of m chars from {+,-}.
+
+def format_rows(codes, alphabet: str) -> str:
+    """The row codec of every text format: row i of a 2-d array of codes
+    0..len(alphabet)-1 becomes a line whose character j is alphabet[codes[i, j]]."""
+    codes = np.asarray(codes, dtype=np.uint8)
+    n, m = codes.shape
+    text = np.full((n, m + 1), ord("\n"), dtype=np.uint8)
+    text[:, :m] = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)[codes]
+    return text.tobytes().decode("ascii")
+
+
+@lru_cache(maxsize=None)
+def _decoder(alphabet: str) -> np.ndarray:
+    """Byte -> code table; -1 marks a byte outside the alphabet."""
+    table = np.full(256, -1, dtype=np.int8)
+    table[np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)] = np.arange(len(alphabet))
+    return table
+
+
+def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.ndarray:
+    """Read n >= 1 lines of m letters from alphabet as an n x m int8 code
+    array.  The first line of the wrong length or with a letter outside the
+    alphabet raises ValueError("bad <what> row '...'")."""
+    if n < 1 or m < 0:
+        raise ValueError(f"bad {what} shape {n} x {m}")
+    lines: list[str] = []
+    while len(lines) < n and len(line := stream.readline().strip()) == m:
+        lines.append(line)
+    raw = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8)
+    codes = _decoder(alphabet)[raw].reshape(len(lines), m)
+    bad = np.flatnonzero((codes < 0).any(axis=1))
+    if len(bad) or len(lines) < n:
+        raise ValueError(f"bad {what} row {lines[bad[0]] if len(bad) else line!r}")
+    return codes
+
 
 def write_matrix(h: HadamardMatrix | np.ndarray, stream: IO[str]) -> None:
     e = h.entries if isinstance(h, HadamardMatrix) else np.asarray(h)
     stream.write(f"order {e.shape[0]}\n")
-    for row in e:
-        stream.write("".join("+" if v == 1 else "-" for v in row) + "\n")
+    stream.write(format_rows(e < 0, "+-"))
 
 
 def read_matrix(stream: IO[str]) -> HadamardMatrix:
@@ -299,10 +320,5 @@ def read_matrix(stream: IO[str]) -> HadamardMatrix:
     if len(header) != 2 or header[0] != "order":
         raise ValueError("matrix file must start with 'order m'")
     m = int(header[1])
-    rows = []
-    for _ in range(m):
-        line = stream.readline().strip()
-        if len(line) != m or set(line) - {"+", "-"}:
-            raise ValueError(f"bad matrix row {line!r}")
-        rows.append([1 if c == "+" else -1 for c in line])
-    return HadamardMatrix(np.array(rows, dtype=np.int8), provenance="literal")
+    return HadamardMatrix(1 - 2 * parse_rows(stream, m, m, "+-", "matrix"),
+                          provenance="literal")

@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO
 
-import numpy as np
-
+from .hadamard import format_rows
 from .schemes import GATES, Scheme, SignMatrix, gate_codes, header_fields, merged_codes
 
 Step = str | None
 
 _CODE = {c: i for i, c in enumerate(GATES)}
-_LETTERS = np.frombuffer(GATES.encode(), dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -48,11 +46,6 @@ def _merge_layers(a: str, b: str) -> str:
     return "".join(GATES[_CODE[x] ^ _CODE[y]] for x, y in zip(a, b))
 
 
-def _layers(codes: np.ndarray) -> list[str]:
-    """One I/X/Y/Z string per column of an n x k code array."""
-    return [column.tobytes().decode() for column in _LETTERS[codes.T]]
-
-
 def compile_zz(s: SignMatrix, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
     """A '-' entry at (i, a) puts X on qubit i before and after interval a."""
     return compile_general(s, tau, merged)
@@ -65,9 +58,10 @@ def compile_general(scheme: Scheme, tau: float = 1.0, merged: bool = True) -> Pu
     steps: list[Step]
     if merged:
         steps = [None] * (2 * scheme.intervals + 1)
-        steps[::2] = _layers(merged_codes(codes))
+        steps[::2] = format_rows(merged_codes(codes).T, GATES).splitlines()
     else:
-        steps = [step for layer in _layers(codes) for step in (layer, None, layer)]
+        layers = format_rows(codes.T, GATES).splitlines()
+        steps = [step for layer in layers for step in (layer, None, layer)]
     return PulseSchedule(scheme.qubits, tau, tuple(steps))
 
 

@@ -17,7 +17,7 @@ from typing import IO
 import numpy as np
 
 from .errors import SizeCapExceeded
-from .hadamard import DEFAULT_SIZE_CAP, best_matrix
+from .hadamard import DEFAULT_SIZE_CAP, best_matrix, format_rows, gram, parse_rows
 from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
 from .schur import five_rows, partition_sylvester, sylvester
 
@@ -178,6 +178,8 @@ def synth_reverse_zz(n: int, remove_local_terms: bool = True,
     """Drop the first (all +) column of a decoupling matrix: every row pair
     then has inner product -1, and with zero-sum rows every row sum is -1."""
     rows = _zz_rows(n, remove_local_terms, cap)
+    if rows.shape[1] < 2:
+        raise ValueError(f"reversal scheme for n={n} would have no interval")
     return SignMatrix(rows[:, 1:])
 
 
@@ -394,10 +396,6 @@ def merged_codes(codes: np.ndarray) -> np.ndarray:
     return padded[:, :-1] ^ padded[:, 1:]
 
 
-def _gram(rows: np.ndarray) -> np.ndarray:
-    return rows.astype(np.int64) @ rows.astype(np.int64).T
-
-
 def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
     """Evaluate every applicable criterion with exact integer arithmetic.
 
@@ -445,7 +443,7 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
         skip[np.ix_(pair, pair)] = True
         checks["pair_rows_all_plus"] = CheckOutcome(
             bool(np.all(rows[pair] == 1)), f"rows of qubits {i},{j} must be all +")
-    bad = np.argwhere((_gram(rows) != target) & ~skip)
+    bad = np.argwhere((gram(rows) != target) & ~skip)
     if reverse:
         checks["inner_products"] = _outcome(bad, "row pairs with inner product != -1")
     else:
@@ -523,8 +521,7 @@ def parse_task(body: str, framework: str, remove_local_terms: bool) -> TaskSpec:
 def _write_block(entries: np.ndarray, stream: IO[str]) -> None:
     n, m = entries.shape
     stream.write(f"rows {n} {m}\n")
-    for row in entries:
-        stream.write("".join("+" if v == 1 else "-" for v in row) + "\n")
+    stream.write(format_rows(entries < 0, "+-"))
 
 
 def _read_block(stream: IO[str]) -> np.ndarray:
@@ -532,13 +529,7 @@ def _read_block(stream: IO[str]) -> np.ndarray:
     if len(header) != 3 or header[0] != "rows":
         raise ValueError("sign-matrix block must start with 'rows n m'")
     n, m = int(header[1]), int(header[2])
-    rows = []
-    for _ in range(n):
-        line = stream.readline().strip()
-        if len(line) != m or set(line) - {"+", "-"}:
-            raise ValueError(f"bad sign-matrix row {line!r}")
-        rows.append([1 if c == "+" else -1 for c in line])
-    return np.array(rows, dtype=np.int8)
+    return 1 - 2 * parse_rows(stream, n, m, "+-", "sign-matrix")
 
 
 def write_scheme(scheme: Scheme, task: TaskSpec, stream: IO[str]) -> None:

@@ -346,10 +346,13 @@ def verify(task: TaskSpec, scheme: Scheme, h: PauliHamiltonian,
 
     A Z-diagonal h runs on 2^n vectors (up to DIAGONAL_QUBIT_CAP qubits), any
     other h on dense 2^n x 2^n matrices (up to DENSE_QUBIT_CAP)."""
+    if scheme.intervals < 1:
+        raise ValueError("scheme has no interval")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if not np.isfinite(total_time):
-        raise ValueError(f"time must be finite, got {total_time}")
+    # covers a non-finite time too: inf * 0 is nan
+    if not np.isfinite(total_time * sum(abs(c) for c, _ in h.terms)):
+        raise ValueError(f"time * sum of |coefficients| must be finite (time={total_time})")
     if scheme.qubits != h.qubits:
         raise ValueError("scheme and Hamiltonian qubit counts differ")
     diagonal = h.is_diagonal()

@@ -51,3 +51,49 @@ def test_verify_non_finite_time_exits_2(tmp_path, capsys, time):
     code, err = run_cli(capsys, ["verify", str(path), "--ham", "random:1", "--time", time])
     assert code == 2
     assert err.startswith("error: ") and "time" in err and "Traceback" not in err
+
+
+def test_reverse_without_interval_exits_2(tmp_path, capsys):
+    out = tmp_path / "scheme.txt"
+    code, err = run_cli(capsys, ["synth", "--task", "reverse", "--framework", "zz",
+                                 "--n", "1", "--no-local", "--out", str(out)])
+    assert code == 2
+    assert "interval" in err and "Traceback" not in err
+
+
+def test_verify_zero_interval_scheme_exits_2(tmp_path, capsys):
+    path = tmp_path / "scheme.txt"
+    path.write_text("scheme zz n=1 m=0 task=reverse local=0\nrows 1 0\n\n")
+    assert run_cli(capsys, ["check", str(path)])[0] == 0
+    code, err = run_cli(capsys, ["verify", str(path), "--ham", "random:1"])
+    assert code == 2
+    assert "no interval" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("framework,ham", [("zz", "1e308 ZZ\n1e308 ZZ\n"),
+                                          ("general", "1e308 XX\n1e308 YY\n")])
+def test_verify_overflowing_coefficients_exit_2(tmp_path, capsys, framework, ham):
+    scheme, hfile = tmp_path / "scheme.txt", tmp_path / "ham.txt"
+    hfile.write_text(ham)
+    assert run_cli(capsys, ["synth", "--task", "decouple", "--framework", framework,
+                            "--n", "2", "--no-local", "--out", str(scheme)])[0] == 0
+    code, err = run_cli(capsys, ["verify", str(scheme), "--ham", str(hfile)])
+    assert code == 2
+    assert "must be finite" in err and "Traceback" not in err
+
+
+def _refuse(*args):
+    raise AssertionError("partition_sylvester called before the cap check")
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--r", "13"],
+    ["--cap", "64", "partition", "--r", "10"],
+    ["compose", "--r", "11", "--lambda", "1"],
+])
+def test_cap_refused_before_partition(monkeypatch, capsys, argv):
+    monkeypatch.setattr("decoupler.cli.partition_sylvester", _refuse)
+    monkeypatch.setattr("decoupler.ghm.partition_sylvester", _refuse)
+    code, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "exceeds cap" in err and "Traceback" not in err
