@@ -8,6 +8,8 @@ Qubit indices on the command line and in files are 1-based.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -82,7 +84,10 @@ def analyze_csv(rows: list[AnalyzerRow]) -> str:
     return "\n".join(out) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  `--out` defaults to "-", which
+    FileType turns into the sys.stdout current at each parse."""
     parser = argparse.ArgumentParser(prog="decoupler")
     parser.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP,
                         help="size cap for matrix constructions")
@@ -111,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local", dest="local", action="store_true", default=True,
                    help="remove local terms (zero row sums); default on")
     p.add_argument("--no-local", dest="local", action="store_false")
-    p.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
+    p.add_argument("--out", type=argparse.FileType("w"), default="-")
 
     p = sub.add_parser("check", help="check a scheme file against its task")
     p.add_argument("scheme", type=argparse.FileType("r"))
@@ -119,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile a scheme file to a pulse schedule")
     p.add_argument("scheme", type=argparse.FileType("r"))
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
+    p.add_argument("--out", type=argparse.FileType("w"), default="-")
 
     p = sub.add_parser("verify", help="simulate a scheme against a Hamiltonian")
     p.add_argument("scheme", type=argparse.FileType("r"))
@@ -132,15 +137,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--framework", choices=["zz", "general"], default="general")
     p.add_argument("--sylvester-only", action="store_true")
-    p.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
+    p.add_argument("--out", type=argparse.FileType("w"), default="-")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        # files are closed inside the try, so a failed final flush exits 2
+        with contextlib.ExitStack() as opened:
+            for stream in (getattr(args, "scheme", None), getattr(args, "out", None)):
+                if stream not in (None, sys.stdin, sys.stdout):
+                    opened.enter_context(stream)
+            return _dispatch(args)
     except (ValueError, SizeCapExceeded, SearchBudgetExceeded, DesignNotFound,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

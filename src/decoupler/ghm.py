@@ -155,16 +155,31 @@ def gh_search(lam: int, budget: int = 10_000_000) -> GhMatrix:
     raise DesignNotFound(f"no GH(4,{lam}) in canonical form")
 
 
+# GH(4,2) exactly as gh_search(2) finds it; tests check it against the search
+# and verify_gh, so no process pays the backtracking to rebuild it.
+_GH_4_2_ROWS = "eeeeeeee eexxyyzz exyzexyz exzyyzxe eyeyzxzx eyxzxzey ezyxzexy ezzexyyx"
+
+
 @lru_cache(maxsize=None)
-def gh_for_lambda(lam: int, cap: int = DEFAULT_SIZE_CAP) -> GhMatrix:
-    """Constructible GH(4, lam) for lam in {1, 2, 4^k, 2*4^k}."""
+def _gh_for_lambda(lam: int, cap: int) -> GhMatrix:
     if lam == 1:
         return gh4_base()
     if lam == 2:
-        return gh_search(2)
+        rows = [[ELEMENT_CHARS.index(c) for c in row] for row in _GH_4_2_ROWS.split()]
+        return GhMatrix(np.array(rows, dtype=np.uint8), lam=2)
     if lam % 4 == 0:
         return gh_kron(gh_for_lambda(lam // 4, cap), gh4_base(), cap=cap)
     raise ValueError(f"lambda={lam} is not constructible here")
+
+
+def gh_for_lambda(lam: int, cap: int = DEFAULT_SIZE_CAP) -> GhMatrix:
+    """Constructible GH(4, lam) for lam in {1, 2, 4^k, 2*4^k}, cached once
+    per (lam, cap) however the arguments are passed."""
+    return _gh_for_lambda(lam, cap)
+
+
+gh_for_lambda.cache_info = _gh_for_lambda.cache_info
+gh_for_lambda.cache_clear = _gh_for_lambda.cache_clear
 
 
 def constructible_lambdas(cap: int = DEFAULT_SIZE_CAP) -> list[int]:
@@ -223,28 +238,25 @@ def compose(
         raise ValueError("base Hadamard matrix must be normalized")
     if not gamma.normalized:
         raise ValueError("gamma must be normalized")
-    for k in range(n):
-        a, b, c = (h.row(schur_rows[3 * k + t]) for t in range(3))
-        if not np.all(a * b * c == 1):
-            raise ValueError(f"rows {schur_rows[3*k:3*k+3]} are not a Schur-set")
+    base = h.entries[list(schur_rows)].reshape(n, 3, m)
+    bad = np.flatnonzero(np.any(base.prod(axis=1) != 1, axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"rows {schur_rows[3*k:3*k+3]} are not a Schur-set")
 
-    eps = level(gamma)  # (12 lam) x (4 lam)
+    # row (i, b, t) is kron(base row 3i+t, coordinate t of gamma row b) and
+    # leftover row (q, b) is kron(leftover q, coordinate 0 of gamma row b):
+    # one broadcast each, written straight into the composed matrix
     L = 4 * lam
+    eps = level(gamma).reshape(L, 3, L)  # [b, t, c]
     rows = np.empty((big, big), dtype=np.int8)
-    index_map: list[tuple[int, int]] = []
-    pos = 0
-    for i in range(n):                   # base triple block
-        for b in range(L):               # gamma row
-            for t in range(3):           # coordinate
-                base_pos = 3 * i + t
-                rows[pos] = np.kron(h.row(schur_rows[base_pos]), eps[3 * b + t])
-                index_map.append((base_pos, 3 * b + t))
-                pos += 1
-    for q, ri in enumerate(leftover_rows):
-        for b in range(L):
-            rows[pos] = np.kron(h.row(ri), eps[3 * b])
-            index_map.append((3 * n + q, 3 * b))
-            pos += 1
+    np.multiply(base[:, None, :, :, None], eps[:, :, None, :],
+                out=rows[:3 * n * L].reshape(n, L, 3, m, L))
+    left = h.entries[list(leftover_rows)]
+    np.multiply(left[:, None, :, None], eps[:, 0, None, :],
+                out=rows[3 * n * L:].reshape(len(left), L, m, L))
+    index_map = [(3 * i + t, 3 * b + t) for i in range(n) for b in range(L) for t in range(3)]
+    index_map += [(3 * n + q, 3 * b) for q in range(len(left)) for b in range(L)]
 
     hprime = HadamardMatrix(
         rows, provenance=f"composed({h.provenance},gh(4,{lam}))")
