@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import contextvars
 import functools
 import sys
 from dataclasses import dataclass
@@ -16,16 +17,7 @@ from dataclasses import dataclass
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
 from .hadamard import DEFAULT_SIZE_CAP, best_order, recipe_str, write_matrix
 from .ghm import compose_sylvester, gh_for_lambda
-from .schemes import (
-    _Candidate,
-    _candidates,
-    check_scheme,
-    parse_task,
-    read_scheme,
-    synth,
-    sylvester_triple_count,
-    write_scheme,
-)
+from .schemes import _candidates, check_scheme, parse_task, read_scheme, synth, write_scheme
 from .pulses import compile_general, write_schedule
 from .schur import partition_sylvester, write_partition
 from .simulate import random_hamiltonian, read_hamiltonian, verify
@@ -38,15 +30,6 @@ class AnalyzerRow:
     intervals: int
     c: float
     construction: str
-
-
-def _planning_capacity(cand: _Candidate) -> int:
-    """Qubits analyze plans on a construction: its Schur-triple count plus
-    one extra all-+ row (local terms of that qubit handled outside the
-    scheme).  floor((2^r - 1)/3) for sylvester(r)."""
-    if cand.kind == "sylvester":
-        return (2 ** cand.r - 1) // 3
-    return 4 * cand.lam * sylvester_triple_count(cand.r) + 1
 
 
 def analyze_rows(n_max: int, framework: str, sylvester_only: bool = False,
@@ -66,8 +49,12 @@ def analyze_rows(n_max: int, framework: str, sylvester_only: bool = False,
             rows.append(AnalyzerRow(n, "zz", entry.achieved,
                                     entry.achieved / n, recipe_str(entry.recipe)))
         return rows
-    table = [(_planning_capacity(c), c) for c in _candidates(cap)
-             if not sylvester_only or c.kind == "sylvester"]
+    # a construction plans one qubit beyond its Schur triples when rows other
+    # than the all-+ one are left over (odd-r Sylvester, every composition),
+    # that qubit's local terms handled outside the scheme; an even-r
+    # Sylvester matrix leaves only the all-+ row
+    table = [(c.triples + (0 if c.kind == "sylvester" and c.r % 2 == 0 else 1), c)
+             for c in _candidates(cap) if not sylvester_only or c.kind == "sylvester"]
     for n in range(1, n_max + 1):
         cand = next((c for capacity, c in table if capacity >= n), None)
         if cand is None:
@@ -82,6 +69,25 @@ def analyze_csv(rows: list[AnalyzerRow]) -> str:
     for row in rows:
         out.append(f"{row.n},{row.framework},{row.intervals},{row.c:.6f},{row.construction}")
     return "\n".join(out) + "\n"
+
+
+# the ExitStack of the running main call, which closes the files argparse
+# opens for that call (per call: the parser is built once and shared)
+_open_files: contextvars.ContextVar[contextlib.ExitStack | None] = contextvars.ContextVar(
+    "_open_files", default=None)
+
+
+class _FileType(argparse.FileType):
+    """argparse.FileType that hands every file it opens (never stdin or
+    stdout) to the calling main, so the file is closed even when a later
+    argument fails to parse."""
+
+    def __call__(self, string):
+        stream = super().__call__(string)
+        stack = _open_files.get()
+        if stack is not None and stream not in (sys.stdin, sys.stdout):
+            stack.enter_context(stream)
+        return stream
 
 
 @functools.cache
@@ -116,18 +122,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local", dest="local", action="store_true", default=True,
                    help="remove local terms (zero row sums); default on")
     p.add_argument("--no-local", dest="local", action="store_false")
-    p.add_argument("--out", type=argparse.FileType("w"), default="-")
+    p.add_argument("--out", type=_FileType("w"), default="-")
 
     p = sub.add_parser("check", help="check a scheme file against its task")
-    p.add_argument("scheme", type=argparse.FileType("r"))
+    p.add_argument("scheme", type=_FileType("r"))
 
     p = sub.add_parser("compile", help="compile a scheme file to a pulse schedule")
-    p.add_argument("scheme", type=argparse.FileType("r"))
+    p.add_argument("scheme", type=_FileType("r"))
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--out", type=argparse.FileType("w"), default="-")
+    p.add_argument("--out", type=_FileType("w"), default="-")
 
     p = sub.add_parser("verify", help="simulate a scheme against a Hamiltonian")
-    p.add_argument("scheme", type=argparse.FileType("r"))
+    p.add_argument("scheme", type=_FileType("r"))
     p.add_argument("--ham", required=True, help="file path or random:<seed>")
     p.add_argument("--time", type=float, default=0.1)
     p.add_argument("--reps", type=int, default=16)
@@ -137,19 +143,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--framework", choices=["zz", "general"], default="general")
     p.add_argument("--sylvester-only", action="store_true")
-    p.add_argument("--out", type=argparse.FileType("w"), default="-")
+    p.add_argument("--out", type=_FileType("w"), default="-")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        # files are closed inside the try, so a failed final flush exits 2
+        # files are closed inside the try, so a failed final flush exits 2,
+        # and also when argparse exits 2 on a later argument
         with contextlib.ExitStack() as opened:
-            for stream in (getattr(args, "scheme", None), getattr(args, "out", None)):
-                if stream not in (None, sys.stdin, sys.stdout):
-                    opened.enter_context(stream)
-            return _dispatch(args)
+            opened.callback(_open_files.reset, _open_files.set(opened))
+            return _dispatch(_build_parser().parse_args(argv))
     except (ValueError, SizeCapExceeded, SearchBudgetExceeded, DesignNotFound,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -176,10 +180,14 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "synth":
         body = args.task
-        if args.select is not None and body == "select":
-            body = f"select:{args.select}"
-        if args.pair is not None and body in ("pair", "select_pair"):
-            body = f"pair:{args.pair}"
+        for option, value, heads in (("select", args.select, ("select",)),
+                                     ("pair", args.pair, ("pair", "select_pair"))):
+            if value is None:
+                continue
+            if body not in heads:
+                raise ValueError(f"--{option} needs --task {heads[0]} "
+                                 "without its own ':' arguments")
+            body = f"{heads[0]}:{value}"
         task = parse_task(body, args.framework, args.local)
         scheme = synth(task, args.n, args.cap)
         write_scheme(scheme, task, args.out)

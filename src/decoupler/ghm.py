@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
 from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, format_rows, gram,
                        is_normalized, parse_rows)
-from .schur import partition_sylvester, sylvester
+from .schur import five_rows, partition_sylvester, sylvester
 
 # sign of coordinate t for element g: rows e, x, y, z
 TRIPLE_SIGNS = np.array(
@@ -175,6 +175,8 @@ def _gh_for_lambda(lam: int, cap: int) -> GhMatrix:
 def gh_for_lambda(lam: int, cap: int = DEFAULT_SIZE_CAP) -> GhMatrix:
     """Constructible GH(4, lam) for lam in {1, 2, 4^k, 2*4^k}, cached once
     per (lam, cap) however the arguments are passed."""
+    if lam < 1:
+        raise ValueError(f"lambda must be >= 1, got {lam}")
     return _gh_for_lambda(lam, cap)
 
 
@@ -295,10 +297,7 @@ def compose_sylvester(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> C
     p = partition_sylvester(r)
     schur_rows = [i for t in p.triples for i in t]
     leftover = list(p.remainder)
-    five = None
-    if r >= 3:
-        from .schur import five_rows
-        five = five_rows(r).indices
+    five = five_rows(r).indices if r >= 3 else None
     return compose(sylvester(r, cap), schur_rows, leftover, gamma, five=five, cap=cap)
 
 

@@ -187,8 +187,7 @@ def normalize(h: HadamardMatrix) -> HadamardMatrix:
 
     Every row except the first then has zero row sum.
     """
-    e = h.entries.copy()
-    e = e * e[0][None, :]       # fix first row
+    e = h.entries * h.entries[0][None, :]  # fix first row
     e = e * e[:, 0][:, None]    # fix first column
     return HadamardMatrix(e, provenance=h.provenance)
 

@@ -151,6 +151,11 @@ def _zz_rows(count: int, zero_sums: bool, cap: int) -> np.ndarray:
     return h.entries[start:start + count]
 
 
+def _check_pair(n: int, i: int, j: int) -> None:
+    if not (0 <= i < n and 0 <= j < n) or i == j:
+        raise ValueError("need two distinct qubit indices in range")
+
+
 def synth_decouple_zz(n: int, remove_local_terms: bool = True,
                       cap: int = DEFAULT_SIZE_CAP) -> SignMatrix:
     """n orthogonal rows; m = best constructible order holding them."""
@@ -162,15 +167,11 @@ def synth_decouple_zz(n: int, remove_local_terms: bool = True,
 def synth_select_zz(n: int, i: int, j: int, remove_local_terms: bool = True,
                     cap: int = DEFAULT_SIZE_CAP) -> SignMatrix:
     """All rows orthogonal except rows i and j, which are identical."""
-    if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise ValueError("need two distinct qubit indices in range")
+    _check_pair(n, i, j)
     rows = _zz_rows(n - 1, remove_local_terms, cap)
-    entries = np.empty((n, rows.shape[1]), dtype=np.int8)
-    others = [q for q in range(n) if q != j]
-    for pos, q in enumerate(others):
-        entries[q] = rows[pos]
-    entries[j] = entries[i]
-    return SignMatrix(entries)
+    pos = np.arange(n) - (np.arange(n) > j)  # every qubit but j, in order
+    pos[j] = pos[i]
+    return SignMatrix(rows[pos])
 
 
 def synth_reverse_zz(n: int, remove_local_terms: bool = True,
@@ -184,7 +185,9 @@ def synth_reverse_zz(n: int, remove_local_terms: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# general-framework synthesis
+# general-framework synthesis: every scheme is rows[idx] for an n x 3 array
+# idx of row indices into one construction, qubit q taking rows idx[q] as
+# its (S_x, S_y, S_z) rows
 
 @dataclass(frozen=True)
 class _Candidate:
@@ -197,6 +200,13 @@ class _Candidate:
         if self.kind == "sylvester":
             return f"sylvester({self.r})"
         return f"compose(sylvester({self.r}),gh(4,{self.lam}))"
+
+    @property
+    def triples(self) -> int:
+        """Schur triples of the construction: (2^r - 1)/3 for even r,
+        (2^r - 5)/3 for odd r, and 4 lam times that once composed."""
+        base = (2 ** self.r - 1) // 3 if self.r % 2 == 0 else (2 ** self.r - 5) // 3
+        return base if self.kind == "sylvester" else 4 * self.lam * base
 
 
 def _candidates(cap: int) -> list[_Candidate]:
@@ -216,50 +226,54 @@ def _candidates(cap: int) -> list[_Candidate]:
     return out
 
 
-def sylvester_triple_count(r: int) -> int:
-    return (2 ** r - 1) // 3 if r % 2 == 0 else (2 ** r - 5) // 3
-
-
 def _construction_rows(cand: _Candidate, cap: int):
-    """(row accessor, index triples, five-row indices or None) for a candidate."""
+    """(rows, T x 3 index triples, five-row indices or None) for a candidate."""
     if cand.kind == "sylvester":
-        h = sylvester(cand.r, cap)
-        p = partition_sylvester(cand.r)
         five = five_rows(cand.r).indices if cand.r >= 3 else None
-        return h.entries, list(p.triples), five
-    comp = compose_sylvester(cand.r, gh_for_lambda(cand.lam), cap=cap)
-    return comp.hprime.entries, list(comp.triples), comp.f_rows
+        rows, triples = sylvester(cand.r, cap).entries, partition_sylvester(cand.r).triples
+    else:
+        comp = compose_sylvester(cand.r, gh_for_lambda(cand.lam), cap=cap)
+        rows, triples, five = comp.hprime.entries, comp.triples, comp.f_rows
+    return rows, np.array(triples, dtype=np.intp), five
 
 
-def _triple_from_rows(rows: np.ndarray, assignment: list[dict[str, np.ndarray]]) -> SignTriple:
-    n = len(assignment)
-    m = rows.shape[1]
-    mats = {l: np.empty((n, m), dtype=np.int8) for l in LABELS}
-    for q, rowmap in enumerate(assignment):
-        for l in LABELS:
-            mats[l][q] = rowmap[l]
-    return SignTriple(SignMatrix(mats["x"]), SignMatrix(mats["y"]), SignMatrix(mats["z"]))
+def _schur_rows(need: int, cap: int, five: bool = False):
+    """(rows, the first `need` triples, five) of the cheapest construction
+    holding `need` Schur triples.  With `five`, the construction must carry
+    the five-row feature (base r >= 3) and only the triples clear of those
+    rows count."""
+    for cand in _candidates(cap):
+        if cand.triples < need or (five and cand.r < 3):
+            continue
+        rows, triples, f = _construction_rows(cand, cap)
+        if five:
+            triples = triples[~np.isin(triples, f).any(axis=1)]
+            if len(triples) < need:
+                continue
+        return rows, triples[:need], f
+    if five:  # selection needs n - 2 free triples
+        raise SizeCapExceeded(f"no construction with enough free Schur triples "
+                              f"for n={need + 2} under cap {cap}")
+    raise SizeCapExceeded(f"no construction with {need} Schur triples under cap {cap}")
+
+
+def _triple(signs: np.ndarray) -> SignTriple:
+    """The scheme whose S_x, S_y, S_z are the three n x m blocks of signs."""
+    return SignTriple(*map(SignMatrix, signs))
+
+
+def _decoupling(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, idx) of the decoupling scheme: one Schur triple per qubit."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _schur_rows(n, cap)[:2]
 
 
 def synth_decouple_general(n: int, cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
     """One Schur triple of Hadamard rows per qubit; every pair of distinct
     rows orthogonal, S_x*S_y=S_z by the triple structure, zero row sums."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for cand in _candidates(cap):
-        if cand.kind == "sylvester":
-            capacity = sylvester_triple_count(cand.r)
-        else:
-            capacity = 4 * cand.lam * sylvester_triple_count(cand.r)
-        if capacity < n:
-            continue
-        rows, triples, _ = _construction_rows(cand, cap)
-        assignment = []
-        for q in range(n):
-            a, b, c = triples[q]
-            assignment.append({"x": rows[a], "y": rows[b], "z": rows[c]})
-        return _triple_from_rows(rows, assignment)
-    raise SizeCapExceeded(f"no construction with {n} Schur triples under cap {cap}")
+    rows, idx = _decoupling(n, cap)
+    return _triple(rows[idx.T])
 
 
 def _third_label(a: str, b: str) -> str:
@@ -270,76 +284,47 @@ def synth_select_general(n: int, l: int, k: int, gamma: str, eta: str,
                          cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
     """Decoupling scheme modified so row l of S_gamma equals row k of S_eta.
 
-    Uses the five-row feature f1*f2 = f3*f4 = f5: qubit l takes (f5, f1, f2),
-    qubit k takes (f3, f5, f4), and any Schur triple containing one of the
-    five rows is excluded from the remaining qubits.  A same-label selection
-    is the eta != gamma scheme with the k-th rows of S_gamma and S_eta
-    swapped afterwards.
+    Uses the five-row feature f1*f2 = f3*f4 = f5: with labels in the order
+    (gamma, aux, nu), qubit l takes (f5, f1, f2), qubit k takes (f3, f5, f4),
+    and any Schur triple containing one of the five rows is excluded from
+    the remaining qubits.  A same-label selection (eta = gamma, aux another
+    label) swaps qubit k's first two rows to (f5, f3, f4).
     """
-    if not (0 <= l < n and 0 <= k < n) or l == k:
-        raise ValueError("need two distinct qubit indices in range")
+    _check_pair(n, l, k)
     if gamma not in LABELS or eta not in LABELS:
         raise ValueError("labels must be x, y or z")
     aux = eta if eta != gamma else ("x" if gamma != "x" else "y")
-    nu = _third_label(gamma, aux)
-    for cand in _candidates(cap):
-        if cand.kind == "sylvester" and cand.r < 3:
-            continue
-        rows, triples, five = _construction_rows(cand, cap)
-        if five is None:
-            continue
-        fset = set(five)
-        free = [t for t in triples if not (set(t) & fset)]
-        if len(free) < n - 2:
-            continue
-        f1, f2, f3, f4, f5 = (rows[i] for i in five)
-        assignment: list[dict[str, np.ndarray]] = []
-        others = iter(free)
-        for q in range(n):
-            if q == l:
-                assignment.append({gamma: f5, aux: f1, nu: f2})
-            elif q == k:
-                assignment.append({gamma: f3, aux: f5, nu: f4})
-            else:
-                a, b, c = next(others)
-                assignment.append({"x": rows[a], "y": rows[b], "z": rows[c]})
-        if eta == gamma:
-            assignment[k][gamma], assignment[k][aux] = (
-                assignment[k][aux], assignment[k][gamma])
-        return _triple_from_rows(rows, assignment)
-    raise SizeCapExceeded(
-        f"no construction with enough free Schur triples for n={n} under cap {cap}")
+    order = [LABELS.index(x) for x in (gamma, aux, _third_label(gamma, aux))]
+    rows, free, (f1, f2, f3, f4, f5) = _schur_rows(n - 2, cap, five=True)
+    idx = np.empty((n, 3), dtype=np.intp)
+    idx[[q for q in range(n) if q not in (l, k)]] = free
+    idx[l, order] = f5, f1, f2
+    idx[k, order] = (f3, f5, f4) if eta != gamma else (f5, f3, f4)
+    return _triple(rows[idx.T])
 
 
 def synth_select_pair(n: int, i: int, j: int, cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
     """Keep every coupling between qubits i and j: their rows are all +1 in
-    S_x, S_y, S_z and the other n-2 qubits are decoupled as usual."""
-    if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise ValueError("need two distinct qubit indices in range")
+    S_x, S_y, S_z and the other n-2 qubits are decoupled as usual (n = 2
+    leaves one all-+ interval)."""
+    _check_pair(n, i, j)
     if n == 2:
-        ones = SignMatrix(np.ones((2, 1), dtype=np.int8))
-        return SignTriple(ones, ones, ones)
-    base = synth_decouple_general(n - 2, cap)
-    m = base.intervals
-    mats = {l: np.ones((n, m), dtype=np.int8) for l in LABELS}
-    others = [q for q in range(n) if q not in (i, j)]
-    for pos, q in enumerate(others):
-        for l in LABELS:
-            mats[l][q] = base.matrix(l).entries[pos]
-    return SignTriple(SignMatrix(mats["x"]), SignMatrix(mats["y"]), SignMatrix(mats["z"]))
+        signs = np.ones((3, 0, 1), dtype=np.int8)
+    else:
+        rows, idx = _decoupling(n - 2, cap)
+        signs = rows[idx.T]
+    out = np.ones((3, n, signs.shape[2]), dtype=np.int8)
+    out[:, [q for q in range(n) if q not in (i, j)]] = signs
+    return _triple(out)
 
 
 def synth_reverse_general(n: int, cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
     """Drop the first column of a general decoupling scheme; the construction
     guarantees that column is all +."""
-    base = synth_decouple_general(n, cap)
-    cols = {}
-    for l in LABELS:
-        e = base.matrix(l).entries
-        if not np.all(e[:, 0] == 1):
-            raise AssertionError("construction must yield an all-+ first column")
-        cols[l] = e[:, 1:]
-    return SignTriple(SignMatrix(cols["x"]), SignMatrix(cols["y"]), SignMatrix(cols["z"]))
+    rows, idx = _decoupling(n, cap)
+    if not np.all(rows[idx, 0] == 1):
+        raise AssertionError("construction must yield an all-+ first column")
+    return _triple(rows[:, 1:][idx.T])
 
 
 def synth(task: TaskSpec, n: int, cap: int = DEFAULT_SIZE_CAP) -> Scheme:

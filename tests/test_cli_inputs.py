@@ -97,3 +97,35 @@ def test_cap_refused_before_partition(monkeypatch, capsys, argv):
     code, err = run_cli(capsys, argv)
     assert code == 2
     assert "exceeds cap" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lam", ["0", "-4"])
+def test_compose_lambda_below_one_exits_2(capsys, lam):
+    code, err = run_cli(capsys, ["compose", "--r", "3", "--lambda", lam])
+    assert code == 2
+    assert "lambda must be >= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--task", "decouple", "--n", "3", "--select", "1,2"],
+    ["--task", "select:1,2", "--n", "3", "--select", "2,3"],
+    ["--task", "reverse", "--n", "3", "--pair", "1,2"],
+    ["--task", "pair:1,2", "--framework", "general", "--n", "3", "--pair", "1,3"],
+    ["--task", "select", "--n", "3", "--select", "1,2", "--pair", "1,2"],
+], ids=["select-on-decouple", "select-on-select-body", "pair-on-reverse",
+        "pair-on-pair-body", "pair-on-select"])
+def test_synth_unused_selection_option_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "scheme.txt"
+    code, err = run_cli(capsys, ["synth", *argv, "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: --") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,task", [
+    (["--task", "select", "--select", "1,3"], "task=select:1,3 "),
+    (["--task", "pair", "--framework", "general", "--pair", "2,3"], "task=pair:2,3 "),
+    (["--task", "select_pair", "--framework", "general", "--pair", "1,2"], "task=pair:1,2 "),
+])
+def test_synth_selection_option_fills_a_bare_task(capsys, argv, task):
+    code = main(["synth", *argv, "--n", "3"])
+    assert code == 0 and task in capsys.readouterr().out

@@ -91,6 +91,14 @@ def test_files_are_closed_on_unreadable_scheme(tmp_path, capsys, opened):
     assert (tmp_path / "out.txt").exists()
 
 
+def test_files_are_closed_on_a_usage_error(tmp_path, capsys, opened):
+    # argparse opens the scheme, then exits 2 on the --out it cannot open
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", _scheme(tmp_path), "--out", str(tmp_path / "no" / "x")])
+    assert exc.value.code == 2
+    assert opened and all(f.closed for f in opened)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_failed_final_flush_exits_2(capsys):
     assert main(["synth", "--task", "decouple", "--n", "3", "--out", "/dev/full"]) == 2

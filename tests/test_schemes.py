@@ -145,8 +145,9 @@ class TestDecoupleGeneral:
             synth_decouple_general(100, cap=64)
 
     def test_composed_construction_yields_valid_scheme_rows(self):
-        # Sylvester always matches composed interval counts, so dispatch never
-        # picks composition; exercise the composed row source directly.
+        # At equal m Sylvester never holds fewer triples than a composition, so
+        # only general select at n = 19 picks one (see test_synth_golden.py);
+        # exercise the composed row source directly.
         from decoupler.schemes import _Candidate, _construction_rows
 
         rows, triples, five = _construction_rows(_Candidate(16, "composed", 2, 1), 4096)
