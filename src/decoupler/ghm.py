@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
 from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, format_rows, gram,
-                       is_normalized, parse_rows)
+                       is_normalized, parse_rows, upper_pairs)
 from .schur import five_rows, partition_sylvester, sylvester
 
 # sign of coordinate t for element g: rows e, x, y, z
@@ -83,7 +83,7 @@ def verify_gh(g: GhMatrix) -> GhValidityReport:
     times iff rows 3i+t and 3j+t of level(g) are orthogonal for t = 0, 1, 2.
     """
     bad = np.any([gram(TRIPLE_SIGNS[g.entries, t]) != 0 for t in range(3)], axis=0)
-    pairs = np.argwhere(np.triu(bad, 1))
+    pairs = upper_pairs(bad)
     return GhValidityReport(lam=g.lam, offending_pairs=tuple(map(tuple, pairs.tolist())))
 
 

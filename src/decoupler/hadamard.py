@@ -1,13 +1,13 @@
-"""Hadamard matrix constructions and the constructible-order catalog, plus
-the two kernels every sign matrix goes through: `gram`, the exact integer
-Gram matrix by which all orthogonality is tested, and `format_rows` /
-`parse_rows`, the one codec between code matrices and lines of letters.
+"""Hadamard matrix constructions and the recipe of each constructible order,
+plus the kernels every sign matrix goes through: `gram`, the exact integer
+Gram matrix by which all orthogonality is tested, with `upper_pairs` its one
+scan, and `format_rows` / `parse_rows`, the one row codec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import IO
 
 import numpy as np
@@ -88,7 +88,14 @@ def gram(rows) -> np.ndarray:
     if rows.shape[1] > 1 << 24:
         raise ValueError(f"row width {rows.shape[1]} exceeds the exact float32 bound 2^24")
     f = rows.astype(np.float32)
-    return (f @ f.T).astype(np.int64)
+    f = f @ f.T  # rebinding frees the row copy before the int64 widening
+    return f.astype(np.int64)
+
+
+def upper_pairs(mismatch: np.ndarray) -> np.ndarray:
+    """Every (i, j) with i < j where the square bool matrix is set, in
+    row-major order: the one pair scan of every orthogonality test."""
+    return np.argwhere(np.triu(mismatch, 1))
 
 
 def is_hadamard(entries) -> ValidityReport:
@@ -99,7 +106,7 @@ def is_hadamard(entries) -> ValidityReport:
         raise ValueError(f"matrix must be square, got shape {e.shape}")
     if not np.all(np.abs(e) == 1):
         raise ValueError("matrix entries must be +1/-1")
-    bad = np.argwhere(np.triu(gram(e) != 0, 1))
+    bad = upper_pairs(gram(e) != 0)
     return ValidityReport(order=e.shape[0], offending_pairs=tuple(map(tuple, bad.tolist())))
 
 
@@ -110,8 +117,10 @@ def sylvester(r: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
     m = 1 << r
     if m > cap:
         raise SizeCapExceeded(f"sylvester order {m} exceeds cap {cap}")
-    h2 = np.array([[1, 1], [1, -1]], dtype=np.int8)
-    entries = reduce(np.kron, [h2] * r, np.ones((1, 1), dtype=np.int8))
+    entries = np.ones((m, m), dtype=np.int8)
+    for k in (1 << b for b in range(r)):  # H, the leading k x k block, to [[H, H], [H, -H]]
+        entries[:k, k:2 * k] = entries[k:2 * k, :k] = entries[:k, :k]
+        np.negative(entries[:k, :k], out=entries[k:2 * k, k:2 * k])
     return HadamardMatrix(entries, provenance=f"sylvester({r})")
 
 
@@ -142,7 +151,7 @@ def paley(q: int, variant: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
     """Paley construction I (order q+1, q = 3 mod 4) or II (order 2(q+1), q = 1 mod 4).
 
     Only prime q is supported; prime powers would need GF(q) arithmetic that
-    the catalog never requires.
+    no recipe requires.
     """
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
@@ -197,33 +206,22 @@ def is_normalized(h: HadamardMatrix) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _catalog(cap: int) -> dict[int, Recipe]:
-    """Smallest-order-first map of constructible orders to recipes.
-
-    Priority for a given order: sylvester, paley I, paley II, then Kronecker
-    products of smaller catalog entries (smallest left factor first).
-    """
-    orders: dict[int, Recipe] = {}
-    r = 0
-    while (1 << r) <= cap:
-        orders[1 << r] = ("sylvester", r)
-        r += 1
-    for q in range(3, cap, 4):
-        if q + 1 not in orders and _is_prime(q):
-            orders[q + 1] = ("paley1", q)
-    for q in range(5, cap // 2, 4):
-        if 2 * (q + 1) not in orders and _is_prime(q):
-            orders[2 * (q + 1)] = ("paley2", q)
-    # Kronecker closure: one ascending pass suffices since both factors of
-    # any product are strictly smaller than the product.
-    for m in range(4, cap + 1, 4):
-        if m in orders:
-            continue
-        for a in range(2, m):
-            if m % a == 0 and a in orders and (m // a) in orders and m // a > 1:
-                orders[m] = ("kron", orders[a], orders[m // a])
-                break
-    return orders
+def _recipe(m: int) -> Recipe | None:
+    """The recipe for order m, a function of m alone, or None when no
+    construction reaches m.  Priority: sylvester, paley I (q = m-1), paley II
+    (q = m/2-1), then the Kronecker product with the smallest left factor."""
+    if m & (m - 1) == 0:
+        return ("sylvester", m.bit_length() - 1)
+    if m % 4:
+        return None
+    if _is_prime(m - 1):  # m = 0 mod 4 and no power of 2: q = m-1 >= 11, 3 mod 4
+        return ("paley1", m - 1)
+    if m % 8 == 4 and _is_prime(m // 2 - 1):  # q = m/2-1 = 1 mod 4
+        return ("paley2", m // 2 - 1)
+    for a in range(2, m // 2 + 1):
+        if m % a == 0 and (left := _recipe(a)) and (right := _recipe(m // a)):
+            return ("kron", left, right)
+    return None
 
 
 def build_hadamard(recipe: Recipe, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
@@ -240,13 +238,12 @@ def build_hadamard(recipe: Recipe, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatri
 
 
 def best_order(n: int, cap: int = DEFAULT_SIZE_CAP) -> OrderCatalogEntry:
-    """Smallest constructible Hadamard order >= n, with its recipe."""
+    """Smallest constructible Hadamard order in n..cap, with its recipe."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    catalog = _catalog(cap)
     for m in range(n, cap + 1):
-        if m in catalog:
-            return OrderCatalogEntry(requested=n, achieved=m, recipe=catalog[m])
+        if (recipe := _recipe(m)) is not None:
+            return OrderCatalogEntry(requested=n, achieved=m, recipe=recipe)
     raise SizeCapExceeded(f"no constructible order >= {n} within cap {cap}")
 
 

@@ -17,7 +17,7 @@ from typing import IO
 import numpy as np
 
 from .errors import SizeCapExceeded
-from .hadamard import DEFAULT_SIZE_CAP, best_matrix, format_rows, gram, parse_rows
+from .hadamard import DEFAULT_SIZE_CAP, best_matrix, format_rows, gram, parse_rows, upper_pairs
 from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
 from .schur import five_rows, partition_sylvester, sylvester
 
@@ -386,7 +386,8 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
 
     The criteria act on the rows that matter: S for zz (the S_z rows of the
     embedding (1, S, S)), S_x/S_y/S_z stacked at index 3q + label for
-    general.  Each task is a target Gram matrix plus a mask of skipped pairs.
+    general.  Each task compares the off-diagonal Gram with one scalar, 0,
+    or -1 for reverse, after writing its one exception into the Gram.
     """
     checks: dict[str, CheckOutcome] = {}
     n = scheme.qubits
@@ -409,32 +410,31 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
     def row(label: str, qubit: int) -> int:
         return len(labels) * qubit + labels.index(label)
 
-    total = len(rows)
-    skip = np.tri(total, dtype=bool)  # each unordered pair once, diagonal never
     reverse = task.kind == "reverse"
-    target = np.full((total, total), -1 if reverse else 0, dtype=np.int64)
+    target = -1 if reverse else 0
+    g = gram(rows)
     if task.kind == "select":
         l, k = task.qubits
-        g, e = ("z", "z") if zz else task.labels
-        a, b = row(g, l), row(e, k)
-        target[a, b] = target[b, a] = m
+        gamma, eta = ("z", "z") if zz else task.labels
+        a, b = row(gamma, l), row(eta, k)
         detail = (f"rows {l} and {k} must be identical" if zz
-                  else f"S_{g} row {l} must equal S_{e} row {k}")
-        checks["designated_pair"] = CheckOutcome(
-            bool(np.array_equal(rows[a], rows[b])), detail)
+                  else f"S_{gamma} row {l} must equal S_{eta} row {k}")
+        # +/-1 rows are identical iff their inner product is m
+        checks["designated_pair"] = CheckOutcome(bool(g[a, b] == m), detail)
+        g[[a, b], [b, a]] -= m
     elif task.kind == "select_pair":
         i, j = task.qubits
         pair = [row(lb, q) for q in (i, j) for lb in labels]
-        skip[np.ix_(pair, pair)] = True
+        g[np.ix_(pair, pair)] = target  # the pair's couplings are kept, not checked
         checks["pair_rows_all_plus"] = CheckOutcome(
             bool(np.all(rows[pair] == 1)), f"rows of qubits {i},{j} must be all +")
-    bad = np.argwhere((gram(rows) != target) & ~skip)
+    bad = upper_pairs(g != target)
     if reverse:
         checks["inner_products"] = _outcome(bad, "row pairs with inner product != -1")
     else:
         checks["orthogonality"] = _outcome(bad)
     if task.remove_local_terms and task.kind != "select_pair":
-        bad_sums = np.nonzero(rows.sum(axis=1) != (-1 if reverse else 0))[0]
+        bad_sums = np.nonzero(rows.sum(axis=1) != target)[0]
         if reverse:
             checks["row_sums"] = _outcome(bad_sums, "rows with sum != -1")
         else:
@@ -446,7 +446,7 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
         qubits=n,
         framework=task.framework,
         intervals=m,
-        overhead=m / total,
+        overhead=m / len(rows),
         gate_count=int(gates),
         checks=checks,
     )

@@ -196,14 +196,13 @@ def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
 
-def run_schedule(p: PulseSchedule, h: PauliHamiltonian, tau: float | None = None) -> np.ndarray:
+def run_schedule(p: PulseSchedule, h: PauliHamiltonian) -> np.ndarray:
     """Multiply gate layers and free evolutions in schedule order; later
     operations act on the left."""
     if p.qubits != h.qubits:
         raise ValueError(f"schedule is for {p.qubits} qubits, Hamiltonian for {h.qubits}")
-    tau = p.tau if tau is None else tau
     dim = 2 ** h.qubits
-    u_free = evolve(h, tau)
+    u_free = evolve(h, p.tau)
     cache: dict[str, np.ndarray] = {}
     u = np.eye(dim, dtype=np.complex128)
     for step in p.steps:

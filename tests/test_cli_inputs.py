@@ -129,3 +129,18 @@ def test_synth_unused_selection_option_exits_2(tmp_path, capsys, argv):
 def test_synth_selection_option_fills_a_bare_task(capsys, argv, task):
     code = main(["synth", *argv, "--n", "3"])
     assert code == 0 and task in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_compile_non_finite_tau_exits_2(tmp_path, capsys, tau):
+    path = tmp_path / "scheme.txt"
+    path.write_text(ZZ_SCHEME)
+    code, err = run_cli(capsys, ["compile", str(path), f"--tau={tau}"])
+    assert code == 2
+    assert err.startswith("error: ") and "tau must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_schedule_with_non_finite_tau_is_refused(tau):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        read_schedule(io.StringIO(f"pulses n=1 m=1 tau={tau}\nG I\nF {tau}\nG I\n"))
