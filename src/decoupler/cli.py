@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import contextvars
 import functools
 import sys
 from dataclasses import dataclass
@@ -71,29 +70,18 @@ def analyze_csv(rows: list[AnalyzerRow]) -> str:
     return "\n".join(out) + "\n"
 
 
-# the ExitStack of the running main call, which closes the files argparse
-# opens for that call (per call: the parser is built once and shared)
-_open_files: contextvars.ContextVar[contextlib.ExitStack | None] = contextvars.ContextVar(
-    "_open_files", default=None)
-
-
-class _FileType(argparse.FileType):
-    """argparse.FileType that hands every file it opens (never stdin or
-    stdout) to the calling main, so the file is closed even when a later
-    argument fails to parse."""
-
-    def __call__(self, string):
-        stream = super().__call__(string)
-        stack = _open_files.get()
-        if stack is not None and stream not in (sys.stdin, sys.stdout):
-            stack.enter_context(stream)
-        return stream
+def _open(path: str, mode: str = "r"):
+    """`path` opened for a with block; "-" is the sys.stdin or sys.stdout
+    current at this call, which the block leaves open."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout if "w" in mode else sys.stdin)
+    return open(path, mode)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process.  `--out` defaults to "-", which
-    FileType turns into the sys.stdout current at each parse."""
+    """The parser, built once per process.  File arguments stay paths, which
+    _dispatch opens where it uses them; "-" is stdin or stdout."""
     parser = argparse.ArgumentParser(prog="decoupler")
     parser.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP,
                         help="size cap for matrix constructions")
@@ -122,18 +110,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local", dest="local", action="store_true", default=True,
                    help="remove local terms (zero row sums); default on")
     p.add_argument("--no-local", dest="local", action="store_false")
-    p.add_argument("--out", type=_FileType("w"), default="-")
+    p.add_argument("--out", default="-")
 
     p = sub.add_parser("check", help="check a scheme file against its task")
-    p.add_argument("scheme", type=_FileType("r"))
+    p.add_argument("scheme")
 
     p = sub.add_parser("compile", help="compile a scheme file to a pulse schedule")
-    p.add_argument("scheme", type=_FileType("r"))
+    p.add_argument("scheme")
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--out", type=_FileType("w"), default="-")
+    p.add_argument("--out", default="-")
 
     p = sub.add_parser("verify", help="simulate a scheme against a Hamiltonian")
-    p.add_argument("scheme", type=_FileType("r"))
+    p.add_argument("scheme")
     p.add_argument("--ham", required=True, help="file path or random:<seed>")
     p.add_argument("--time", type=float, default=0.1)
     p.add_argument("--reps", type=int, default=16)
@@ -143,17 +131,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--framework", choices=["zz", "general"], default="general")
     p.add_argument("--sylvester-only", action="store_true")
-    p.add_argument("--out", type=_FileType("w"), default="-")
+    p.add_argument("--out", default="-")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # files are closed inside the try, so a failed final flush exits 2,
-        # and also when argparse exits 2 on a later argument
-        with contextlib.ExitStack() as opened:
-            opened.callback(_open_files.reset, _open_files.set(opened))
-            return _dispatch(_build_parser().parse_args(argv))
+        return _dispatch(_build_parser().parse_args(argv))
     except (ValueError, SizeCapExceeded, SearchBudgetExceeded, DesignNotFound,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -190,23 +174,36 @@ def _dispatch(args: argparse.Namespace) -> int:
             body = f"{heads[0]}:{value}"
         task = parse_task(body, args.framework, args.local)
         scheme = synth(task, args.n, args.cap)
-        write_scheme(scheme, task, args.out)
+        with _open(args.out, "w") as out:
+            write_scheme(scheme, task, out)
         return 0
 
+    if args.command == "analyze":
+        csv = analyze_csv(analyze_rows(args.n_max, args.framework,
+                                       args.sylvester_only, args.cap))
+        with _open(args.out, "w") as out:
+            out.write(csv)
+        return 0
+
+    # check, compile and verify read their scheme whole first; like synth and
+    # analyze, compile opens --out only once its content exists, so a failed
+    # command leaves an existing file as it was
+    with _open(args.scheme) as fh:
+        scheme, task = read_scheme(fh)
+
     if args.command == "check":
-        scheme, task = read_scheme(args.scheme)
         report = check_scheme(scheme, task)
         for line in report.lines():
             print(line)
         return 0 if report.passed else 1
 
     if args.command == "compile":
-        scheme, _task = read_scheme(args.scheme)
-        write_schedule(compile_general(scheme, args.tau), args.out)
+        schedule = compile_general(scheme, args.tau)
+        with _open(args.out, "w") as out:
+            write_schedule(schedule, out)
         return 0
 
     if args.command == "verify":
-        scheme, task = read_scheme(args.scheme)
         if args.ham == "random" or args.ham.startswith("random:"):
             _, _, tail = args.ham.partition(":")
             seed = int(tail) if tail else args.seed
@@ -219,11 +216,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         for line in result.lines():
             print(line)
         return 0 if result.passed else 1
-
-    if args.command == "analyze":
-        rows = analyze_rows(args.n_max, args.framework, args.sylvester_only, args.cap)
-        args.out.write(analyze_csv(rows))
-        return 0
 
     raise ValueError(f"unknown command {args.command!r}")
 

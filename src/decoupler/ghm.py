@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
 from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, format_rows, gram,
-                       is_normalized, parse_rows, upper_pairs)
+                       frozen, is_normalized, parse_rows, read_only, upper_pairs)
 from .schur import five_rows, partition_sylvester, sylvester
 
 # sign of coordinate t for element g: rows e, x, y, z
@@ -32,11 +32,11 @@ class GhMatrix:
     """(4 lam) x (4 lam) array over GF(4); every row-pair quotient sequence
     contains each element exactly lam times."""
 
-    entries: np.ndarray  # uint8 values 0..3
+    entries: np.ndarray  # uint8 values 0..3, read-only
     lam: int
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.uint8)
+        e = read_only(self.entries, np.uint8)
         n = 4 * self.lam
         if self.lam < 1 or e.shape != (n, n):
             raise ValueError(f"expected {n}x{n} entries for lambda={self.lam}")
@@ -94,7 +94,7 @@ def gh_kron(a: GhMatrix, b: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> GhMatrix:
         raise SizeCapExceeded(f"gh kron order {order} exceeds cap {cap}")
     prod = np.bitwise_xor.outer(a.entries, b.entries)  # [i,j,k,l]
     entries = prod.transpose(0, 2, 1, 3).reshape(order, order)
-    return GhMatrix(entries, lam=4 * a.lam * b.lam)
+    return GhMatrix(frozen(entries), lam=4 * a.lam * b.lam)
 
 
 def gh_search(lam: int, budget: int = 10_000_000) -> GhMatrix:
@@ -240,6 +240,10 @@ def compose(
         raise ValueError("base Hadamard matrix must be normalized")
     if not gamma.normalized:
         raise ValueError("gamma must be normalized")
+    bad_pairs = verify_gh(gamma).offending_pairs
+    if bad_pairs:
+        raise ValueError(f"gamma is not a GH(4,{lam}): rows {bad_pairs[0]} "
+                         "fail the quotient count")
     base = h.entries[list(schur_rows)].reshape(n, 3, m)
     bad = np.flatnonzero(np.any(base.prod(axis=1) != 1, axis=1))
     if bad.size:
@@ -261,7 +265,7 @@ def compose(
     index_map += [(3 * n + q, 3 * b) for q in range(len(left)) for b in range(L)]
 
     hprime = HadamardMatrix(
-        rows, provenance=f"composed({h.provenance},gh(4,{lam}))")
+        frozen(rows), provenance=f"composed({h.provenance},gh(4,{lam}))")
     triples = tuple((3 * k, 3 * k + 1, 3 * k + 2) for k in range(n * L))
 
     f_indices = None

@@ -29,15 +29,32 @@ def recipe_str(recipe: Recipe) -> str:
     return f"{head}({recipe[1]})"
 
 
+def read_only(entries, dtype) -> np.ndarray:
+    """`entries` as a read-only array of `dtype`: the stored entries of every
+    value.  An array the caller could still write to is copied first."""
+    e = np.asarray(entries, dtype=dtype)
+    if e.flags.writeable and (e is entries or e.base is not None):
+        e = e.copy()
+    e.flags.writeable = False
+    return e
+
+
+def frozen(e: np.ndarray) -> np.ndarray:
+    """`e` made read-only in place: how a builder hands a value an array that
+    nothing else holds, so the value need not copy it."""
+    e.flags.writeable = False
+    return e
+
+
 @dataclass(frozen=True)
 class HadamardMatrix:
-    """A square +/-1 matrix with pairwise orthogonal rows."""
+    """A square +/-1 matrix with pairwise orthogonal rows; read-only entries."""
 
     entries: np.ndarray
     provenance: str = "literal"
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.int8)
+        e = read_only(self.entries, np.int8)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"entries must be square, got shape {e.shape}")
         if not np.all(np.abs(e) == 1):
@@ -114,14 +131,14 @@ def sylvester(r: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
     """The r-fold Kronecker power of [[+,+],[+,-]]; entry (i,j) = (-1)^(i.j)."""
     if r < 0:
         raise ValueError("r must be >= 0")
+    if r >= cap.bit_length():  # 2^r > cap, without building 2^r
+        raise SizeCapExceeded(f"sylvester order 2^{r} exceeds cap {cap}")
     m = 1 << r
-    if m > cap:
-        raise SizeCapExceeded(f"sylvester order {m} exceeds cap {cap}")
     entries = np.ones((m, m), dtype=np.int8)
     for k in (1 << b for b in range(r)):  # H, the leading k x k block, to [[H, H], [H, -H]]
         entries[:k, k:2 * k] = entries[k:2 * k, :k] = entries[:k, :k]
         np.negative(entries[:k, :k], out=entries[k:2 * k, k:2 * k])
-    return HadamardMatrix(entries, provenance=f"sylvester({r})")
+    return HadamardMatrix(frozen(entries), provenance=f"sylvester({r})")
 
 
 def _is_prime(n: int) -> bool:
@@ -171,7 +188,7 @@ def paley(q: int, variant: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
         s[1:, 0] = -1
         s[1:, 1:] = Q
         entries = s + np.eye(q + 1, dtype=np.int8)
-        return HadamardMatrix(entries, provenance=f"paley1({q})")
+        return HadamardMatrix(frozen(entries), provenance=f"paley1({q})")
     c = np.zeros((q + 1, q + 1), dtype=np.int8)
     c[0, 1:] = 1
     c[1:, 0] = 1
@@ -179,14 +196,14 @@ def paley(q: int, variant: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
     h2 = np.array([[1, 1], [1, -1]], dtype=np.int8)
     k2 = np.array([[1, -1], [-1, -1]], dtype=np.int8)
     entries = np.kron(c, h2) + np.kron(np.eye(q + 1, dtype=np.int8), k2)
-    return HadamardMatrix(entries, provenance=f"paley2({q})")
+    return HadamardMatrix(frozen(entries), provenance=f"paley2({q})")
 
 
 def kron_product(a: HadamardMatrix, b: HadamardMatrix, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
     if a.order * b.order > cap:
         raise SizeCapExceeded(f"kron order {a.order * b.order} exceeds cap {cap}")
     return HadamardMatrix(
-        np.kron(a.entries, b.entries),
+        frozen(np.kron(a.entries, b.entries)),
         provenance=f"kron({a.provenance},{b.provenance})",
     )
 
@@ -198,7 +215,7 @@ def normalize(h: HadamardMatrix) -> HadamardMatrix:
     """
     e = h.entries * h.entries[0][None, :]  # fix first row
     e = e * e[:, 0][:, None]    # fix first column
-    return HadamardMatrix(e, provenance=h.provenance)
+    return HadamardMatrix(frozen(e), provenance=h.provenance)
 
 
 def is_normalized(h: HadamardMatrix) -> bool:
@@ -295,7 +312,9 @@ def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.
     if n < 1 or m < 0:
         raise ValueError(f"bad {what} shape {n} x {m}")
     lines: list[str] = []
-    while len(lines) < n and len(line := stream.readline().strip()) == m:
+    # readline gives "" only at the end of the stream, which would otherwise
+    # pass as one more row of an m = 0 block, however large n claims to be
+    while len(lines) < n and (line := stream.readline()) and len(line := line.strip()) == m:
         lines.append(line)
     raw = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8)
     codes = _decoder(alphabet)[raw].reshape(len(lines), m)
@@ -316,5 +335,5 @@ def read_matrix(stream: IO[str]) -> HadamardMatrix:
     if len(header) != 2 or header[0] != "order":
         raise ValueError("matrix file must start with 'order m'")
     m = int(header[1])
-    return HadamardMatrix(1 - 2 * parse_rows(stream, m, m, "+-", "matrix"),
+    return HadamardMatrix(frozen(1 - 2 * parse_rows(stream, m, m, "+-", "matrix")),
                           provenance="literal")

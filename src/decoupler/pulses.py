@@ -29,8 +29,8 @@ class PulseSchedule:
     steps: tuple[Step, ...]
 
     def __post_init__(self):
-        if not abs(self.tau) < float("inf"):  # false for nan as for +/-inf
-            raise ValueError(f"tau must be finite, got {self.tau!r}")
+        if not 0 < self.tau < float("inf"):  # false for nan as for +/-inf
+            raise ValueError(f"tau must be finite and > 0, got {self.tau!r}")
         for s in self.steps:
             if s is not None and (len(s) != self.qubits or set(s) - set(GATES)):
                 raise ValueError(f"bad gate layer {s!r}")

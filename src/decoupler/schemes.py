@@ -17,7 +17,8 @@ from typing import IO
 import numpy as np
 
 from .errors import SizeCapExceeded
-from .hadamard import DEFAULT_SIZE_CAP, best_matrix, format_rows, gram, parse_rows, upper_pairs
+from .hadamard import (DEFAULT_SIZE_CAP, best_matrix, format_rows, frozen, gram,
+                       parse_rows, read_only, upper_pairs)
 from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
 from .schur import five_rows, partition_sylvester, sylvester
 
@@ -27,10 +28,10 @@ GATES = "IXYZ"  # gate code c conjugates with GATES[c]
 
 @dataclass(frozen=True)
 class SignMatrix:
-    entries: np.ndarray  # n x m, +/-1
+    entries: np.ndarray  # n x m, +/-1, read-only
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.int8)
+        e = read_only(self.entries, np.int8)
         if e.ndim != 2 or not np.all(np.abs(e) == 1):
             raise ValueError("sign matrix must be a 2-d array of +1/-1")
         object.__setattr__(self, "entries", e)
@@ -95,6 +96,9 @@ class TaskSpec:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.framework not in ("zz", "general"):
             raise ValueError(f"unknown framework {self.framework!r}")
+        if min(self.qubits, default=0) < 0:
+            raise ValueError(f"task qubits {self.qubits} must be >= 0 "
+                             "(>= 1 in files and on the command line)")
         if self.kind in ("select", "select_pair"):
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError("select tasks need two distinct qubit indices")
@@ -171,7 +175,7 @@ def synth_select_zz(n: int, i: int, j: int, remove_local_terms: bool = True,
     rows = _zz_rows(n - 1, remove_local_terms, cap)
     pos = np.arange(n) - (np.arange(n) > j)  # every qubit but j, in order
     pos[j] = pos[i]
-    return SignMatrix(rows[pos])
+    return SignMatrix(frozen(rows[pos]))
 
 
 def synth_reverse_zz(n: int, remove_local_terms: bool = True,
@@ -259,7 +263,7 @@ def _schur_rows(need: int, cap: int, five: bool = False):
 
 def _triple(signs: np.ndarray) -> SignTriple:
     """The scheme whose S_x, S_y, S_z are the three n x m blocks of signs."""
-    return SignTriple(*map(SignMatrix, signs))
+    return SignTriple(*map(SignMatrix, frozen(signs)))
 
 
 def _decoupling(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -464,43 +468,34 @@ def _outcome(bad: np.ndarray, what: str = "non-orthogonal row pairs") -> CheckOu
 # ---------------------------------------------------------------------------
 # scheme file format
 
+# The task text "<head>[:<arguments>]": each kind's head and its number of
+# comma-separated arguments in the zz and in the general framework.  The
+# arguments are the 1-based qubits, then a general selection's two labels.
+_TASK_TEXT = {"decouple": ("decouple", 0, 0), "select": ("select", 2, 4),
+              "select_pair": ("pair", 2, 2), "reverse": ("reverse", 0, 0)}
+_TASK_KIND = {head: kind for kind, (head, *_) in _TASK_TEXT.items()}
+
+
+def _argument_count(kind: str, framework: str) -> int:
+    return _TASK_TEXT[kind][2 if framework == "general" else 1]
+
+
 def _format_task(task: TaskSpec) -> str:
-    if task.kind == "decouple":
-        body = "decouple"
-    elif task.kind == "reverse":
-        body = "reverse"
-    elif task.kind == "select" and task.framework == "zz":
-        i, j = task.qubits
-        body = f"select:{i + 1},{j + 1}"
-    elif task.kind == "select":
-        l, k = task.qubits
-        g, e = task.labels
-        body = f"select:{l + 1},{k + 1},{g},{e}"
-    else:
-        i, j = task.qubits
-        body = f"pair:{i + 1},{j + 1}"
-    return body
+    args = [str(q + 1) for q in task.qubits] + list(task.labels or ())
+    args = args[:_argument_count(task.kind, task.framework)]
+    head = _TASK_TEXT[task.kind][0]
+    return f"{head}:{','.join(args)}" if args else head
 
 
 def parse_task(body: str, framework: str, remove_local_terms: bool) -> TaskSpec:
     """Parse the task=... field; qubit indices in files are 1-based."""
-    if body == "decouple" or body == "reverse":
-        return TaskSpec(body, framework, remove_local_terms=remove_local_terms)
-    head, _, rest = body.partition(":")
-    parts = rest.split(",") if rest else []
-    if head == "select" and framework == "zz" and len(parts) == 2:
-        return TaskSpec("select", framework, qubits=(int(parts[0]) - 1, int(parts[1]) - 1),
-                        remove_local_terms=remove_local_terms)
-    if head == "select" and framework == "general" and len(parts) == 4:
-        return TaskSpec("select", framework,
-                        qubits=(int(parts[0]) - 1, int(parts[1]) - 1),
-                        labels=(parts[2], parts[3]),
-                        remove_local_terms=remove_local_terms)
-    if head == "pair" and len(parts) == 2:
-        return TaskSpec("select_pair", framework,
-                        qubits=(int(parts[0]) - 1, int(parts[1]) - 1),
-                        remove_local_terms=remove_local_terms)
-    raise ValueError(f"cannot parse task {body!r}")
+    head, colon, rest = body.partition(":")
+    kind = _TASK_KIND.get(head)
+    args = rest.split(",") if colon else []
+    if kind is None or len(args) != _argument_count(kind, framework):
+        raise ValueError(f"cannot parse task {body!r}")
+    return TaskSpec(kind, framework, tuple(int(q) - 1 for q in args[:2]),
+                    tuple(args[2:]) or None, remove_local_terms)
 
 
 def _write_block(entries: np.ndarray, stream: IO[str]) -> None:
@@ -514,7 +509,7 @@ def _read_block(stream: IO[str]) -> np.ndarray:
     if len(header) != 3 or header[0] != "rows":
         raise ValueError("sign-matrix block must start with 'rows n m'")
     n, m = int(header[1]), int(header[2])
-    return 1 - 2 * parse_rows(stream, n, m, "+-", "sign-matrix")
+    return frozen(1 - 2 * parse_rows(stream, n, m, "+-", "sign-matrix"))
 
 
 def write_scheme(scheme: Scheme, task: TaskSpec, stream: IO[str]) -> None:

@@ -352,6 +352,8 @@ def verify(task: TaskSpec, scheme: Scheme, h: PauliHamiltonian,
     # covers a non-finite time too: inf * 0 is nan
     if not np.isfinite(total_time * sum(abs(c) for c, _ in h.terms)):
         raise ValueError(f"time * sum of |coefficients| must be finite (time={total_time})")
+    if not total_time > 0:
+        raise ValueError(f"time must be > 0, got {total_time}")
     if scheme.qubits != h.qubits:
         raise ValueError("scheme and Hamiltonian qubit counts differ")
     diagonal = h.is_diagonal()

@@ -157,9 +157,9 @@ class TestCompileVerify:
         assert out_a == out_b
 
     def test_verify_missing_file_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "/nonexistent", "--ham", "random:1"])
-        assert exc.value.code == 2
+        assert main(["verify", "/nonexistent", "--ham", "random:1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "/nonexistent" in err
 
 
 class TestAnalyze:

@@ -144,3 +144,43 @@ def test_compile_non_finite_tau_exits_2(tmp_path, capsys, tau):
 def test_schedule_with_non_finite_tau_is_refused(tau):
     with pytest.raises(ValueError, match="tau must be finite"):
         read_schedule(io.StringIO(f"pulses n=1 m=1 tau={tau}\nG I\nF {tau}\nG I\n"))
+
+
+@pytest.mark.parametrize("framework,task,bad", [
+    ("zz", "select:1,3", "select:0,3"),
+    ("general", "select:1,3,x,y", "select:0,3,x,y"),
+    ("general", "pair:1,2", "pair:0,2"),
+], ids=["zz-select", "general-select", "pair"])
+@pytest.mark.parametrize("command", [["check"], ["verify", "--ham", "random:1"]])
+def test_task_qubit_zero_exits_2(tmp_path, capsys, framework, task, bad, command):
+    # qubit 0 would become index -1, which numpy reads as the last qubit
+    path = tmp_path / "scheme.txt"
+    assert main(["synth", "--task", task, "--framework", framework, "--n", "3",
+                 "--out", str(path)]) == 0
+    path.write_text(path.read_text().replace(f"task={task} ", f"task={bad} ", 1))
+    code, err = run_cli(capsys, [command[0], str(path), *command[1:]])
+    assert code == 2
+    assert err.startswith("error: ") and ">= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tau", ["0", "-1", "-0.0"])
+def test_compile_tau_not_positive_exits_2(tmp_path, capsys, tau):
+    path = tmp_path / "scheme.txt"
+    path.write_text(ZZ_SCHEME)
+    code, err = run_cli(capsys, ["compile", str(path), f"--tau={tau}"])
+    assert code == 2
+    assert err.startswith("error: ") and "tau must be finite and > 0" in err
+
+
+def test_schedule_with_negative_tau_is_refused():
+    with pytest.raises(ValueError, match="tau must be finite and > 0"):
+        read_schedule(io.StringIO("pulses n=1 m=1 tau=-1.0\nG I\nF -1.0\nG I\n"))
+
+
+@pytest.mark.parametrize("time", ["0", "-0.1"])
+def test_verify_time_not_positive_exits_2(tmp_path, capsys, time):
+    path = tmp_path / "scheme.txt"
+    path.write_text(ZZ_SCHEME)
+    code, err = run_cli(capsys, ["verify", str(path), "--ham", "random:1", f"--time={time}"])
+    assert code == 2
+    assert err.startswith("error: ") and "time must be > 0" in err

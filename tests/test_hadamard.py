@@ -74,6 +74,12 @@ class TestSylvester:
         with pytest.raises(SizeCapExceeded):
             sylvester(13)
 
+    @pytest.mark.parametrize("r", [10 ** 8, 2 ** 64])
+    def test_huge_r_refused_before_building_2_to_the_r(self, r):
+        # building 1 << r first would fail on the integer, not on the cap
+        with pytest.raises(SizeCapExceeded, match=rf"2\^{r} exceeds cap 4096"):
+            sylvester(r)
+
     def test_negative_r(self):
         with pytest.raises(ValueError):
             sylvester(-1)

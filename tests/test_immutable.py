@@ -1,0 +1,100 @@
+"""Every value stores read-only entries, so no caller can change a matrix
+that another caller (or a cache) shares."""
+
+import io
+
+import numpy as np
+import pytest
+
+from decoupler.ghm import (GhMatrix, compose, compose_sylvester, gh4_base, gh_for_lambda,
+                           gh_kron, gh_search, read_gh, write_gh)
+from decoupler.hadamard import (HadamardMatrix, best_matrix, kron_product, normalize, paley,
+                                read_matrix, sylvester, write_matrix)
+from decoupler.schemes import SignMatrix, TaskSpec, read_scheme, synth, write_scheme
+from decoupler.schur import partition_sylvester
+
+
+def _text(write, value):
+    buf = io.StringIO()
+    write(value, buf)
+    buf.seek(0)
+    return buf
+
+
+def _general_scheme():
+    return synth(TaskSpec("decouple", "general"), 3)
+
+
+CONSTRUCTORS = {
+    "HadamardMatrix": lambda: HadamardMatrix(np.array([[1, 1], [1, -1]])),
+    "sylvester": lambda: sylvester(3),
+    "paley1": lambda: paley(11, 1),
+    "paley2": lambda: paley(5, 2),
+    "kron_product": lambda: kron_product(sylvester(1), paley(3, 1)),
+    "normalize": lambda: normalize(paley(11, 1)),
+    "best_matrix": lambda: best_matrix(20),
+    "read_matrix": lambda: read_matrix(_text(write_matrix, sylvester(2))),
+    "compose": lambda: compose_sylvester(2, gh4_base()).hprime,
+    "SignMatrix": lambda: SignMatrix(np.ones((2, 3))),
+    "synth_zz": lambda: synth(TaskSpec("select", "zz", (0, 2)), 4),
+    "synth_general": lambda: _general_scheme().sy,
+    "read_scheme": lambda: read_scheme(
+        _text(lambda s, buf: write_scheme(s, TaskSpec("decouple", "general"), buf),
+              _general_scheme()))[0].sz,
+    "GhMatrix": lambda: GhMatrix(np.zeros((4, 4)), lam=1),
+    "gh4_base": gh4_base,
+    "gh_for_lambda": lambda: gh_for_lambda(1),
+    "gh_for_lambda_2": lambda: gh_for_lambda(2),
+    "gh_kron": lambda: gh_kron(gh4_base(), gh4_base()),
+    "gh_search": lambda: gh_search(1),
+    "read_gh": lambda: read_gh(_text(write_gh, gh4_base())),
+}
+
+
+@pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+def test_entries_cannot_be_written(make):
+    value = make()
+    before = value.entries.copy()
+    assert not value.entries.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        value.entries[0, 0] = value.entries[0, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        value.entries[...] *= 1
+    np.testing.assert_array_equal(value.entries, before)
+
+
+@pytest.mark.parametrize("cls,array", [
+    (HadamardMatrix, np.array([[1, 1], [1, -1]], dtype=np.int8)),
+    (SignMatrix, np.array([[1, -1, 1]], dtype=np.int8)),
+    (lambda a: GhMatrix(a, lam=1), gh4_base().entries.copy()),
+], ids=["HadamardMatrix", "SignMatrix", "GhMatrix"])
+def test_the_callers_array_stays_the_callers(cls, array):
+    value = cls(array)
+    kept = value.entries.copy()
+    array[0, 1] += 1
+    np.testing.assert_array_equal(value.entries, kept)
+
+
+def test_a_view_of_writable_entries_is_copied():
+    base = np.array([[1, 1, 1], [1, -1, 1]], dtype=np.int8)
+    value = SignMatrix(base[:, 1:])
+    base[0, 1] = -1
+    assert value.entries[0, 0] == 1
+
+
+def test_the_cached_gh_cannot_be_poisoned():
+    with pytest.raises(ValueError, match="read-only"):
+        gh_for_lambda(1).entries[1, 1] = 0
+    np.testing.assert_array_equal(gh_for_lambda(1).entries, gh4_base().entries)
+
+
+def test_compose_refuses_a_corrupted_gh():
+    entries = gh4_base().entries.copy()
+    entries[1, 1] = 0  # still normalized, no longer GH(4,1)
+    bad = GhMatrix(entries, lam=1)
+    assert bad.normalized
+    with pytest.raises(ValueError, match="GH"):
+        compose_sylvester(2, bad)
+    p = partition_sylvester(2)
+    with pytest.raises(ValueError, match="GH"):
+        compose(sylvester(2), [i for t in p.triples for i in t], list(p.remainder), bad)

@@ -130,3 +130,11 @@ def test_sylvester_is_parity_of_and(r):
     entries = sylvester(r).entries
     assert entries.dtype == np.int8
     assert np.array_equal(entries, (1 - 2 * parity).astype(np.int8))
+
+
+def test_parse_rows_stops_at_the_end_of_the_stream():
+    # an m = 0 block reads "" at the end of the stream: not one more empty row
+    # (n stays small enough that a reader without the stop only fails the test)
+    with pytest.raises(ValueError, match="^bad matrix row ''$"):
+        parse_rows(io.StringIO("\n\n"), 10 ** 6, 0, "+-", "matrix")
+    assert parse_rows(io.StringIO("\n\n"), 2, 0, "+-", "matrix").shape == (2, 0)
