@@ -39,8 +39,9 @@ def analyze_rows(n_max: int, framework: str, sylvester_only: bool = False,
     """
     if framework not in ("zz", "general"):
         raise ValueError(f"unknown framework {framework!r}")
-    if n_max < 1 or 3 * n_max > cap:
-        raise ValueError(f"n_max must be in 1..{cap // 3}")
+    rows_per_qubit = 1 if framework == "zz" else 3
+    if n_max < 1 or rows_per_qubit * n_max > cap:
+        raise ValueError(f"n_max must be in 1..{cap // rows_per_qubit}")
     rows = []
     if framework == "zz":
         for n in range(1, n_max + 1):

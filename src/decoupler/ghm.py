@@ -16,8 +16,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
-from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, format_rows, gram,
-                       frozen, is_normalized, parse_rows, read_only, upper_pairs)
+from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, ValidityReport, format_rows,
+                       gram, frozen, is_normalized, parse_rows, read_only, upper_pairs)
 from .schur import five_rows, partition_sylvester, sylvester
 
 # sign of coordinate t for element g: rows e, x, y, z
@@ -53,16 +53,6 @@ class GhMatrix:
         return bool(np.all(self.entries[0] == 0) and np.all(self.entries[:, 0] == 0))
 
 
-@dataclass(frozen=True)
-class GhValidityReport:
-    lam: int
-    offending_pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.offending_pairs
-
-
 def gh4_base() -> GhMatrix:
     """The 4x4 GH(4,1) used as composition seed."""
     entries = np.array(
@@ -75,7 +65,7 @@ def gh4_base() -> GhMatrix:
     return GhMatrix(entries, lam=1)
 
 
-def verify_gh(g: GhMatrix) -> GhValidityReport:
+def verify_gh(g: GhMatrix) -> ValidityReport:
     """Check the quotient-count property for every row pair.
 
     The three sign coordinates are the nontrivial characters of GF(4)'s
@@ -84,7 +74,7 @@ def verify_gh(g: GhMatrix) -> GhValidityReport:
     """
     bad = np.any([gram(TRIPLE_SIGNS[g.entries, t]) != 0 for t in range(3)], axis=0)
     pairs = upper_pairs(bad)
-    return GhValidityReport(lam=g.lam, offending_pairs=tuple(map(tuple, pairs.tolist())))
+    return ValidityReport(order=g.order, offending_pairs=tuple(map(tuple, pairs.tolist())))
 
 
 def gh_kron(a: GhMatrix, b: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> GhMatrix:
@@ -270,17 +260,11 @@ def compose(
 
     f_indices = None
     if five is not None:
-        position = {r: p for p, r in enumerate(schur_rows)}
-        position.update({r: 3 * n + q for q, r in enumerate(leftover_rows)})
-        out = []
-        for base_row in five:
-            p = position[base_row]
-            if p < 3 * n:
-                i, t = divmod(p, 3)
-                out.append(i * 3 * L + t)       # b = 0 block
-            else:
-                out.append(3 * n * L + (p - 3 * n) * L)
-        f_indices = tuple(out)
+        # f x (all +1) is the row of base position p and leveled row 3*0 + t,
+        # coordinate t of gamma's all-identity row 0
+        position = {r: p for p, r in enumerate([*schur_rows, *leftover_rows])}
+        f_indices = tuple(index_map.index((p, p % 3 if p < 3 * n else 0))
+                          for p in (position[r] for r in five))
 
     return CompositionResult(
         hprime=hprime,

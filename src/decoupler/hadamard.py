@@ -1,5 +1,5 @@
 """Hadamard matrix constructions and the recipe of each constructible order,
-plus the kernels every sign matrix goes through: `gram`, the exact integer
+plus the kernels every sign matrix goes through: `gram`, the exact float32
 Gram matrix by which all orthogonality is tested, with `upper_pairs` its one
 scan, and `format_rows` / `parse_rows`, the one row codec.
 """
@@ -98,15 +98,14 @@ class OrderCatalogEntry:
 
 
 def gram(rows) -> np.ndarray:
-    """Exact int64 rows @ rows.T of +/-1 rows, by float32 BLAS: every partial
+    """Exact rows @ rows.T of +/-1 rows, in float32 by BLAS: every partial
     sum is an integer of magnitude <= the row width, exact in float32 in any
     summation order while the width is <= 2^24; wider rows raise ValueError."""
     rows = np.asarray(rows)
     if rows.shape[1] > 1 << 24:
         raise ValueError(f"row width {rows.shape[1]} exceeds the exact float32 bound 2^24")
     f = rows.astype(np.float32)
-    f = f @ f.T  # rebinding frees the row copy before the int64 widening
-    return f.astype(np.int64)
+    return f @ f.T
 
 
 def upper_pairs(mismatch: np.ndarray) -> np.ndarray:

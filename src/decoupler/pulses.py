@@ -110,6 +110,7 @@ def read_schedule(stream: IO[str]) -> PulseSchedule:
     n = int(fields["n"])
     tau = float(fields["tau"])
     steps: list[Step] = []
+    free: list[str] = []
     for line in stream:
         parts = line.split()
         if not parts:
@@ -118,11 +119,16 @@ def read_schedule(stream: IO[str]) -> PulseSchedule:
             steps.append(parts[1])
         elif parts[0] == "G" and len(parts) == 1:
             steps.append("")
-        elif parts[0] == "F":
+        elif parts[0] == "F" and len(parts) == 2:
             steps.append(None)
+            free.append(parts[1])
         else:
             raise ValueError(f"bad schedule line {line!r}")
     p = PulseSchedule(n, tau, tuple(steps))
     if p.total_intervals != int(fields["m"]):
         raise ValueError("schedule header interval count mismatch")
+    # every free evolution lasts tau; checked once PulseSchedule accepts tau
+    stray = [t for t in free if float(t) != tau]
+    if stray:
+        raise ValueError(f"free evolution 'F {stray[0]}' differs from tau={tau!r}")
     return p

@@ -425,7 +425,7 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
                   else f"S_{gamma} row {l} must equal S_{eta} row {k}")
         # +/-1 rows are identical iff their inner product is m
         checks["designated_pair"] = CheckOutcome(bool(g[a, b] == m), detail)
-        g[[a, b], [b, a]] -= m
+        g[[a, b], [b, a]] -= m  # an even integer within 2^25: exact in float32
     elif task.kind == "select_pair":
         i, j = task.qubits
         pair = [row(lb, q) for q in (i, j) for lb in labels]
@@ -524,8 +524,16 @@ def write_scheme(scheme: Scheme, task: TaskSpec, stream: IO[str]) -> None:
 
 
 def header_fields(parts: list[str], required: tuple[str, ...]) -> dict[str, str]:
-    """Parse `key=value` header words; a missing required key is a ValueError."""
-    fields = dict(part.split("=", 1) for part in parts)
+    """Parse `key=value` header words; a word without a key or a value, a
+    repeated key or a missing required key is a ValueError naming it."""
+    fields: dict[str, str] = {}
+    for part in parts:
+        key, _, value = part.partition("=")
+        if not key or not value:
+            raise ValueError(f"header word {part!r} is not key=value")
+        if key in fields:
+            raise ValueError(f"header repeats field {key}=")
+        fields[key] = value
     missing = [key for key in required if key not in fields]
     if missing:
         raise ValueError(f"header lacks field(s) {', '.join(f'{k}=' for k in missing)}")
@@ -538,7 +546,10 @@ def read_scheme(stream: IO[str]) -> tuple[Scheme, TaskSpec]:
         raise ValueError("scheme file must start with 'scheme <framework> ...'")
     framework = header[1]
     fields = header_fields(header[2:], ("n", "m", "task"))
-    task = parse_task(fields["task"], framework, bool(int(fields.get("local", "1"))))
+    local = fields.get("local", "1")
+    if local not in ("0", "1"):
+        raise ValueError(f"header field local={local} must be 0 or 1")
+    task = parse_task(fields["task"], framework, local == "1")
     if framework == "zz":
         scheme: Scheme = SignMatrix(_read_block(stream))
     else:

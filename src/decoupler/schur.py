@@ -192,6 +192,9 @@ def write_partition(p: SchurPartition, stream: IO[str]) -> None:
 
 
 def read_partition(stream: IO[str]) -> tuple[int, list[Triple], list[int]]:
+    """(r, triples, remainder) of a partition file: r is the width of the
+    first bitstring, which every other one must share, and each triple must
+    XOR to zero."""
     triples: list[Triple] = []
     remainder: list[int] = []
     r = None
@@ -199,14 +202,19 @@ def read_partition(stream: IO[str]) -> tuple[int, list[Triple], list[int]]:
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "T" and len(parts) == 4:
-            r = len(parts[1])
-            triples.append(tuple(int(b, 2) for b in parts[1:]))
-        elif parts[0] == "R" and len(parts) == 2:
-            r = len(parts[1])
-            remainder.append(int(parts[1], 2))
-        else:
+        head, bits = parts[0], parts[1:]
+        if (head, len(bits)) not in (("T", 3), ("R", 1)):
             raise ValueError(f"bad partition line {line!r}")
+        r = len(bits[0]) if r is None else r
+        if any(len(b) != r or set(b) - {"0", "1"} for b in bits):
+            raise ValueError(f"partition line {line!r} does not hold {r}-bit strings")
+        values = tuple(int(b, 2) for b in bits)
+        if head == "R":
+            remainder.append(values[0])
+        elif values[0] ^ values[1] ^ values[2]:
+            raise ValueError(f"partition triple {line!r} does not XOR to zero")
+        else:
+            triples.append(values)
     if r is None:
         raise ValueError("empty partition file")
     return r, triples, remainder

@@ -88,16 +88,15 @@ class VerificationResult:
         ]
 
 
+def _word(n: int, letters: dict[int, str]) -> str:
+    """The n-qubit Pauli word with letters[q] at qubit q and I elsewhere."""
+    return "".join(letters.get(q, "I") for q in range(n))
+
+
 def pair_words(n: int, i: int, j: int, kind: str) -> list[str]:
     """Coupling words for one qubit pair: ZZ only, or all nine products."""
-    labels = ["Z"] if kind == "zz" else ["X", "Y", "Z"]
-    out = []
-    for a in labels:
-        for b in labels:
-            word = ["I"] * n
-            word[i], word[j] = a, b
-            out.append("".join(word))
-    return out
+    labels = "Z" if kind == "zz" else "XYZ"
+    return [_word(n, {i: a, j: b}) for a in labels for b in labels]
 
 
 def random_hamiltonian(n: int, seed: int, kind: str = "zz",
@@ -119,12 +118,9 @@ def random_hamiltonian(n: int, seed: int, kind: str = "zz",
             for word in pair_words(n, i, j, kind):
                 terms.append((float(rng.uniform(-1, 1)), word))
     if with_local:
-        locals_ = ["Z"] if kind == "zz" else ["X", "Y", "Z"]
         for i in range(n):
-            for a in locals_:
-                word = ["I"] * n
-                word[i] = a
-                terms.append((float(rng.uniform(-1, 1)), "".join(word)))
+            for a in "Z" if kind == "zz" else "XYZ":
+                terms.append((float(rng.uniform(-1, 1)), _word(n, {i: a})))
     return PauliHamiltonian(n, tuple(terms))
 
 
@@ -283,15 +279,10 @@ def monomial_distance(flip: int, u: np.ndarray, target: np.ndarray) -> float:
 
 
 def selection_word(task: TaskSpec, n: int) -> str:
-    if task.framework == "zz":
-        i, j = task.qubits
-        word = ["I"] * n
-        word[i] = word[j] = "Z"
-    else:
-        (l, k), (g, e) = task.qubits, task.labels
-        word = ["I"] * n
-        word[l], word[k] = g.upper(), e.upper()
-    return "".join(word)
+    """The coupling a select task keeps; a zz selection keeps Z_l Z_k."""
+    l, k = task.qubits
+    g, e = ("z", "z") if task.framework == "zz" else task.labels
+    return _word(n, {l: g.upper(), k: e.upper()})
 
 
 def _target_hamiltonian(task: TaskSpec, h: PauliHamiltonian, total_time: float,

@@ -7,6 +7,7 @@ import pytest
 
 from decoupler.cli import main
 from decoupler.pulses import read_schedule
+from decoupler.schur import read_partition
 
 ZZ_SCHEME = "scheme zz n=2 m=2 task=decouple local=0\nrows 2 2\n++\n+-\n"
 
@@ -184,3 +185,74 @@ def test_verify_time_not_positive_exits_2(tmp_path, capsys, time):
     code, err = run_cli(capsys, ["verify", str(path), "--ham", "random:1", f"--time={time}"])
     assert code == 2
     assert err.startswith("error: ") and "time must be > 0" in err
+
+
+@pytest.mark.parametrize("header,named", [
+    ("local0", "'local0'"),
+    ("local=", "'local='"),
+    ("local=1 local=0", "repeats field local="),
+    ("local=7", "local=7 must be 0 or 1"),
+    ("local=0 =1", "'=1'"),
+], ids=["no-equals", "no-value", "repeated", "local-7", "no-key"])
+def test_bad_scheme_header_word_exits_2(tmp_path, capsys, header, named):
+    path = tmp_path / "scheme.txt"
+    path.write_text(ZZ_SCHEME.replace("local=0", header, 1))
+    code, err = run_cli(capsys, ["check", str(path)])
+    assert code == 2
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("header,named", [
+    ("n=1 m=1 tau", "'tau'"),
+    ("n=1 m=1 tau=", "'tau='"),
+    ("n=1 m=1 tau=0.5 tau=0.5", "repeats field tau="),
+    ("n=1 n=1 m=1 tau=0.5", "repeats field n="),
+], ids=["tau-no-equals", "tau-no-value", "tau-repeated", "n-repeated"])
+def test_bad_schedule_header_word_is_refused(header, named):
+    with pytest.raises(ValueError, match=named):
+        read_schedule(io.StringIO(f"pulses {header}\nG I\nF 0.5\nG I\n"))
+
+
+@pytest.mark.parametrize("free,named", [
+    ("F 99", "'F 99' differs from tau=0.5"),
+    ("F 0.25", "'F 0.25' differs from tau=0.5"),
+    ("F", "bad schedule line 'F"),
+], ids=["99", "other", "bare"])
+def test_free_evolution_other_than_tau_is_refused(free, named):
+    with pytest.raises(ValueError, match=named):
+        read_schedule(io.StringIO(f"pulses n=1 m=1 tau=0.5\nG I\n{free}\nG I\n"))
+
+
+def test_free_evolution_equal_to_tau_in_other_spelling_reads():
+    p = read_schedule(io.StringIO("pulses n=1 m=1 tau=0.5\nG I\nF 5e-1\nG I\n"))
+    assert p.tau == 0.5 and p.total_intervals == 1
+
+
+@pytest.mark.parametrize("text,named", [
+    ("T 01 10 11\nR 0101\nT 1 1 1\n", "2-bit"),
+    ("R 0101\nT 01 10 11\n", "4-bit"),
+    ("T 01 10 10\n", "XOR"),
+    ("T 01 10 11\nR 0b\n", "2-bit"),
+], ids=["mixed-widths", "remainder-first", "triple-xor", "not-bits"])
+def test_inconsistent_partition_is_refused(text, named):
+    with pytest.raises(ValueError, match=named):
+        read_partition(io.StringIO(text))
+
+
+def test_analyze_zz_reaches_the_cap(capsys):
+    # zz rows are one per qubit, so the bound is the cap, not a third of it
+    code = main(["analyze", "--framework", "zz", "--n-max", "2000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[-1] == "2000,zz,2000,1.000000,paley1(1999)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--framework", "general", "--n-max", "1366"],
+    ["--framework", "zz", "--n-max", "4097"],
+    ["--framework", "zz", "--n-max", "0"],
+], ids=["general-1366", "zz-4097", "zz-0"])
+def test_analyze_beyond_its_range_exits_2(capsys, argv):
+    code, err = run_cli(capsys, ["analyze", *argv])
+    assert code == 2
+    assert err.startswith("error: ") and "n_max must be in 1.." in err

@@ -19,7 +19,7 @@ from decoupler.ghm import (
     verify_gh,
     write_gh,
 )
-from decoupler.hadamard import is_hadamard, normalize, sylvester
+from decoupler.hadamard import ValidityReport, is_hadamard, normalize, sylvester
 from decoupler.schur import five_rows, partition_sylvester
 
 # The seed 4x4 matrix written out as sign triples (rows of 4 column-triples).
@@ -60,6 +60,9 @@ class TestVerify:
         report = verify_gh(GhMatrix(e, lam=1))
         assert not report.ok
         assert (1, 2) in report.offending_pairs
+
+    def test_reports_like_is_hadamard(self):
+        assert verify_gh(gh_for_lambda(2)) == ValidityReport(order=8, offending_pairs=())
 
     def test_random_array_almost_surely_invalid(self):
         rng = np.random.default_rng(12)

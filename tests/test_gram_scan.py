@@ -158,11 +158,12 @@ def test_verify_gh_row_corruption_equals_bincount_loop(lam, data):
     (TaskSpec("decouple", "zz"), 1000),
 ], ids=["general-decouple-400", "general-pair-300", "zz-decouple-1000"])
 def test_check_peak_is_bounded_by_the_gram(task, n):
-    # N checked rows of width m: an int64 Gram is 8 N^2 bytes and its float32
-    # product 4 N^2, the scan's masks N^2 each, the float32 row copy 4 N m
+    # N checked rows of width m: the float32 Gram is 4 N^2 bytes and the
+    # scan's two bool masks N^2 each; the int8 row stack is N m and its
+    # float32 copy 4 N m
     scheme = synth(task, n)
     rows = n if task.framework == "zz" else 3 * n
-    bound = 16 * rows ** 2 + 4 * rows * scheme.intervals
+    bound = 6 * rows ** 2 + 5 * rows * scheme.intervals
     tracemalloc.start()
     try:
         report = check_scheme(scheme, task)

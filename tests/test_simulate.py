@@ -20,6 +20,7 @@ from decoupler.simulate import (
     random_hamiltonian,
     read_hamiltonian,
     run_schedule,
+    selection_word,
     verify,
     word_matrix,
     write_hamiltonian,
@@ -50,6 +51,22 @@ class TestRandomHamiltonian:
         a = random_hamiltonian(4, seed=9, kind="general", with_local=True)
         b = random_hamiltonian(4, seed=9, kind="general", with_local=True)
         assert a == b
+
+    def test_words_in_draw_order(self):
+        # pairs in (i, j) order with their nine products, then three locals
+        # per qubit: each word takes the next uniform draw of the seed
+        h = random_hamiltonian(3, seed=5, kind="general", with_local=True)
+        products = [a + b for a in "XYZ" for b in "XYZ"]
+        pairs = ([f"{a}{b}I" for a, b in products] + [f"{a}I{b}" for a, b in products]
+                 + [f"I{a}{b}" for a, b in products])
+        locals_ = ["I" * q + a + "I" * (2 - q) for q in range(3) for a in "XYZ"]
+        assert [w for _, w in h.terms] == pairs + locals_
+        draws = np.random.default_rng(5).uniform(-1, 1, len(h.terms))
+        assert [c for c, _ in h.terms] == draws.tolist()
+
+    def test_selection_word(self):
+        assert selection_word(TaskSpec("select", "zz", (0, 2)), 3) == "ZIZ"
+        assert selection_word(TaskSpec("select", "general", (2, 0), ("x", "y")), 4) == "YIXI"
 
     def test_coefficients_bounded(self):
         h = random_hamiltonian(5, seed=3, kind="zz", with_local=True)
