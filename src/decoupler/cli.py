@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
-from .hadamard import DEFAULT_SIZE_CAP, best_order, recipe_str, write_matrix
+from .hadamard import DEFAULT_SIZE_CAP, best_order, exceeds_cap, recipe_str, write_matrix
 from .ghm import compose_sylvester, gh_for_lambda
 from .schemes import _candidates, check_scheme, parse_task, read_scheme, synth, write_scheme
 from .pulses import compile_general, write_schedule
@@ -151,7 +151,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "partition":
-        if args.r >= args.cap.bit_length():  # 2^r > cap, without building 2^r
+        if exceeds_cap(args.r, args.cap):
             raise SizeCapExceeded(f"sylvester order 2^{args.r} exceeds cap {args.cap}")
         write_partition(partition_sylvester(args.r), sys.stdout)
         return 0
@@ -205,13 +205,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
-        if args.ham == "random" or args.ham.startswith("random:"):
-            _, _, tail = args.ham.partition(":")
+        head, _, tail = args.ham.partition(":")
+        if head == "random":
             seed = int(tail) if tail else args.seed
             h = random_hamiltonian(scheme.qubits, seed, kind=task.framework,
                                    with_local=task.remove_local_terms)
         else:
-            with open(args.ham) as fh:
+            with _open(args.ham) as fh:
                 h = read_hamiltonian(fh)
         result = verify(task, scheme, h, args.time, args.reps, args.tolerance)
         for line in result.lines():

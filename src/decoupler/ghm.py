@@ -16,8 +16,9 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
-from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, ValidityReport, format_rows,
-                       gram, frozen, is_normalized, parse_rows, read_only, upper_pairs)
+from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, ValidityReport, exceeds_cap,
+                       format_rows, gram, frozen, is_normalized, parse_rows, read_only,
+                       upper_pairs)
 from .schur import five_rows, partition_sylvester, sylvester
 
 # sign of coordinate t for element g: rows e, x, y, z
@@ -53,16 +54,20 @@ class GhMatrix:
         return bool(np.all(self.entries[0] == 0) and np.all(self.entries[:, 0] == 0))
 
 
+# GH(4,1) and GH(4,2), the seeds of every constructible lambda; GH(4,2) as
+# gh_search(2) finds it (tests check), so no process pays the backtracking.
+_GH_ROWS = {1: "eeee ezxy eyzx exyz",
+            2: "eeeeeeee eexxyyzz exyzexyz exzyyzxe eyeyzxzx eyxzxzey ezyxzexy ezzexyyx"}
+
+
+def _gh_literal(lam: int) -> GhMatrix:
+    rows = [[ELEMENT_CHARS.index(c) for c in row] for row in _GH_ROWS[lam].split()]
+    return GhMatrix(np.array(rows, dtype=np.uint8), lam=lam)
+
+
 def gh4_base() -> GhMatrix:
     """The 4x4 GH(4,1) used as composition seed."""
-    entries = np.array(
-        [[0, 0, 0, 0],
-         [0, 3, 1, 2],
-         [0, 2, 3, 1],
-         [0, 1, 2, 3]],
-        dtype=np.uint8,
-    )
-    return GhMatrix(entries, lam=1)
+    return _gh_literal(1)
 
 
 def verify_gh(g: GhMatrix) -> ValidityReport:
@@ -145,18 +150,10 @@ def gh_search(lam: int, budget: int = 10_000_000) -> GhMatrix:
     raise DesignNotFound(f"no GH(4,{lam}) in canonical form")
 
 
-# GH(4,2) exactly as gh_search(2) finds it; tests check it against the search
-# and verify_gh, so no process pays the backtracking to rebuild it.
-_GH_4_2_ROWS = "eeeeeeee eexxyyzz exyzexyz exzyyzxe eyeyzxzx eyxzxzey ezyxzexy ezzexyyx"
-
-
 @lru_cache(maxsize=None)
 def _gh_for_lambda(lam: int, cap: int) -> GhMatrix:
-    if lam == 1:
-        return gh4_base()
-    if lam == 2:
-        rows = [[ELEMENT_CHARS.index(c) for c in row] for row in _GH_4_2_ROWS.split()]
-        return GhMatrix(np.array(rows, dtype=np.uint8), lam=2)
+    if lam in _GH_ROWS:
+        return _gh_literal(lam)
     if lam % 4 == 0:
         return gh_kron(gh_for_lambda(lam // 4, cap), gh4_base(), cap=cap)
     raise ValueError(f"lambda={lam} is not constructible here")
@@ -279,8 +276,7 @@ def compose(
 
 def compose_sylvester(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> CompositionResult:
     """Compose sylvester(r) (all its Schur triples) with gamma."""
-    # r >= cap.bit_length() is 2^r > cap, and keeps 2 ** r small otherwise
-    if r >= cap.bit_length() or 4 * gamma.lam * 2 ** r > cap:
+    if exceeds_cap(r, cap // (4 * gamma.lam)):  # 4 lam 2^r > cap
         raise SizeCapExceeded(f"composed order 4*{gamma.lam}*2^{r} exceeds cap {cap}")
     p = partition_sylvester(r)
     schur_rows = [i for t in p.triples for i in t]

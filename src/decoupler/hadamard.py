@@ -24,8 +24,6 @@ def recipe_str(recipe: Recipe) -> str:
     head = recipe[0]
     if head == "kron":
         return f"kron({recipe_str(recipe[1])},{recipe_str(recipe[2])})"
-    if head == "literal":
-        return "literal"
     return f"{head}({recipe[1]})"
 
 
@@ -126,11 +124,16 @@ def is_hadamard(entries) -> ValidityReport:
     return ValidityReport(order=e.shape[0], offending_pairs=tuple(map(tuple, bad.tolist())))
 
 
+def exceeds_cap(r: int, cap: int) -> bool:
+    """2^r > cap for r >= 0, without building 2^r; true for every cap below 1."""
+    return cap < 1 or r >= cap.bit_length()
+
+
 def sylvester(r: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
     """The r-fold Kronecker power of [[+,+],[+,-]]; entry (i,j) = (-1)^(i.j)."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    if r >= cap.bit_length():  # 2^r > cap, without building 2^r
+    if exceeds_cap(r, cap):
         raise SizeCapExceeded(f"sylvester order 2^{r} exceeds cap {cap}")
     m = 1 << r
     entries = np.ones((m, m), dtype=np.int8)

@@ -19,8 +19,6 @@ from .schemes import GATES, Scheme, SignMatrix, gate_codes, header_fields, merge
 
 Step = str | None
 
-_CODE = {c: i for i, c in enumerate(GATES)}
-
 
 @dataclass(frozen=True)
 class PulseSchedule:
@@ -45,7 +43,7 @@ class PulseSchedule:
 
 
 def _merge_layers(a: str, b: str) -> str:
-    return "".join(GATES[_CODE[x] ^ _CODE[y]] for x, y in zip(a, b))
+    return "".join(GATES[GATES.index(x) ^ GATES.index(y)] for x, y in zip(a, b))
 
 
 def compile_zz(s: SignMatrix, tau: float = 1.0, merged: bool = True) -> PulseSchedule:

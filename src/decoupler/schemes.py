@@ -396,20 +396,19 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
     checks: dict[str, CheckOutcome] = {}
     n = scheme.qubits
     m = scheme.intervals
-    if task.kind in ("select", "select_pair") and max(task.qubits) >= n:
-        raise ValueError("task qubit index out of range for scheme")
+    if task.kind in ("select", "select_pair"):
+        _check_pair(n, *task.qubits)
     zz = isinstance(scheme, SignMatrix)
     if task.framework != ("zz" if zz else "general"):
         raise ValueError("single sign matrix is a zz-framework scheme" if zz
                          else "a sign triple is a general-framework scheme")
 
-    sx, sy, sz = sign_columns(scheme)
+    sx, sy, sz = blocks = sign_columns(scheme)
     bad_cells = np.argwhere(sx * sy != sz)
     if not zz:
         checks["schur_product"] = _outcome(bad_cells, "cells violating S_x*S_y=S_z")
-    labels = ("z",) if zz else LABELS
-    mats = dict(zip(LABELS, (sx, sy, sz)))
-    rows = np.stack([mats[l] for l in labels], axis=1).reshape(len(labels) * n, m)
+    labels = ("z",) if zz else LABELS  # name the last blocks of sign_columns
+    rows = np.stack(blocks[-len(labels):], axis=1).reshape(len(labels) * n, m)
 
     def row(label: str, qubit: int) -> int:
         return len(labels) * qubit + labels.index(label)
@@ -516,21 +515,25 @@ def write_scheme(scheme: Scheme, task: TaskSpec, stream: IO[str]) -> None:
     header = (f"scheme {task.framework} n={scheme.qubits} m={scheme.intervals} "
               f"task={_format_task(task)} local={int(task.remove_local_terms)}\n")
     stream.write(header)
-    if isinstance(scheme, SignMatrix):
-        _write_block(scheme.entries, stream)
-    else:
-        for l in LABELS:
-            _write_block(scheme.matrix(l).entries, stream)
+    blocks = sign_columns(scheme)
+    for entries in blocks[2:] if isinstance(scheme, SignMatrix) else blocks:
+        _write_block(entries, stream)
 
 
-def header_fields(parts: list[str], required: tuple[str, ...]) -> dict[str, str]:
-    """Parse `key=value` header words; a word without a key or a value, a
-    repeated key or a missing required key is a ValueError naming it."""
+def header_fields(parts: list[str], required: tuple[str, ...],
+                  optional: tuple[str, ...] = ()) -> dict[str, str]:
+    """Parse `key=value` header words; a word without a key or a value, a key
+    outside required + optional, a repeated key or a missing required key is
+    a ValueError naming it."""
+    allowed = required + optional
     fields: dict[str, str] = {}
     for part in parts:
         key, _, value = part.partition("=")
         if not key or not value:
             raise ValueError(f"header word {part!r} is not key=value")
+        if key not in allowed:
+            raise ValueError(f"header field {key}= is not one of "
+                             f"{', '.join(f'{k}=' for k in allowed)}")
         if key in fields:
             raise ValueError(f"header repeats field {key}=")
         fields[key] = value
@@ -545,7 +548,7 @@ def read_scheme(stream: IO[str]) -> tuple[Scheme, TaskSpec]:
     if len(header) < 2 or header[0] != "scheme":
         raise ValueError("scheme file must start with 'scheme <framework> ...'")
     framework = header[1]
-    fields = header_fields(header[2:], ("n", "m", "task"))
+    fields = header_fields(header[2:], ("n", "m", "task"), ("local",))
     local = fields.get("local", "1")
     if local not in ("0", "1"):
         raise ValueError(f"header field local={local} must be 0 or 1")

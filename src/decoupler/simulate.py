@@ -19,7 +19,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .pulses import PulseSchedule, compile_general
-from .schemes import Scheme, TaskSpec, check_scheme
+from .schemes import GATES, Scheme, TaskSpec, check_scheme
 
 GENERAL_QUBIT_CAP = 6
 ZZ_QUBIT_CAP = 10
@@ -43,7 +43,7 @@ class PauliHamiltonian:
 
     def __post_init__(self):
         for coeff, word in self.terms:
-            if len(word) != self.qubits or set(word) - set("IXYZ"):
+            if len(word) != self.qubits or set(word) - set(GATES):
                 raise ValueError(f"bad Pauli word {word!r} for n={self.qubits}")
             if sum(c != "I" for c in word) > 2:
                 raise ValueError(f"word {word!r} has more than two non-identity letters")
@@ -340,6 +340,8 @@ def verify(task: TaskSpec, scheme: Scheme, h: PauliHamiltonian,
         raise ValueError("scheme has no interval")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if tolerance is not None and not 0 <= tolerance < float("inf"):  # false for nan
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     # covers a non-finite time too: inf * 0 is nan
     if not np.isfinite(total_time * sum(abs(c) for c, _ in h.terms)):
         raise ValueError(f"time * sum of |coefficients| must be finite (time={total_time})")

@@ -10,6 +10,8 @@ from decoupler.pulses import read_schedule
 from decoupler.schur import read_partition
 
 ZZ_SCHEME = "scheme zz n=2 m=2 task=decouple local=0\nrows 2 2\n++\n+-\n"
+THREE_QUBIT_SCHEME = ("scheme zz n=3 m=4 task=decouple local=0\n"
+                      "rows 3 4\n++++\n+-+-\n++--\n")
 
 
 def run_cli(capsys, argv):
@@ -23,7 +25,10 @@ def run_cli(capsys, argv):
     (ZZ_SCHEME.replace(" m=2", ""), ["check"], "m="),
     (ZZ_SCHEME.replace(" task=decouple", ""), ["compile"], "task="),
     (ZZ_SCHEME, ["verify", "--ham", "random:1", "--reps", "0"], "reps"),
-], ids=["no-n", "no-m", "no-task", "reps-0"])
+    (ZZ_SCHEME.replace("rows 2 2", "rows 0 5"), ["check"], "shape 0 x 5"),
+    (THREE_QUBIT_SCHEME.replace("decouple", "select:1,9"), ["check"],
+     "qubit indices in range"),
+], ids=["no-n", "no-m", "no-task", "reps-0", "rows-0", "select-qubit-9"])
 def test_bad_input_exits_2(tmp_path, capsys, text, command, named):
     path = tmp_path / "scheme.txt"
     path.write_text(text)
@@ -91,6 +96,8 @@ def _refuse(*args):
     ["partition", "--r", "13"],
     ["--cap", "64", "partition", "--r", "10"],
     ["compose", "--r", "11", "--lambda", "1"],
+    ["--cap", "-5", "partition", "--r", "2"],
+    ["--cap", "-5", "compose", "--r", "2", "--lambda", "1"],
 ])
 def test_cap_refused_before_partition(monkeypatch, capsys, argv):
     monkeypatch.setattr("decoupler.cli.partition_sylvester", _refuse)
@@ -193,7 +200,8 @@ def test_verify_time_not_positive_exits_2(tmp_path, capsys, time):
     ("local=1 local=0", "repeats field local="),
     ("local=7", "local=7 must be 0 or 1"),
     ("local=0 =1", "'=1'"),
-], ids=["no-equals", "no-value", "repeated", "local-7", "no-key"])
+    ("locl=0", "field locl= is not one of n=, m=, task=, local="),
+], ids=["no-equals", "no-value", "repeated", "local-7", "no-key", "misspelt-local"])
 def test_bad_scheme_header_word_exits_2(tmp_path, capsys, header, named):
     path = tmp_path / "scheme.txt"
     path.write_text(ZZ_SCHEME.replace("local=0", header, 1))
@@ -207,7 +215,8 @@ def test_bad_scheme_header_word_exits_2(tmp_path, capsys, header, named):
     ("n=1 m=1 tau=", "'tau='"),
     ("n=1 m=1 tau=0.5 tau=0.5", "repeats field tau="),
     ("n=1 n=1 m=1 tau=0.5", "repeats field n="),
-], ids=["tau-no-equals", "tau-no-value", "tau-repeated", "n-repeated"])
+    ("n=1 m=1 tau=0.5 tua=0.5", "field tua= is not one of n=, m=, tau="),
+], ids=["tau-no-equals", "tau-no-value", "tau-repeated", "n-repeated", "misspelt-tau"])
 def test_bad_schedule_header_word_is_refused(header, named):
     with pytest.raises(ValueError, match=named):
         read_schedule(io.StringIO(f"pulses {header}\nG I\nF 0.5\nG I\n"))
@@ -256,3 +265,40 @@ def test_analyze_beyond_its_range_exits_2(capsys, argv):
     code, err = run_cli(capsys, ["analyze", *argv])
     assert code == 2
     assert err.startswith("error: ") and "n_max must be in 1.." in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_verify_tolerance_not_finite_or_negative_exits_2(tmp_path, capsys, tolerance):
+    path = tmp_path / "scheme.txt"
+    path.write_text(ZZ_SCHEME)
+    code, err = run_cli(capsys, ["verify", str(path), "--ham", "random:1",
+                                 f"--tolerance={tolerance}"])
+    assert code == 2
+    assert err.startswith("error: ") and "tolerance must be finite and >= 0" in err
+    assert "Traceback" not in err
+
+
+def test_verify_tolerance_zero_is_accepted(tmp_path, capsys):
+    # a zz decoupling scheme cancels every ZZ coupling exactly: distance 0
+    path = tmp_path / "scheme.txt"
+    path.write_text(THREE_QUBIT_SCHEME)
+    assert main(["verify", str(path), "--ham", "random:1", "--tolerance", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "distance=0.000000e+00" in out and "tolerance=0\n" in out
+
+
+@pytest.mark.parametrize("framework", ["zz", "general"])
+def test_synth_no_qubits_exits_2(capsys, framework):
+    code, err = run_cli(capsys, ["synth", "--task", "decouple", "--framework", framework,
+                                 "--n", "0"])
+    assert code == 2
+    assert err.startswith("error: ") and "n must be >= 1" in err
+
+
+def test_verify_hamiltonian_of_other_qubit_count_exits_2(tmp_path, capsys):
+    scheme, ham = tmp_path / "scheme.txt", tmp_path / "ham.txt"
+    scheme.write_text(THREE_QUBIT_SCHEME)
+    ham.write_text("0.5 ZZ\n")
+    code, err = run_cli(capsys, ["verify", str(scheme), "--ham", str(ham)])
+    assert code == 2
+    assert err.startswith("error: ") and "qubit counts differ" in err

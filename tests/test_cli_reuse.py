@@ -134,3 +134,15 @@ def test_dash_reads_the_current_stdin_and_leaves_it_open(tmp_path, monkeypatch, 
     assert main(["check", "-"]) == 0
     assert not stdin.closed
     assert "result=pass" in capsys.readouterr().out
+
+
+def test_ham_dash_reads_the_current_stdin(tmp_path, monkeypatch, capsys):
+    scheme, ham = _scheme(tmp_path), tmp_path / "ham.txt"
+    ham.write_text("0.25 XX\n-0.5 ZY\n0.75 YI\n")
+    assert main(["verify", scheme, "--ham", str(ham)]) == 0
+    from_file = capsys.readouterr().out
+    stdin = io.StringIO(ham.read_text())
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["verify", scheme, "--ham", "-"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert not stdin.closed and "distance=" in from_file

@@ -1,0 +1,67 @@
+"""Every argument guard of the library raises the error it names, before any
+work: one table of (call, error, message) cases, one per guard."""
+
+import numpy as np
+import pytest
+
+from decoupler.cli import analyze_rows
+from decoupler.errors import SizeCapExceeded
+from decoupler.ghm import GhMatrix, compose, gh4_base
+from decoupler.hadamard import HadamardMatrix, build_hadamard, normalize, paley, sylvester
+from decoupler.pulses import PulseSchedule
+from decoupler.schemes import SignMatrix, SignTriple
+from decoupler.simulate import PauliHamiltonian, random_hamiltonian, run_schedule_diagonal
+
+ZZ_2 = PauliHamiltonian(2, ((0.5, "ZZ"),))
+
+GUARDS = {
+    "hadamard-not-square": (lambda: HadamardMatrix(np.ones((2, 4))),
+                            ValueError, "must be square"),
+    "hadamard-not-signs": (lambda: HadamardMatrix(np.zeros((2, 2))),
+                           ValueError, r"\+1/-1"),
+    "hadamard-order-3": (lambda: HadamardMatrix(np.ones((3, 3))),
+                         ValueError, "order 3 is not a possible Hadamard order"),
+    "sylvester-cap-negative": (lambda: sylvester(2, cap=-5),
+                               SizeCapExceeded, r"2\^2 exceeds cap -5"),
+    "sylvester-order-1-cap-negative": (lambda: sylvester(0, cap=-1),
+                                       SizeCapExceeded, r"2\^0 exceeds cap -1"),
+    "sylvester-order-1-cap-0": (lambda: sylvester(0, cap=0),
+                                SizeCapExceeded, r"2\^0 exceeds cap 0"),
+    "paley-variant-3": (lambda: paley(3, 3), ValueError, "variant must be 1 or 2"),
+    "paley-q-1": (lambda: paley(1, 1), ValueError, "q=1 is not an odd prime"),
+    "paley-over-cap": (lambda: paley(11, 1, cap=8),
+                       SizeCapExceeded, "paley order 12 exceeds cap 8"),
+    "recipe-unknown": (lambda: build_hadamard(("hadamard", 4)),
+                       ValueError, "unknown recipe"),
+    "sign-matrix-not-signs": (lambda: SignMatrix(np.zeros((2, 2))),
+                              ValueError, "2-d array of"),
+    "sign-matrix-1d": (lambda: SignMatrix(np.ones(3)), ValueError, "2-d array of"),
+    "sign-triple-shapes": (lambda: SignTriple(SignMatrix(np.ones((2, 2))),
+                                              SignMatrix(np.ones((2, 2))),
+                                              SignMatrix(np.ones((2, 3)))),
+                           ValueError, "identical shape"),
+    "gh-entry-4": (lambda: GhMatrix(np.full((4, 4), 4), lam=1),
+                   ValueError, r"entries must be 0\.\.3"),
+    "compose-over-cap": (lambda: compose(normalize(sylvester(2)), [1, 2, 3], [0],
+                                         gh4_base(), cap=8),
+                         SizeCapExceeded, "composed order 16 exceeds cap 8"),
+    "compose-schur-rows-not-triples": (lambda: compose(normalize(sylvester(2)), [1, 2],
+                                                       [0, 3], gh4_base()),
+                                       ValueError, "multiple of 3"),
+    "hamiltonian-kind": (lambda: random_hamiltonian(2, 0, kind="xy"),
+                         ValueError, "unknown kind 'xy'"),
+    "diagonal-run-qubits": (lambda: run_schedule_diagonal(PulseSchedule(3, 1.0, ()), ZZ_2),
+                            ValueError, "schedule is for 3 qubits, Hamiltonian for 2"),
+    "diagonal-run-not-diagonal": (lambda: run_schedule_diagonal(
+                                      PulseSchedule(2, 1.0, ()),
+                                      PauliHamiltonian(2, ((0.5, "XX"),))),
+                                  ValueError, "not Z-diagonal"),
+    "analyze-framework": (lambda: analyze_rows(3, "xy"),
+                          ValueError, "unknown framework 'xy'"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", GUARDS.values(), ids=GUARDS.keys())
+def test_guard_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
