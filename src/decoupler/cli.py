@@ -189,6 +189,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     # check, compile and verify read their scheme whole first; like synth and
     # analyze, compile opens --out only once its content exists, so a failed
     # command leaves an existing file as it was
+    if args.command == "verify" and args.scheme == args.ham == "-":
+        raise ValueError("the scheme and --ham cannot both be read from stdin ('-')")
     with _open(args.scheme) as fh:
         scheme, task = read_scheme(fh)
 

@@ -1,7 +1,8 @@
 """Hadamard matrix constructions and the recipe of each constructible order,
 plus the kernels every sign matrix goes through: `gram`, the exact float32
 Gram matrix by which all orthogonality is tested, with `upper_pairs` its one
-scan, and `format_rows` / `parse_rows`, the one row codec.
+scan; `walsh_indices`, which reads Sylvester rows by their indices instead;
+and `format_rows` / `parse_rows`, the one row codec.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ def frozen(e: np.ndarray) -> np.ndarray:
     return e
 
 
+def all_signs(e: np.ndarray) -> bool:
+    """Every entry of the int8 array e is +1 or -1, found without
+    array-sized temporaries."""
+    return np.count_nonzero(e) == e.size and e.min(initial=-1) >= -1 and e.max(initial=1) <= 1
+
+
 @dataclass(frozen=True)
 class HadamardMatrix:
     """A square +/-1 matrix with pairwise orthogonal rows; read-only entries."""
@@ -55,7 +62,7 @@ class HadamardMatrix:
         e = read_only(self.entries, np.int8)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"entries must be square, got shape {e.shape}")
-        if not np.all(np.abs(e) == 1):
+        if not all_signs(e):
             raise ValueError("entries must be +1/-1")
         m = e.shape[0]
         if m not in (1, 2) and m % 4 != 0:
@@ -104,6 +111,29 @@ def gram(rows) -> np.ndarray:
         raise ValueError(f"row width {rows.shape[1]} exceeds the exact float32 bound 2^24")
     f = rows.astype(np.float32)
     return f @ f.T
+
+
+def walsh_indices(rows, dropped_first: bool = False) -> np.ndarray | None:
+    """The index k of every row when each +/-1 row is row k of sylvester(r),
+    (-1)^popcount(k & j) at column j, else None.  With `dropped_first` the
+    rows lack that matrix's first (all +) column.
+
+    Two such rows are orthogonal exactly when their indices differ, and a
+    row sums to zero exactly when its index is not 0.  Checked in O(N m)
+    with no 2^r x 2^r matrix: x is a Walsh row iff x[0] = 1 and
+    x[2^b:2^(b+1)] = x[:2^b] * x[2^b] for every b; bit b of k is x[2^b] < 0.
+    """
+    rows = np.asarray(rows)
+    off = int(dropped_first)  # x[:, j] is rows[:, j - off]
+    size = rows.shape[1] + off
+    if size & (size - 1) or not size or not (off or (rows[:, 0] == 1).all()):
+        return None
+    powers = 1 << np.arange(size.bit_length() - 1)
+    for k in powers.tolist():  # x[j] == x[j - k] * x[k] for k < j < 2k
+        if not (rows[:, k + 1 - off:2 * k - off]
+                == rows[:, 1 - off:k - off] * rows[:, k - off, None]).all():
+            return None
+    return (rows[:, powers - off] < 0) @ powers
 
 
 def upper_pairs(mismatch: np.ndarray) -> np.ndarray:
@@ -292,11 +322,12 @@ def catalog_gaps(limit: int, cap: int = DEFAULT_SIZE_CAP) -> list[tuple[int, int
 def format_rows(codes, alphabet: str) -> str:
     """The row codec of every text format: row i of a 2-d array of codes
     0..len(alphabet)-1 becomes a line whose character j is alphabet[codes[i, j]]."""
-    codes = np.asarray(codes, dtype=np.uint8)
+    codes = np.asarray(codes)
+    codes = codes.view(np.uint8) if codes.dtype == bool else codes.astype(np.uint8, copy=False)
     n, m = codes.shape
     text = np.full((n, m + 1), ord("\n"), dtype=np.uint8)
     text[:, :m] = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)[codes]
-    return text.tobytes().decode("ascii")
+    return str(text.reshape(-1).data, "ascii")
 
 
 @lru_cache(maxsize=None)

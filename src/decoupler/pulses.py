@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO
 
-from .hadamard import format_rows
+import numpy as np
+
+from .hadamard import _decoder, format_rows
 from .schemes import GATES, Scheme, SignMatrix, gate_codes, header_fields, merged_codes
 
 Step = str | None
@@ -29,9 +31,15 @@ class PulseSchedule:
     def __post_init__(self):
         if not 0 < self.tau < float("inf"):  # false for nan as for +/-inf
             raise ValueError(f"tau must be finite and > 0, got {self.tau!r}")
-        for s in self.steps:
-            if s is not None and (len(s) != self.qubits or set(s) - set(GATES)):
-                raise ValueError(f"bad gate layer {s!r}")
+        layers = self.layers
+        # the layers before the first of the wrong length, letters looked up
+        # all at once; the first bad layer is named
+        short = next((i for i, s in enumerate(layers) if len(s) != self.qubits), len(layers))
+        text = "".join(layers[:short]).encode("ascii", "replace")  # one byte a letter
+        bad = np.flatnonzero(_decoder(GATES)[np.frombuffer(text, dtype=np.uint8)] < 0)
+        first = bad[0] // self.qubits if len(bad) else short
+        if first < len(layers):
+            raise ValueError(f"bad gate layer {layers[first]!r}")
 
     @property
     def total_intervals(self) -> int:

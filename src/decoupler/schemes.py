@@ -17,8 +17,8 @@ from typing import IO
 import numpy as np
 
 from .errors import SizeCapExceeded
-from .hadamard import (DEFAULT_SIZE_CAP, best_matrix, format_rows, frozen, gram,
-                       parse_rows, read_only, upper_pairs)
+from .hadamard import (DEFAULT_SIZE_CAP, all_signs, best_matrix, format_rows, frozen,
+                       gram, parse_rows, read_only, upper_pairs, walsh_indices)
 from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
 from .schur import five_rows, partition_sylvester, sylvester
 
@@ -32,7 +32,7 @@ class SignMatrix:
 
     def __post_init__(self):
         e = read_only(self.entries, np.int8)
-        if e.ndim != 2 or not np.all(np.abs(e) == 1):
+        if e.ndim != 2 or not all_signs(e):
             raise ValueError("sign matrix must be a 2-d array of +1/-1")
         object.__setattr__(self, "entries", e)
 
@@ -158,6 +158,18 @@ def _zz_rows(count: int, zero_sums: bool, cap: int) -> np.ndarray:
 def _check_pair(n: int, i: int, j: int) -> None:
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValueError("need two distinct qubit indices in range")
+
+
+def _check_task_pair(task: TaskSpec, n: int) -> None:
+    """_check_pair for a select or pair task, as read from a file or the
+    command line: the refusal names its qubits, in both numberings, and n."""
+    if task.kind in ("select", "select_pair"):
+        try:
+            _check_pair(n, *task.qubits)
+        except ValueError as exc:
+            shown = ", ".join(str(q + 1) for q in task.qubits)
+            raise ValueError(f"{exc}: task qubits {task.qubits} for n={n} "
+                             f"({shown} in files and on the command line)") from None
 
 
 def synth_decouple_zz(n: int, remove_local_terms: bool = True,
@@ -333,6 +345,7 @@ def synth_reverse_general(n: int, cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
 
 def synth(task: TaskSpec, n: int, cap: int = DEFAULT_SIZE_CAP) -> Scheme:
     """Dispatch a TaskSpec to the matching synthesizer."""
+    _check_task_pair(task, n)
     if task.framework == "zz":
         if task.kind == "decouple":
             return synth_decouple_zz(n, task.remove_local_terms, cap)
@@ -363,25 +376,34 @@ def sign_columns(scheme: Scheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return scheme.sx.entries, scheme.sy.entries, scheme.sz.entries
 
 
+def _schur_cells(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray):
+    """Every (row, column) where S_x * S_y != S_z, in row-major order; an
+    empty tuple when there is none, so a valid scheme skips argwhere, the
+    slow part of the scan."""
+    bad = sx * sy != sz
+    return np.argwhere(bad) if bad.any() else ()
+
+
 def gate_codes(scheme: Scheme) -> np.ndarray:
     """n x m conjugating gates as codes 0..3 for I/X/Y/Z: sign column
     (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z.  The phaseless product
     of two gates is the XOR of their codes."""
     sx, sy, sz = sign_columns(scheme)
-    bad = np.argwhere((sx * sy != sz).T)
+    bad = _schur_cells(sx.T, sy.T, sz.T)
     if len(bad):
         a, q = (int(v) for v in bad[0])
         signs = (int(sx[q, a]), int(sy[q, a]), int(sz[q, a]))
         raise ValueError(f"sign column {signs} at qubit {q}, interval {a} "
                          "is not realizable (corrupted input)")
-    return (sy < 0).astype(np.uint8) | ((sx < 0).astype(np.uint8) << 1)
+    return (sy < 0).view(np.uint8) | ((sx < 0).view(np.uint8) << 1)
 
 
 def merged_codes(codes: np.ndarray) -> np.ndarray:
     """The m+1 layers of the merged schedule: codes[:, 0] before the first
     interval, codes[:, a-1] ^ codes[:, a] between intervals a-1 and a, and
     codes[:, -1] after the last."""
-    padded = np.pad(codes, ((0, 0), (1, 1)))
+    padded = np.zeros((codes.shape[0], codes.shape[1] + 2), dtype=codes.dtype)
+    padded[:, 1:-1] = codes  # np.pad costs ~20 us a call on a small block
     return padded[:, :-1] ^ padded[:, 1:]
 
 
@@ -390,54 +412,69 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
 
     The criteria act on the rows that matter: S for zz (the S_z rows of the
     embedding (1, S, S)), S_x/S_y/S_z stacked at index 3q + label for
-    general.  Each task compares the off-diagonal Gram with one scalar, 0,
-    or -1 for reverse, after writing its one exception into the Gram.
+    general.  When every row is a Sylvester row (`walsh_indices`), each
+    criterion is a statement about row indices, read in O(N m): a pass is
+    certified from them.  Otherwise, or when any criterion fails, each task
+    compares the off-diagonal Gram with one scalar, 0, or -1 for reverse,
+    after writing its one exception into the Gram, and names every offender.
     """
     checks: dict[str, CheckOutcome] = {}
     n = scheme.qubits
     m = scheme.intervals
-    if task.kind in ("select", "select_pair"):
-        _check_pair(n, *task.qubits)
+    _check_task_pair(task, n)
     zz = isinstance(scheme, SignMatrix)
     if task.framework != ("zz" if zz else "general"):
         raise ValueError("single sign matrix is a zz-framework scheme" if zz
                          else "a sign triple is a general-framework scheme")
 
     sx, sy, sz = blocks = sign_columns(scheme)
-    bad_cells = np.argwhere(sx * sy != sz)
+    bad_cells = _schur_cells(sx, sy, sz)
     if not zz:
         checks["schur_product"] = _outcome(bad_cells, "cells violating S_x*S_y=S_z")
     labels = ("z",) if zz else LABELS  # name the last blocks of sign_columns
-    rows = np.stack(blocks[-len(labels):], axis=1).reshape(len(labels) * n, m)
+    blocks = blocks[-len(labels):]
 
     def row(label: str, qubit: int) -> int:
         return len(labels) * qubit + labels.index(label)
 
     reverse = task.kind == "reverse"
-    target = -1 if reverse else 0
-    g = gram(rows)
+    local = task.remove_local_terms and task.kind != "select_pair"
+    twins, pair = (), []  # the rows each task exempts
     if task.kind == "select":
         l, k = task.qubits
         gamma, eta = ("z", "z") if zz else task.labels
-        a, b = row(gamma, l), row(eta, k)
-        detail = (f"rows {l} and {k} must be identical" if zz
-                  else f"S_{gamma} row {l} must equal S_{eta} row {k}")
-        # +/-1 rows are identical iff their inner product is m
-        checks["designated_pair"] = CheckOutcome(bool(g[a, b] == m), detail)
-        g[[a, b], [b, a]] -= m  # an even integer within 2^25: exact in float32
+        twins = a, b = row(gamma, l), row(eta, k)
     elif task.kind == "select_pair":
         i, j = task.qubits
         pair = [row(lb, q) for q in (i, j) for lb in labels]
-        g[np.ix_(pair, pair)] = target  # the pair's couplings are kept, not checked
+    if not len(bad_cells) and _certify(blocks, reverse, local, twins, pair):
+        bad = bad_sums = ()
+        same = all_plus = True
+    else:
+        rows = np.stack(blocks, axis=1).reshape(len(labels) * n, m)
+        target = -1 if reverse else 0
+        g = gram(rows)
+        if task.kind == "select":
+            # +/-1 rows are identical iff their inner product is m
+            same = bool(g[a, b] == m)
+            g[[a, b], [b, a]] -= m  # an even integer within 2^25: exact in float32
+        elif task.kind == "select_pair":
+            g[np.ix_(pair, pair)] = target  # the pair's couplings are kept, not checked
+            all_plus = bool(np.all(rows[pair] == 1))
+        bad = upper_pairs(g != target)
+        bad_sums = np.nonzero(rows.sum(axis=1) != target)[0] if local else ()
+    if task.kind == "select":
+        checks["designated_pair"] = CheckOutcome(
+            same, f"rows {l} and {k} must be identical" if zz
+            else f"S_{gamma} row {l} must equal S_{eta} row {k}")
+    elif task.kind == "select_pair":
         checks["pair_rows_all_plus"] = CheckOutcome(
-            bool(np.all(rows[pair] == 1)), f"rows of qubits {i},{j} must be all +")
-    bad = upper_pairs(g != target)
+            all_plus, f"rows of qubits {i},{j} must be all +")
     if reverse:
         checks["inner_products"] = _outcome(bad, "row pairs with inner product != -1")
     else:
         checks["orthogonality"] = _outcome(bad)
-    if task.remove_local_terms and task.kind != "select_pair":
-        bad_sums = np.nonzero(rows.sum(axis=1) != target)[0]
+    if local:
         if reverse:
             checks["row_sums"] = _outcome(bad_sums, "rows with sum != -1")
         else:
@@ -449,10 +486,31 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
         qubits=n,
         framework=task.framework,
         intervals=m,
-        overhead=m / len(rows),
+        overhead=m / (len(labels) * n),
         gate_count=int(gates),
         checks=checks,
     )
+
+
+def _certify(blocks, reverse: bool, local: bool, twins: tuple, plus: list) -> bool:
+    """True when every row of the stacked blocks, which satisfy S_x * S_y =
+    S_z, is a Sylvester row and their indices pass every criterion.  Gram
+    entry (i, j) is M [k_i = k_j] - c and row sum M [k_i = 0] - c, for
+    M = 2^r and c = 1 when the first column is dropped (reverse), else 0.
+    So the indices must be distinct, and nonzero when local terms are
+    removed, once the exempt rows are set aside: the `twins` (a, b) must
+    share an index, the `plus` rows must have index 0 (all +)."""
+    keys = [walsh_indices(x, reverse) for x in blocks[:2]]
+    if any(k is None for k in keys):
+        return False
+    if len(blocks) == 3:  # the product of Sylvester rows k, k' is row k ^ k'
+        keys.append(keys[0] ^ keys[1])
+    idx = np.stack(keys, axis=1).reshape(-1)
+    keep = np.ones(len(idx), dtype=bool)
+    keep[[*twins[:1], *plus[1:]]] = False
+    rest = np.sort(idx[keep])  # not np.unique: its first call costs 15 ms and 1.6 MB
+    return ((not twins or idx[twins[0]] == idx[twins[1]]) and not idx[list(plus)].any()
+            and not np.any(rest[1:] == rest[:-1]) and not (local and np.any(rest == 0)))
 
 
 def _outcome(bad: np.ndarray, what: str = "non-orthogonal row pairs") -> CheckOutcome:

@@ -302,3 +302,23 @@ def test_verify_hamiltonian_of_other_qubit_count_exits_2(tmp_path, capsys):
     code, err = run_cli(capsys, ["verify", str(scheme), "--ham", str(ham)])
     assert code == 2
     assert err.startswith("error: ") and "qubit counts differ" in err
+
+
+@pytest.mark.parametrize("command", [["check"], ["synth", "--task", "select:1,9", "--n", "3"]])
+def test_out_of_range_pair_names_its_qubits_and_n(tmp_path, capsys, command):
+    path = tmp_path / "scheme.txt"
+    path.write_text(THREE_QUBIT_SCHEME.replace("decouple", "select:1,9"))
+    argv = [*command, str(path)] if command == ["check"] else command
+    code, err = run_cli(capsys, argv)
+    assert code == 2 and "Traceback" not in err
+    assert "(0, 8) for n=3 (1, 9 in files" in err
+
+
+def test_verify_scheme_and_hamiltonian_both_from_stdin_exits_2(capsys, monkeypatch):
+    # refused before either is read: the one stdin cannot hold both files
+    stdin = io.StringIO(ZZ_SCHEME + "0.5 ZZ\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, err = run_cli(capsys, ["verify", "-", "--ham", "-"])
+    assert code == 2
+    assert err.startswith("error: ") and "scheme and --ham" in err and "stdin" in err
+    assert stdin.tell() == 0

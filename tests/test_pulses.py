@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -182,3 +183,21 @@ def test_compile_merge_consistency(n, m, seed):
     merged = compile_zz(s)
     assert simplify(raw).steps == merged.steps
     assert raw.total_intervals == merged.total_intervals == m
+
+
+def _first_bad_layer(qubits, steps):
+    """The letter-by-letter reference for PulseSchedule's layer check."""
+    return next((s for s in steps if s is not None
+                 and (len(s) != qubits or set(s) - set("IXYZ"))), None)
+
+
+@given(st.integers(0, 3), st.lists(st.one_of(st.none(), st.text("IXYZ", max_size=4),
+                                             st.text("IXYZq\u00e9 ", max_size=4))))
+@settings(max_examples=200, deadline=None)
+def test_layer_check_names_the_first_bad_layer(qubits, steps):
+    bad = _first_bad_layer(qubits, steps)
+    if bad is None:
+        assert PulseSchedule(qubits, 1.0, tuple(steps)).steps == tuple(steps)
+    else:
+        with pytest.raises(ValueError, match="^" + re.escape(f"bad gate layer {bad!r}") + "$"):
+            PulseSchedule(qubits, 1.0, tuple(steps))

@@ -1,8 +1,10 @@
 """The shared +/-1 kernels in hadamard.py against plain references: the exact
-float32 Gram and the checkers built on it, the row codec, and sylvester."""
+float32 Gram and the checkers built on it, the row codec, the +/-1 entry
+test, and sylvester."""
 
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from decoupler.ghm import GhMatrix, gh_for_lambda, verify_gh
-from decoupler.hadamard import format_rows, gram, is_hadamard, parse_rows, sylvester
+from decoupler.hadamard import (all_signs, format_rows, gram, is_hadamard, parse_rows,
+                                sylvester, write_matrix)
 
 signs = st.sampled_from([-1, 1])
 
@@ -103,6 +106,37 @@ def test_format_parse_round_trip(alphabet, what, data):
     assert text == _reference_writer(codes, alphabet)
     back = parse_rows(io.StringIO(text), *codes.shape, alphabet, what)
     assert back.dtype == np.int8 and np.array_equal(back, codes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.bool_, st.tuples(st.integers(0, 6), st.integers(0, 9))), st.booleans())
+def test_format_rows_of_bool_codes_and_views(codes, transpose):
+    # bool codes are read in place as bytes, transposed views too, and an
+    # n = 0 or m = 0 block writes as the reference does
+    codes = codes.T if transpose else codes
+    assert format_rows(codes, "+-") == _reference_writer(codes.astype(int), "+-")
+
+
+def test_writing_a_matrix_holds_three_copies_at_most():
+    # the sign mask, the text buffer and one gathered copy of the letters (or
+    # the decoded string): 3 m^2 bytes at order m, plus interpreter slack
+    m = 2048
+    h = sylvester(11)
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        write_matrix(h, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * m * (m + 1) + (1 << 20), f"peak {peak} B"
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.int8, st.tuples(st.integers(0, 4), st.integers(0, 4)),
+              elements=st.sampled_from([-128, -2, -1, 0, 1, 2, 127])))
+def test_all_signs_equals_the_abs_reference(e):
+    assert all_signs(e) == bool(np.all(np.abs(e) == 1))
 
 
 @pytest.mark.parametrize("alphabet,what", FORMATS)
