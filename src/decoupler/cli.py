@@ -2,6 +2,7 @@
 partition | catalog | analyze.
 
 Exit status: 0 on success/pass, 1 on criterion failure, 2 on usage error.
+A reader that closes stdout early changes none of these.
 Qubit indices on the command line and in files are 1-based.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from dataclasses import dataclass
 
@@ -137,12 +139,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    status = 0
     try:
-        return _dispatch(_build_parser().parse_args(argv))
+        status = _dispatch(_build_parser().parse_args(argv))
+        sys.stdout.flush()  # a reader gone early shows here, not at shutdown
+    except BrokenPipeError:  # the reader closed stdout early: no error
+        if sys.stdout is sys.__stdout__:  # what it never took flushes to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     except (ValueError, SizeCapExceeded, SearchBudgetExceeded, DesignNotFound,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -194,19 +204,15 @@ def _dispatch(args: argparse.Namespace) -> int:
     with _open(args.scheme) as fh:
         scheme, task = read_scheme(fh)
 
-    if args.command == "check":
-        report = check_scheme(scheme, task)
-        for line in report.lines():
-            print(line)
-        return 0 if report.passed else 1
-
     if args.command == "compile":
         schedule = compile_general(scheme, args.tau)
         with _open(args.out, "w") as out:
             write_schedule(schedule, out)
         return 0
 
-    if args.command == "verify":
+    if args.command == "check":
+        report = check_scheme(scheme, task)
+    elif args.command == "verify":
         head, _, tail = args.ham.partition(":")
         if head == "random":
             seed = int(tail) if tail else args.seed
@@ -215,12 +221,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             with _open(args.ham) as fh:
                 h = read_hamiltonian(fh)
-        result = verify(task, scheme, h, args.time, args.reps, args.tolerance)
-        for line in result.lines():
-            print(line)
-        return 0 if result.passed else 1
-
-    raise ValueError(f"unknown command {args.command!r}")
+        report = verify(task, scheme, h, args.time, args.reps, args.tolerance)
+    else:
+        raise ValueError(f"unknown command {args.command!r}")
+    with contextlib.suppress(BrokenPipeError):  # the report's status stands
+        print("\n".join(report.lines()))
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -172,12 +172,9 @@ gh_for_lambda.cache_clear = _gh_for_lambda.cache_clear
 
 
 def constructible_lambdas(cap: int = DEFAULT_SIZE_CAP) -> list[int]:
-    out = []
-    lam = 1
-    while 4 * lam <= cap:
-        out.append(lam)
-        lam *= 2
-    return out
+    """Each lam of _GH_ROWS times each 4^k with GH order 4 lam 4^k <= cap."""
+    return sorted(lam * 4**k for lam in _GH_ROWS for k in range(cap.bit_length())
+                  if 4 * lam * 4**k <= cap)
 
 
 def level(g: GhMatrix) -> np.ndarray:

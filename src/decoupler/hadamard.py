@@ -2,11 +2,12 @@
 plus the kernels every sign matrix goes through: `gram`, the exact float32
 Gram matrix by which all orthogonality is tested, with `upper_pairs` its one
 scan; `walsh_indices`, which reads Sylvester rows by their indices instead;
-and `format_rows` / `parse_rows`, the one row codec.
+and `format_rows` / `decode_rows`, the one row codec of files and layers.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO
@@ -338,22 +339,28 @@ def _decoder(alphabet: str) -> np.ndarray:
     return table
 
 
+def decode_rows(lines: list[str], m: int, alphabet: str) -> tuple[np.ndarray, int]:
+    """`format_rows` undone: the codes of the lines before the first of another
+    length than m, and the index of the first that is not m letters of the
+    alphabet (len(lines) if none)."""
+    short = next((i for i, line in enumerate(lines) if len(line) != m), len(lines))
+    raw = np.frombuffer("".join(lines[:short]).encode("ascii", "replace"), dtype=np.uint8)
+    codes = _decoder(alphabet)[raw]
+    bad = np.flatnonzero(codes < 0)  # empty when m = 0
+    return codes.reshape(short, m), int(bad[0]) // m if len(bad) else short
+
+
 def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.ndarray:
     """Read n >= 1 lines of m letters from alphabet as an n x m int8 code
     array.  The first line of the wrong length or with a letter outside the
     alphabet raises ValueError("bad <what> row '...'")."""
     if n < 1 or m < 0:
         raise ValueError(f"bad {what} shape {n} x {m}")
-    lines: list[str] = []
-    # readline gives "" only at the end of the stream, which would otherwise
-    # pass as one more row of an m = 0 block, however large n claims to be
-    while len(lines) < n and (line := stream.readline()) and len(line := line.strip()) == m:
-        lines.append(line)
-    raw = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8)
-    codes = _decoder(alphabet)[raw].reshape(len(lines), m)
-    bad = np.flatnonzero((codes < 0).any(axis=1))
-    if len(bad) or len(lines) < n:
-        raise ValueError(f"bad {what} row {lines[bad[0]] if len(bad) else line!r}")
+    # a missing row, named '', ends the block, however large n claims it to be
+    lines = [line.strip() for line in itertools.islice(stream, n)]
+    codes, first = decode_rows(lines, m, alphabet)
+    if first < n:
+        raise ValueError(f"bad {what} row {lines[first] if first < len(lines) else ''!r}")
     return codes
 
 

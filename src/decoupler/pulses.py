@@ -16,7 +16,7 @@ from typing import IO
 
 import numpy as np
 
-from .hadamard import _decoder, format_rows
+from .hadamard import decode_rows, format_rows
 from .schemes import GATES, Scheme, SignMatrix, gate_codes, header_fields, merged_codes
 
 Step = str | None
@@ -32,12 +32,7 @@ class PulseSchedule:
         if not 0 < self.tau < float("inf"):  # false for nan as for +/-inf
             raise ValueError(f"tau must be finite and > 0, got {self.tau!r}")
         layers = self.layers
-        # the layers before the first of the wrong length, letters looked up
-        # all at once; the first bad layer is named
-        short = next((i for i, s in enumerate(layers) if len(s) != self.qubits), len(layers))
-        text = "".join(layers[:short]).encode("ascii", "replace")  # one byte a letter
-        bad = np.flatnonzero(_decoder(GATES)[np.frombuffer(text, dtype=np.uint8)] < 0)
-        first = bad[0] // self.qubits if len(bad) else short
+        first = decode_rows(layers, self.qubits, GATES)[1]
         if first < len(layers):
             raise ValueError(f"bad gate layer {layers[first]!r}")
 
@@ -50,10 +45,6 @@ class PulseSchedule:
         return [s for s in self.steps if s is not None]
 
 
-def _merge_layers(a: str, b: str) -> str:
-    return "".join(GATES[GATES.index(x) ^ GATES.index(y)] for x, y in zip(a, b))
-
-
 def compile_zz(s: SignMatrix, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
     """A '-' entry at (i, a) puts X on qubit i before and after interval a."""
     return compile_general(s, tau, merged)
@@ -63,36 +54,33 @@ def compile_general(scheme: Scheme, tau: float = 1.0, merged: bool = True) -> Pu
     """Sign column (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z conjugation;
     a zz scheme S lowers as the triple (1, S, S)."""
     codes = gate_codes(scheme)
-    steps: list[Step]
     if merged:
-        steps = [None] * (2 * scheme.intervals + 1)
-        steps[::2] = format_rows(merged_codes(codes).T, GATES).splitlines()
-    else:
-        layers = format_rows(codes.T, GATES).splitlines()
-        steps = [step for layer in layers for step in (layer, None, layer)]
+        return _alternating(scheme.qubits, tau, merged_codes(codes).T)
+    layers = format_rows(codes.T, GATES).splitlines()
+    steps = [step for layer in layers for step in (layer, None, layer)]
     return PulseSchedule(scheme.qubits, tau, tuple(steps))
+
+
+def _alternating(qubits: int, tau: float, layers: np.ndarray) -> PulseSchedule:
+    """Layer 0, an interval, layer 1, ..., layer m: rows of an (m+1) x n code array."""
+    steps: list[Step] = [None] * (2 * len(layers) - 1)
+    steps[::2] = format_rows(layers, GATES).splitlines()
+    return PulseSchedule(qubits, tau, tuple(steps))
 
 
 def simplify(p: PulseSchedule) -> PulseSchedule:
     """Merge adjacent gate layers; keep explicit (possibly identity) boundary
     layers and exactly one layer between consecutive intervals."""
-    idle = "I" * p.qubits
-    steps: list[Step] = []
-    pending = idle
-    for s in p.steps:
-        if s is None:
-            steps.append(pending)
-            steps.append(None)
-            pending = idle
-        else:
-            pending = _merge_layers(pending, s)
-    steps.append(pending)
-    return PulseSchedule(p.qubits, p.tau, tuple(steps))
+    free = np.array([s is None for s in p.steps], dtype=bool)
+    merged = np.zeros((p.total_intervals + 1, p.qubits), dtype=np.int8)
+    # a layer merges into the row of the intervals before it
+    np.bitwise_xor.at(merged, np.cumsum(free)[~free], decode_rows(p.layers, p.qubits, GATES)[0])
+    return _alternating(p.qubits, p.tau, merged)
 
 
 def gate_count(p: PulseSchedule) -> int:
     """Non-identity gate entries across all layers (at most n*(m+1))."""
-    return sum(c != "I" for layer in p.layers for c in layer)
+    return int(np.count_nonzero(decode_rows(p.layers, p.qubits, GATES)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +88,9 @@ def gate_count(p: PulseSchedule) -> int:
 # "G <layer>" and "F <tau>".
 
 def write_schedule(p: PulseSchedule, stream: IO[str]) -> None:
-    stream.write(f"pulses n={p.qubits} m={p.total_intervals} tau={p.tau!r}\n")
-    for s in p.steps:
-        if s is None:
-            stream.write(f"F {p.tau!r}\n")
-        else:
-            stream.write(f"G {s}\n")
+    free = f"F {p.tau!r}\n"
+    body = "".join(free if s is None else f"G {s}\n" for s in p.steps)
+    stream.write(f"pulses n={p.qubits} m={p.total_intervals} tau={p.tau!r}\n{body}")
 
 
 def read_schedule(stream: IO[str]) -> PulseSchedule:
@@ -121,10 +106,8 @@ def read_schedule(stream: IO[str]) -> PulseSchedule:
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "G" and len(parts) == 2:
-            steps.append(parts[1])
-        elif parts[0] == "G" and len(parts) == 1:
-            steps.append("")
+        if parts[0] == "G" and len(parts) <= 2:  # "G" alone is a zero-qubit layer
+            steps.append("".join(parts[1:]))
         elif parts[0] == "F" and len(parts) == 2:
             steps.append(None)
             free.append(parts[1])

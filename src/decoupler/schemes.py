@@ -395,6 +395,10 @@ def gate_codes(scheme: Scheme) -> np.ndarray:
         signs = (int(sx[q, a]), int(sy[q, a]), int(sz[q, a]))
         raise ValueError(f"sign column {signs} at qubit {q}, interval {a} "
                          "is not realizable (corrupted input)")
+    return _codes(sx, sy)
+
+
+def _codes(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:  # where S_x * S_y = S_z
     return (sy < 0).view(np.uint8) | ((sx < 0).view(np.uint8) << 1)
 
 
@@ -481,7 +485,7 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
             checks["zero_row_sums"] = _outcome(bad_sums, "rows with nonzero sum")
 
     # a triple violating the Schur constraint has no gate realization
-    gates = 0 if len(bad_cells) else np.count_nonzero(merged_codes(gate_codes(scheme)))
+    gates = 0 if len(bad_cells) else np.count_nonzero(merged_codes(_codes(sx, sy)))
     return SchemeReport(
         qubits=n,
         framework=task.framework,

@@ -214,3 +214,51 @@ class TestRouting:
         with pytest.raises(SystemExit) as exc:
             main(["catalog"])
         assert exc.value.code == 2
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader is gone: every write raises EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+class TestClosedStdout:
+    @pytest.fixture
+    def scheme(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        assert run(capsys, "synth", "--task", "decouple", "--framework", "general",
+                   "--n", "3", "--out", str(path))[0] == 0
+        return path
+
+    def closed(self, monkeypatch, capsys, stdout, *argv):
+        monkeypatch.setattr("sys.stdout", stdout)
+        code = main(list(argv))
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["synth", "--task", "decouple", "--n", "5"],
+                                      ["catalog", "--n", "9"], ["partition", "--r", "4"]])
+    def test_a_reader_gone_is_no_error(self, monkeypatch, capsys, argv):
+        assert self.closed(monkeypatch, capsys, ClosedPipe(), *argv) == (0, "")
+
+    def test_check_keeps_its_status(self, monkeypatch, capsys, scheme):
+        assert self.closed(monkeypatch, capsys, ClosedPipe(), "check", str(scheme)) == (0, "")
+        lines = scheme.read_text().splitlines(keepends=True)
+        lines[2] = ("-" if lines[2][0] == "+" else "+") + lines[2][1:]
+        scheme.write_text("".join(lines))
+        assert self.closed(monkeypatch, capsys, ClosedPipe(), "check", str(scheme)) == (1, "")
+
+    def test_verify_keeps_its_status(self, monkeypatch, capsys, scheme):
+        argv = ["verify", str(scheme), "--ham", "random:3"]
+        assert self.closed(monkeypatch, capsys, ClosedPipe(), *argv) == (0, "")
+        assert self.closed(monkeypatch, capsys, ClosedPipe(), *argv, "--reps", "1",
+                           "--time", "5", "--tolerance", "1e-12") == (1, "")
+
+    def test_any_other_write_error_exits_2(self, monkeypatch, capsys, scheme):
+        code, err = self.closed(monkeypatch, capsys, FullDisk(), "check", str(scheme))
+        assert code == 2 and err.startswith("error: ") and "No space left" in err

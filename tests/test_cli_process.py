@@ -1,6 +1,6 @@
 """The decoupler CLI run as a real process (`python -m decoupler.cli`), so the
 module's `sys.exit(main())` and the exit status a shell sees are exercised.
-Six processes in all; none may print a traceback."""
+Twelve processes in all; none may print a traceback."""
 
 import os
 import subprocess
@@ -12,13 +12,33 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def decoupler(*argv, stdin=""):
+def command(*argv):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "decoupler.cli", *argv], input=stdin,
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+    return [sys.executable, "-m", "decoupler.cli", *argv], {**os.environ, "PYTHONPATH": path}
+
+
+def decoupler(*argv, stdin=""):
+    args, env = command(*argv)
+    done = subprocess.run(args, input=stdin, capture_output=True, text=True, timeout=120,
+                          env=env)
     assert "Traceback" not in done.stderr
     return done
+
+
+def closed_early(*argv, keep=0, buffered=True):
+    """(exit status, stderr) of a process whose reader takes `keep` bytes of
+    its stdout and then closes the pipe; `buffered` is Python's default
+    block-buffered stdout, else PYTHONUNBUFFERED=1 writes each print through."""
+    args, env = command(*argv)
+    env = {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        proc.stdout.read(keep)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        return proc.wait(timeout=120), err
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +71,23 @@ def test_cap_below_one_exits_2():
     done = decoupler("--cap", "-5", "partition", "--r", "2")
     assert done.returncode == 2 and done.stderr.startswith("error:")
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("argv, keep", [
+    # 2.5 MB of scheme text: the writer is still writing when the pipe closes
+    (["synth", "--task", "decouple", "--framework", "general", "--n", "400"], 10),
+    # one short line, still buffered when the command returns
+    (["catalog", "--n", "9"], 0),
+], ids=["synth-n400", "catalog"])
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_reader_that_stops_early_is_no_error(argv, keep, buffered):
+    assert closed_early(*argv, keep=keep, buffered=buffered) == (0, "")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_failing_check_exits_1_with_stdout_closed(tmp_path, scheme, buffered):
+    lines = scheme.splitlines(keepends=True)
+    lines[2] = ("-" if lines[2][0] == "+" else "+") + lines[2][1:]
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(lines))
+    assert closed_early("check", str(path), buffered=buffered) == (1, "")

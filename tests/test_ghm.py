@@ -9,6 +9,7 @@ from decoupler.ghm import (
     TRIPLE_SIGNS,
     compose,
     compose_sylvester,
+    constructible_lambdas,
     gh4_base,
     gh_for_lambda,
     gh_kron,
@@ -226,6 +227,29 @@ class TestCompose:
         e[0, 1] = 1
         with pytest.raises(ValueError, match="normalized"):
             compose(sylvester(2), [1, 2, 3], [0], GhMatrix(e, lam=1))
+
+
+def powers_of_two(cap):
+    """The rule constructible_lambdas once restated: every power of two lam
+    with 4 lam <= cap."""
+    out, lam = [], 1
+    while 4 * lam <= cap:
+        out.append(lam)
+        lam *= 2
+    return out
+
+
+class TestConstructibleLambdas:
+    def test_literals_times_powers_of_four_are_the_powers_of_two(self):
+        caps = [*range(-3, 5001), *(2**k + d for k in range(12, 30) for d in (-1, 0, 1))]
+        for cap in caps:
+            assert constructible_lambdas(cap) == powers_of_two(cap), cap
+
+    def test_every_listed_lambda_builds_a_valid_gh(self):
+        for lam in constructible_lambdas(1024):
+            g = gh_for_lambda(lam, 1024)
+            assert g.lam == lam and g.order == 4 * lam
+            assert verify_gh(g).ok
 
 
 class TestIntervalBound:
