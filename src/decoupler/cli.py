@@ -52,10 +52,9 @@ def analyze_rows(n_max: int, framework: str, sylvester_only: bool = False,
                                     entry.achieved / n, recipe_str(entry.recipe)))
         return rows
     # a construction plans one qubit beyond its Schur triples when rows other
-    # than the all-+ one are left over (odd-r Sylvester, every composition),
-    # that qubit's local terms handled outside the scheme; an even-r
-    # Sylvester matrix leaves only the all-+ row
-    table = [(c.triples + (0 if c.kind == "sylvester" and c.r % 2 == 0 else 1), c)
+    # than the all-+ one are left over, that qubit's local terms handled
+    # outside the scheme
+    table = [(c.triples + (c.intervals - 3 * c.triples > 1), c)
              for c in _candidates(cap) if not sylvester_only or c.kind == "sylvester"]
     for n in range(1, n_max + 1):
         cand = next((c for capacity, c in table if capacity >= n), None)
@@ -150,7 +149,8 @@ def main(argv: list[str] | None = None) -> int:
             os.close(devnull)
     except (ValueError, SizeCapExceeded, SearchBudgetExceeded, DesignNotFound,
             OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(BrokenPipeError):  # stderr closed too: still 2
+            print(f"error: {exc}", file=sys.stderr)
         return 2
     return status
 

@@ -16,9 +16,9 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
-from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, ValidityReport, exceeds_cap,
-                       format_rows, gram, frozen, is_normalized, parse_rows, read_only,
-                       upper_pairs)
+from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, ValidityReport, decode_rows,
+                       exceeds_cap, format_rows, gram, frozen, is_normalized, parse_rows,
+                       read_only, upper_pairs)
 from .schur import five_rows, partition_sylvester, sylvester
 
 # sign of coordinate t for element g: rows e, x, y, z
@@ -61,8 +61,8 @@ _GH_ROWS = {1: "eeee ezxy eyzx exyz",
 
 
 def _gh_literal(lam: int) -> GhMatrix:
-    rows = [[ELEMENT_CHARS.index(c) for c in row] for row in _GH_ROWS[lam].split()]
-    return GhMatrix(np.array(rows, dtype=np.uint8), lam=lam)
+    codes, _ = decode_rows(_GH_ROWS[lam].split(), 4 * lam, ELEMENT_CHARS)
+    return GhMatrix(codes, lam=lam)
 
 
 def gh4_base() -> GhMatrix:

@@ -21,11 +21,9 @@ import numpy as np
 from .pulses import PulseSchedule, compile_general
 from .schemes import GATES, Scheme, TaskSpec, check_scheme
 
-GENERAL_QUBIT_CAP = 6
-ZZ_QUBIT_CAP = 10
 # verify runs a Z-diagonal Hamiltonian on 2^n vectors, any other on 2^n x 2^n
 # matrices; each backend refuses n above its cap before allocating
-DENSE_QUBIT_CAP = ZZ_QUBIT_CAP
+DENSE_QUBIT_CAP = 10
 DIAGONAL_QUBIT_CAP = 20
 UNITARITY_TOL = 1e-10
 
@@ -104,11 +102,12 @@ def random_hamiltonian(n: int, seed: int, kind: str = "zz",
     """Deterministic random Hamiltonian; coefficients uniform in [-1, 1].
 
     zz: one ZZ word per pair (plus Z locals); general: all nine pairwise
-    Pauli products per pair (plus three locals per qubit).
+    Pauli products per pair (plus three locals per qubit).  n is capped by the
+    backend verify runs that kind on: vectors for zz, dense matrices for general.
     """
     if kind not in ("zz", "general"):
         raise ValueError(f"unknown kind {kind!r}")
-    cap = ZZ_QUBIT_CAP if kind == "zz" else GENERAL_QUBIT_CAP
+    cap = DIAGONAL_QUBIT_CAP if kind == "zz" else DENSE_QUBIT_CAP
     if not 1 <= n <= cap:
         raise ValueError(f"n={n} outside supported range 1..{cap} for kind={kind}")
     rng = np.random.default_rng(seed)
@@ -194,20 +193,22 @@ def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:
 
 def run_schedule(p: PulseSchedule, h: PauliHamiltonian) -> np.ndarray:
     """Multiply gate layers and free evolutions in schedule order; later
-    operations act on the left."""
+    operations act on the left.  A layer P|x> = phase[x] |x ^ flip> permutes
+    and signs rows, exactly word_matrix(step) @ u, so a pass holds a fixed
+    number of 2^n x 2^n matrices however many layers it has."""
     if p.qubits != h.qubits:
         raise ValueError(f"schedule is for {p.qubits} qubits, Hamiltonian for {h.qubits}")
     dim = 2 ** h.qubits
     u_free = evolve(h, p.tau)
-    cache: dict[str, np.ndarray] = {}
+    idx = np.arange(dim)
     u = np.eye(dim, dtype=np.complex128)
     for step in p.steps:
         if step is None:
             u = u_free @ u
         else:
-            if step not in cache:
-                cache[step] = word_matrix(step)
-            u = cache[step] @ u
+            flip, phase = word_monomial(step)
+            u = u[idx ^ flip]
+            u *= phase[idx ^ flip, None]
     return u
 
 
@@ -222,14 +223,11 @@ def run_schedule_diagonal(p: PulseSchedule, h: PauliHamiltonian) -> tuple[int, n
     d = _diagonal_evolution(h, p.tau)
     idx = np.arange(d.size)
     flip, u = 0, np.ones_like(d)
-    layers: dict[str, tuple[int, np.ndarray]] = {}
     for step in p.steps:
         if step is None:
             u *= d[idx ^ flip]
             continue
-        if step not in layers:
-            layers[step] = word_monomial(step)
-        layer_flip, phase = layers[step]
+        layer_flip, phase = word_monomial(step)
         u *= phase[idx ^ flip]
         flip ^= layer_flip
     return flip, u

@@ -145,6 +145,15 @@ class TestCompileVerify:
                            "--ham", "random:3", "--time", "0.1", "--reps", "16")
         assert code == 0
 
+    @pytest.mark.parametrize("framework,n", [("zz", 12), ("general", 7)])
+    def test_verify_random_covers_the_backend_caps(self, tmp_path, capsys, framework, n):
+        # zz n=12 runs on 2^n vectors, general n=7 on dense matrices
+        scheme_file = tmp_path / "s.txt"
+        run(capsys, "synth", "--task", "decouple", "--framework", framework,
+            "--n", str(n), "--out", str(scheme_file))
+        code, out, _ = run(capsys, "verify", str(scheme_file), "--ham", "random:1")
+        assert code == 0 and out.endswith("result=pass\n")
+
     def test_verify_random_uses_global_seed(self, tmp_path, capsys):
         scheme_file = tmp_path / "s.txt"
         run(capsys, "synth", "--task", "decouple", "--framework", "zz", "--n", "3",

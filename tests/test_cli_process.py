@@ -1,6 +1,6 @@
 """The decoupler CLI run as a real process (`python -m decoupler.cli`), so the
 module's `sys.exit(main())` and the exit status a shell sees are exercised.
-Twelve processes in all; none may print a traceback."""
+Thirteen processes in all; none may print a traceback."""
 
 import os
 import subprocess
@@ -65,6 +65,19 @@ def test_one_flipped_sign_fails_the_check(scheme):
 def test_missing_scheme_exits_2(tmp_path):
     done = decoupler("check", str(tmp_path / "missing.txt"))
     assert done.returncode == 2 and done.stderr.startswith("error:")
+
+
+def test_missing_scheme_exits_2_with_stderr_closed(tmp_path):
+    # `decoupler check missing.txt 2>&1 | true`: the error line meets a closed pipe
+    args, env = command("check", str(tmp_path / "missing.txt"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(args, stdout=subprocess.PIPE, stderr=write_end, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stdout) == (2, b"")
 
 
 def test_cap_below_one_exits_2():

@@ -91,6 +91,29 @@ def test_compiled_scheme_pass_matches_run_schedule(n, m, merged, seed):
     assert max_diff(monomial_matrix(*run_schedule_diagonal(p, h)), dense) <= ORACLE_TOL
 
 
+def layer_product(p, h):
+    """run_schedule as the product of one word_matrix per gate layer and
+    evolve per interval, later operations on the left: the reference."""
+    u_free = simulate.evolve(h, p.tau)
+    u = np.eye(2 ** p.qubits, dtype=np.complex128)
+    for step in p.steps:
+        u = (u_free if step is None else word_matrix(step)) @ u
+    return u
+
+
+@given(st.integers(1, 6), st.integers(0, 12), st.sampled_from(["zz", "general"]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_run_schedule_equals_the_product_of_layer_matrices(n, length, kind, seed):
+    """Each layer applied as a signed row permutation, bit for bit."""
+    rng = np.random.default_rng(seed)
+    steps = tuple(None if rng.random() < 0.4 else "".join(rng.choice(list("IXYZ"), size=n))
+                  for _ in range(length))
+    p = PulseSchedule(n, float(rng.uniform(0.01, 1.0)), steps)
+    h = simulate.random_hamiltonian(n, seed, kind, with_local=bool(rng.integers(2)))
+    assert np.array_equal(run_schedule(p, h), layer_product(p, h))
+
+
 @given(st.integers(1, 6), st.integers(1, 10), st.integers(1, 5), st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_pauli_schedule_with_net_flip_matches_dense(n, length, k, seed):

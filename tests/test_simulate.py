@@ -13,6 +13,8 @@ from decoupler.schemes import (
     synth_select_zz,
 )
 from decoupler.simulate import (
+    DENSE_QUBIT_CAP,
+    DIAGONAL_QUBIT_CAP,
     PauliHamiltonian,
     evolve,
     hamiltonian_matrix,
@@ -73,10 +75,13 @@ class TestRandomHamiltonian:
         assert all(-1 <= c <= 1 for c, _ in h.terms)
 
     def test_caps(self):
+        # each kind is capped by the backend verify runs it on
         with pytest.raises(ValueError):
-            random_hamiltonian(7, seed=0, kind="general")
+            random_hamiltonian(DENSE_QUBIT_CAP + 1, seed=0, kind="general")
         with pytest.raises(ValueError):
-            random_hamiltonian(11, seed=0, kind="zz")
+            random_hamiltonian(DIAGONAL_QUBIT_CAP + 1, seed=0, kind="zz")
+        assert random_hamiltonian(7, seed=0, kind="general").qubits == 7
+        assert random_hamiltonian(11, seed=0, kind="zz").qubits == 11
 
     def test_word_validation(self):
         with pytest.raises(ValueError):

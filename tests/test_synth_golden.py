@@ -4,7 +4,8 @@ Each digest is a sha256 over the `write_scheme` text of one synthesizer
 across n = 1..40 and {150, 300, 400} at caps 64 and 4096, several
 qubit pairs (valid and refused), local terms on and off for zz and, for general selection, all nine label pairs.  A refusal
 contributes its exception type and message instead of a scheme, so a
-changed error text fails here too.
+changed error text fails here too.  The `analyze` CSV is frozen the same
+way, up to the largest n_max each cap allows.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import io
 import numpy as np
 import pytest
 
+from decoupler.cli import analyze_csv, analyze_rows
 from decoupler.schemes import (
     TaskSpec,
     _Candidate,
@@ -145,3 +147,29 @@ def test_select_n19_uses_the_composed_construction(cap):
         for label, row in zip("xyz", t):
             assert np.array_equal(scheme.matrix(label).entries[q], rows[row])
     assert np.array_equal(scheme.sx.entries[0], rows[five[4]])
+
+
+# zz ignores --sylvester-only, and at these caps a Sylvester matrix is the
+# cheapest general construction for every n: the flag changes no byte
+ANALYZE_GOLDEN = {
+    ("zz", 64, False): "cb6d6741b24d9bf57a26b32f4df8d0937356b8933bcbd60bbc9a01bb2a24ef55",
+    ("zz", 64, True): "cb6d6741b24d9bf57a26b32f4df8d0937356b8933bcbd60bbc9a01bb2a24ef55",
+    ("zz", 1024, False): "0a3befe5e4c8f716568ec8901c1be85cfafe02b4524f7b18c0ef4906e1677da0",
+    ("zz", 1024, True): "0a3befe5e4c8f716568ec8901c1be85cfafe02b4524f7b18c0ef4906e1677da0",
+    ("zz", 4096, False): "4026171c3a38d71b4a8f85f321d5680ad638ec8b15d79506da1f8bd1ee0863b5",
+    ("zz", 4096, True): "4026171c3a38d71b4a8f85f321d5680ad638ec8b15d79506da1f8bd1ee0863b5",
+    ("general", 64, False): "e4fe70051804aaf9f0fbb83f23ff8a59232984b7d88cef871eec811ccd817074",
+    ("general", 64, True): "e4fe70051804aaf9f0fbb83f23ff8a59232984b7d88cef871eec811ccd817074",
+    ("general", 1024, False): "338b2d509364c27072c539232046915deebe9d3d855b46f268120a50f9b82f3c",
+    ("general", 1024, True): "338b2d509364c27072c539232046915deebe9d3d855b46f268120a50f9b82f3c",
+    ("general", 4096, False): "b923637f815748db666dadc484b140042d63ad68207648ea2200f9b1e25b5c50",
+    ("general", 4096, True): "b923637f815748db666dadc484b140042d63ad68207648ea2200f9b1e25b5c50",
+}
+
+
+@pytest.mark.parametrize("framework,cap,sylvester_only", sorted(ANALYZE_GOLDEN))
+def test_analyze_output_is_frozen(framework, cap, sylvester_only):
+    n_max = cap if framework == "zz" else cap // 3
+    csv = analyze_csv(analyze_rows(n_max, framework, sylvester_only, cap))
+    assert hashlib.sha256(csv.encode()).hexdigest() == \
+        ANALYZE_GOLDEN[framework, cap, sylvester_only]
