@@ -332,20 +332,20 @@ def format_rows(codes, alphabet: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _decoder(alphabet: str) -> np.ndarray:
-    """Byte -> code table; -1 marks a byte outside the alphabet."""
+def _decoder(alphabet: str) -> bytes:
+    """Byte -> int8 code table for bytes.translate (no index array); -1 marks other bytes."""
     table = np.full(256, -1, dtype=np.int8)
     table[np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)] = np.arange(len(alphabet))
-    return table
+    return table.tobytes()
 
 
 def decode_rows(lines: list[str], m: int, alphabet: str) -> tuple[np.ndarray, int]:
-    """`format_rows` undone: the codes of the lines before the first of another
-    length than m, and the index of the first that is not m letters of the
-    alphabet (len(lines) if none)."""
+    """`format_rows` undone: the writable int8 codes of the lines before the
+    first of another length than m, and the index of the first that is not m
+    letters of the alphabet (len(lines) if none)."""
     short = next((i for i, line in enumerate(lines) if len(line) != m), len(lines))
-    raw = np.frombuffer("".join(lines[:short]).encode("ascii", "replace"), dtype=np.uint8)
-    codes = _decoder(alphabet)[raw]
+    codes = "".join(lines[:short]).encode("ascii", "replace").translate(_decoder(alphabet))
+    codes = np.frombuffer(bytearray(codes), dtype=np.int8)
     bad = np.flatnonzero(codes < 0)  # empty when m = 0
     return codes.reshape(short, m), int(bad[0]) // m if len(bad) else short
 

@@ -13,6 +13,7 @@ reference the vector path is tested against.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -123,25 +124,35 @@ def random_hamiltonian(n: int, seed: int, kind: str = "zz",
     return PauliHamiltonian(n, tuple(terms))
 
 
-def _sign_tensor(n: int, qubits: Iterable[int]) -> np.ndarray:
-    """(-1)^(sum of the bits of x at `qubits`), shaped to broadcast over (2,)*n."""
-    out = np.ones((1,) * n)
-    for q in qubits:
-        out = out * _SIGN.reshape((1,) * q + (2,) + (1,) * (n - q - 1))
-    return out
+def _word_phase(word: str) -> tuple[int, np.ndarray]:
+    """A Pauli word P as (flip, phase), P|x> = phase[x] |x ^ flip>, with phase
+    broadcastable over (2,)*n and qubit 0 the most significant bit of x (np.kron
+    order): X and Y flip their qubit, Y and Z give (-1)^bit, each Y a factor i."""
+    n = len(word)
+    flip, phase = 0, np.ones((1,) * n)
+    for q, c in enumerate(word):
+        if c in "XY":
+            flip |= 1 << (n - 1 - q)
+        if c in "YZ":
+            phase = phase * _SIGN.reshape((1,) * q + (2,) + (1,) * (n - q - 1))
+    return flip, phase * _I_POWERS[word.count("Y") % 4]
+
+
+def _flip_sums(h: PauliHamiltonian) -> dict[int, np.ndarray]:
+    """H as one signed permutation per flip, {flip: u} with H|x> = sum of u[x] |x ^ flip>:
+    each u is (2,)*n, real unless a word has an odd number of Y, and zero for a new flip."""
+    words = [(coeff, *_word_phase(word)) for coeff, word in h.terms]
+    dtype = np.result_type(np.float64, *{phase.dtype for _, _, phase in words})
+    sums = defaultdict(lambda: np.zeros((2,) * h.qubits, dtype))
+    for coeff, flip, phase in words:
+        sums[flip] += coeff * phase
+    return sums
 
 
 def word_monomial(word: str) -> tuple[int, np.ndarray]:
-    """A Pauli word P as (flip, phase) with P|x> = phase[x] |x ^ flip>.
-
-    Basis state x has qubit 0 as its most significant bit (np.kron order).
-    X and Y flip their qubit, Y and Z contribute (-1)^bit, each Y a factor i.
-    """
-    n = len(word)
-    flip = sum(1 << (n - 1 - q) for q, c in enumerate(word) if c in "XY")
-    signs = _sign_tensor(n, [q for q, c in enumerate(word) if c in "YZ"])
-    phase = np.broadcast_to(signs, (2,) * n).reshape(-1) * _I_POWERS[word.count("Y") % 4]
-    return flip, phase
+    """A Pauli word as the (flip, phase) of _word_phase, phase a flat 2^n vector."""
+    flip, phase = _word_phase(word)
+    return flip, np.broadcast_to(phase, (2,) * len(word)).flatten()
 
 
 def monomial_matrix(flip: int, u: np.ndarray) -> np.ndarray:
@@ -157,27 +168,16 @@ def word_matrix(word: str) -> np.ndarray:
 
 
 def hamiltonian_matrix(h: PauliHamiltonian) -> np.ndarray:
-    dim = 2 ** h.qubits
-    idx = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for coeff, word in h.terms:
-        flip, phase = word_monomial(word)
-        out[idx ^ flip, idx] += coeff * phase
+    out = np.zeros((2 ** h.qubits,) * 2, dtype=np.complex128)
+    idx = np.arange(len(out))
+    for flip, u in _flip_sums(h).items():
+        out[idx ^ flip, idx] = u.reshape(-1)
     return out
 
 
-def _diagonal_phases(h: PauliHamiltonian) -> np.ndarray:
-    """Diagonal of a Z/I-only Hamiltonian without building the matrix."""
-    n = h.qubits
-    diag = np.zeros((2,) * n)
-    for coeff, word in h.terms:
-        diag += coeff * _sign_tensor(n, [q for q, c in enumerate(word) if c == "Z"])
-    return diag.reshape(-1)
-
-
 def _diagonal_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:
-    """Diagonal of e^{-iHt} for a Z/I-only Hamiltonian."""
-    return np.exp(-1j * _diagonal_phases(h) * t)
+    """Diagonal of e^{-iHt} for a Z/I-only Hamiltonian: its flip-0 sum."""
+    return np.exp(-1j * _flip_sums(h)[0].reshape(-1) * t)
 
 
 def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:

@@ -81,6 +81,48 @@ def test_word_matrix_equals_kron_reference(n):
         assert np.array_equal(word_matrix(word), kron_word(word)), word
 
 
+@st.composite
+def pauli_sums(draw, letters="XYZ"):
+    """A PauliHamiltonian on n <= 4 qubits: words with at most two non-identity
+    letters drawn from a small pool, so words repeat, and possibly no term."""
+    n = draw(st.integers(1, 4))
+    word = st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(letters)),
+                    max_size=2, unique_by=lambda qc: qc[0]).map(
+        lambda qcs: "".join(dict(qcs).get(q, "I") for q in range(n)))
+    pool = draw(st.lists(word, min_size=1, max_size=5))
+    coeff = st.one_of(st.just(0.0), st.floats(-4, 4, allow_subnormal=False))
+    terms = draw(st.lists(st.tuples(coeff, st.sampled_from(pool)), max_size=12))
+    return PauliHamiltonian(n, tuple(terms))
+
+
+def kron_sum(h):
+    out = np.zeros((2 ** h.qubits,) * 2, dtype=np.complex128)
+    for coeff, word in h.terms:
+        out += coeff * kron_word(word)
+    return out
+
+
+@given(pauli_sums())
+@settings(max_examples=200, deadline=None)
+def test_hamiltonian_matrix_equals_the_kron_sum_exactly(h):
+    assert np.array_equal(simulate.hamiltonian_matrix(h), kron_sum(h))
+
+
+@given(pauli_sums(letters="Z"), st.floats(-3, 3))
+@settings(max_examples=100, deadline=None)
+def test_diagonal_evolve_exponentiates_the_kron_sum_exactly(h, t):
+    diag = np.diag(kron_sum(h)).real
+    assert np.array_equal(simulate.evolve(h, t), np.diag(np.exp(-1j * t * diag)))
+
+
+@given(st.text("IXYZ", min_size=1, max_size=6))
+@settings(deadline=None)
+def test_word_monomial_phase_is_real_for_an_even_number_of_y(word):
+    flip, phase = simulate.word_monomial(word)
+    assert phase.dtype == (np.complex128 if word.count("Y") % 2 else np.float64)
+    assert np.array_equal(monomial_matrix(flip, phase), kron_word(word))
+
+
 @given(st.integers(1, 6), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_compiled_scheme_pass_matches_run_schedule(n, m, merged, seed):

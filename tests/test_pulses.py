@@ -160,6 +160,14 @@ class TestScheduleFormat:
         buf.seek(0)
         assert read_schedule(buf).tau == p.tau
 
+    def test_blank_lines_are_skipped(self):
+        p = compile_zz(S4, tau=0.125)
+        buf = io.StringIO()
+        write_schedule(p, buf)
+        head, *body = buf.getvalue().splitlines(keepends=True)
+        spaced = head + "\n".join(body) + "\n  \n\t\n"
+        assert read_schedule(io.StringIO(spaced)) == read_schedule(io.StringIO(buf.getvalue())) == p
+
     def test_bad_header(self):
         with pytest.raises(ValueError):
             read_schedule(io.StringIO("nope\n"))

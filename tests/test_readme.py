@@ -1,0 +1,39 @@
+"""README.md's claims, run as written."""
+
+import csv
+import io
+import re
+from pathlib import Path
+
+from decoupler import cli
+from decoupler.hadamard import best_order
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_library_sketch_runs_and_its_comments_hold():
+    block = re.search(r"## Library sketch\n\n```python\n(.*?)```", README, re.S)
+    ns = {}
+    exec(block.group(1), ns)
+    assert (ns["entry"].achieved, ns["entry"].recipe) == (12, ("paley1", 11))
+    assert (len(ns["p"].triples), len(ns["p"].remainder)) == (9, 5)
+    assert ns["comp"].hprime.entries.shape == (64, 64) and len(ns["comp"].triples) == 20
+    assert ns["scheme"].intervals == 16
+    assert ns["report"].passed and ns["res"].passed
+
+
+def _overheads(framework, capsys):
+    assert cli.main(["analyze", "--n-max", "100", "--framework", framework]) == 0
+    return {int(row["n"]): float(row["c"])
+            for row in csv.DictReader(io.StringIO(capsys.readouterr().out))}
+
+
+def test_analyze_overhead_ranges(capsys):
+    text = " ".join(README.split())
+    assert "zz's c runs from 1 to 1.6" in text and "general's runs from 1.0039 to 1.9845" in text
+    zz = _overheads("zz", capsys)
+    assert min(zz.values()) == 1.0 and max(zz.values()) == 1.6
+    exact = [n for n, c in zz.items() if c == 1.0]
+    assert len(exact) == 24 and exact == [n for n in zz if best_order(n).achieved == n]
+    general = _overheads("general", capsys).values()
+    assert 1.0039 <= min(general) and max(general) <= 1.9845

@@ -165,6 +165,11 @@ class TestDecoupleGeneral:
         assert np.array_equal(f[0] * f[1], f[4])
         assert np.array_equal(f[2] * f[3], f[4])
 
+    def test_composed_candidate_describes_its_construction(self):
+        from decoupler.schemes import _Candidate
+
+        assert _Candidate(64, "composed", 4, 1).describe() == "compose(sylvester(4),gh(4,1))"
+
 
 class TestSelectGeneral:
     def test_two_qubits_eight_intervals_one_identical_pair(self):

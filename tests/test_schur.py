@@ -206,6 +206,12 @@ class TestReportingAndFormat:
         assert triples == list(p.triples)
         assert remainder == list(p.remainder)
 
+    def test_blank_lines_are_skipped(self):
+        buf = io.StringIO()
+        write_partition(partition_sylvester(4), buf)
+        spaced = "\n" + buf.getvalue().replace("\n", "\n \n") + "\t\n"
+        assert read_partition(io.StringIO(spaced)) == read_partition(io.StringIO(buf.getvalue()))
+
     def test_bad_line(self):
         with pytest.raises(ValueError):
             read_partition(io.StringIO("Q 010\n"))
