@@ -1,7 +1,8 @@
 """Command-line front end: synth | check | compile | verify | compose |
 partition | catalog | analyze.
 
-Exit status: 0 on success/pass, 1 on criterion failure, 2 on usage error.
+Exit status: 0 on success/pass, 1 on criterion failure, 2 on usage or
+input error, a request too large for memory included.
 A reader that closes stdout early changes none of these.
 Qubit indices on the command line and in files are 1-based.
 """
@@ -148,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
     except (ValueError, SizeCapExceeded, SearchBudgetExceeded, DesignNotFound,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         with contextlib.suppress(BrokenPipeError):  # stderr closed too: still 2
             print(f"error: {exc}", file=sys.stderr)
         return 2

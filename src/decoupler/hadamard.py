@@ -1,8 +1,11 @@
 """Hadamard matrix constructions and the recipe of each constructible order,
 plus the kernels every sign matrix goes through: `gram`, the exact float32
 Gram matrix by which all orthogonality is tested, with `upper_pairs` its one
-scan; `walsh_indices`, which reads Sylvester rows by their indices instead;
-and `format_rows` / `decode_rows`, the one row codec of files and layers.
+scan; `canonical_indices`, which names rows by their index in the canonical
+(normalized, recipe-built) matrix of their order instead, Sylvester rows by
+`walsh_indices` with no matrix, Paley and Kronecker rows by a lookup in the
+matrix they came from; and `format_rows` / `decode_rows`, the one row codec
+of files and layers.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from functools import lru_cache
 from typing import IO
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import SizeCapExceeded
 
@@ -188,13 +192,16 @@ def _is_prime(n: int) -> bool:
 
 
 def _jacobsthal(q: int) -> np.ndarray:
-    """Q[a,b] = chi(a-b) with chi the quadratic-residue character mod q."""
+    """Q[a,b] = chi(a-b) with chi the quadratic-residue character mod q.
+
+    Q is a circulant: row a is window q-1-a, v[q-1-a:2q-1-a], of the one
+    vector v[k] = chi(q-1-k), k < 2q-1, so it is copied from those windows
+    (a strided view that stays inside v) with no q x q index array."""
     chi = np.full(q, -1, dtype=np.int8)
     chi[0] = 0
-    for x in range(1, q):
-        chi[(x * x) % q] = 1
-    a = np.arange(q)
-    return chi[(a[:, None] - a[None, :]) % q]
+    chi[np.arange(1, q) ** 2 % q] = 1
+    v = chi[(q - 1 - np.arange(2 * q - 1)) % q]
+    return as_strided(v, (q, q), (1, 1), writeable=False)[::-1].copy()
 
 
 def paley(q: int, variant: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
@@ -214,21 +221,21 @@ def paley(q: int, variant: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
     order = q + 1 if variant == 1 else 2 * (q + 1)
     if order > cap:
         raise SizeCapExceeded(f"paley order {order} exceeds cap {cap}")
-    Q = _jacobsthal(q)
-    if variant == 1:
-        s = np.zeros((q + 1, q + 1), dtype=np.int8)
-        s[0, 1:] = 1
-        s[1:, 0] = -1
-        s[1:, 1:] = Q
-        entries = s + np.eye(q + 1, dtype=np.int8)
-        return HadamardMatrix(frozen(entries), provenance=f"paley1({q})")
-    c = np.zeros((q + 1, q + 1), dtype=np.int8)
+    # S = [[0, 1], [-1, Q]] (variant 1) or C = [[0, 1], [1, Q]] (variant 2),
+    # with zero diagonal since chi(0) = 0
+    c = np.empty((q + 1, q + 1), dtype=np.int8)
+    c[0, 0] = 0
     c[0, 1:] = 1
-    c[1:, 0] = 1
-    c[1:, 1:] = Q
-    h2 = np.array([[1, 1], [1, -1]], dtype=np.int8)
-    k2 = np.array([[1, -1], [-1, -1]], dtype=np.int8)
-    entries = np.kron(c, h2) + np.kron(np.eye(q + 1, dtype=np.int8), k2)
+    c[1:, 0] = 1 if variant == 2 else -1
+    c[1:, 1:] = _jacobsthal(q)
+    diagonal = np.arange(q + 1)
+    if variant == 1:  # S + I
+        c[diagonal, diagonal] = 1
+        return HadamardMatrix(frozen(c), provenance=f"paley1({q})")
+    # C x [[1, 1], [1, -1]] + I x [[1, -1], [-1, -1]]: the second term fills
+    # the zero 2 x 2 diagonal blocks of the first
+    entries = np.kron(c, np.array([[1, 1], [1, -1]], dtype=np.int8))
+    entries.reshape(q + 1, 2, q + 1, 2)[diagonal, :, diagonal] = [[1, -1], [-1, -1]]
     return HadamardMatrix(frozen(entries), provenance=f"paley2({q})")
 
 
@@ -246,8 +253,8 @@ def normalize(h: HadamardMatrix) -> HadamardMatrix:
 
     Every row except the first then has zero row sum.
     """
-    e = h.entries * h.entries[0][None, :]  # fix first row
-    e = e * e[:, 0][:, None]    # fix first column
+    e = h.entries * h.entries[0]  # fix first row
+    e *= e[:, :1].copy()  # fix first column
     return HadamardMatrix(frozen(e), provenance=h.provenance)
 
 
@@ -300,6 +307,36 @@ def best_order(n: int, cap: int = DEFAULT_SIZE_CAP) -> OrderCatalogEntry:
 def best_matrix(n: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
     """Normalized Hadamard matrix of order best_order(n)."""
     return normalize(build_hadamard(best_order(n, cap).recipe, cap=cap))
+
+
+def canonical_indices(blocks, dropped_first: bool = False) -> list[np.ndarray] | None:
+    """The index k of every row of each block when every +/-1 row is row k
+    of the canonical matrix of order w, `best_matrix(w, cap=w)`, else None.
+    w is the row width, plus 1 with `dropped_first`, where the rows lack that
+    matrix's first (all +) column.
+
+    Row 0 and column 0 of a normalized Hadamard matrix are all +, so two of
+    its rows are orthogonal (inner product -1 without column 0) exactly when
+    their indices differ, and a row sums to zero (-1) exactly when its index
+    is not 0.  A Sylvester width is read by `walsh_indices`, with no matrix.
+    Any other width with a recipe builds the matrix for this call only, and
+    only while it is no larger than the float32 Gram of all the rows, and
+    finds each row by its packed bits.
+    """
+    width = blocks[0].shape[1]
+    size = width + dropped_first
+    if not size & (size - 1):
+        keys = [walsh_indices(b, dropped_first) for b in blocks]
+        return None if any(k is None for k in keys) else keys
+    rows = sum(len(b) for b in blocks)
+    if size * size > 4 * rows * (width + rows) or _recipe(size) is None:
+        return None
+    table = best_matrix(size, cap=size).entries[:, int(dropped_first):]
+    index = {key.tobytes(): k for k, key in enumerate(np.packbits(table < 0, axis=1))}
+    del table  # freed before the rows are packed
+    keys = [np.fromiter((index.get(key.tobytes(), -1) for key in np.packbits(b < 0, axis=1)),
+                        dtype=np.intp, count=len(b)) for b in blocks]
+    return None if any((k < 0).any() for k in keys) else keys
 
 
 def catalog_gaps(limit: int, cap: int = DEFAULT_SIZE_CAP) -> list[tuple[int, int]]:

@@ -17,8 +17,8 @@ from typing import IO
 import numpy as np
 
 from .errors import SizeCapExceeded
-from .hadamard import (DEFAULT_SIZE_CAP, all_signs, best_matrix, format_rows, frozen,
-                       gram, parse_rows, read_only, upper_pairs, walsh_indices)
+from .hadamard import (DEFAULT_SIZE_CAP, all_signs, best_matrix, canonical_indices,
+                       format_rows, frozen, gram, parse_rows, read_only, upper_pairs)
 from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
 from .schur import five_rows, partition_sylvester, sylvester
 
@@ -416,11 +416,13 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
 
     The criteria act on the rows that matter: S for zz (the S_z rows of the
     embedding (1, S, S)), S_x/S_y/S_z stacked at index 3q + label for
-    general.  When every row is a Sylvester row (`walsh_indices`), each
-    criterion is a statement about row indices, read in O(N m): a pass is
-    certified from them.  Otherwise, or when any criterion fails, each task
-    compares the off-diagonal Gram with one scalar, 0, or -1 for reverse,
-    after writing its one exception into the Gram, and names every offender.
+    general.  When every row is a row of the canonical Hadamard matrix of
+    its order (`canonical_indices`: Sylvester rows read in O(N m), Paley and
+    Kronecker rows looked up in the matrix they came from), each criterion
+    is a statement about row indices: a pass is certified from them.
+    Otherwise, or when any criterion fails, each task compares the
+    off-diagonal Gram with one scalar, 0, or -1 for reverse, after writing
+    its one exception into the Gram, and names every offender.
     """
     checks: dict[str, CheckOutcome] = {}
     n = scheme.qubits
@@ -498,16 +500,20 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
 
 def _certify(blocks, reverse: bool, local: bool, twins: tuple, plus: list) -> bool:
     """True when every row of the stacked blocks, which satisfy S_x * S_y =
-    S_z, is a Sylvester row and their indices pass every criterion.  Gram
-    entry (i, j) is M [k_i = k_j] - c and row sum M [k_i = 0] - c, for
-    M = 2^r and c = 1 when the first column is dropped (reverse), else 0.
-    So the indices must be distinct, and nonzero when local terms are
-    removed, once the exempt rows are set aside: the `twins` (a, b) must
-    share an index, the `plus` rows must have index 0 (all +)."""
-    keys = [walsh_indices(x, reverse) for x in blocks[:2]]
-    if any(k is None for k in keys):
+    S_z, is a row of the canonical Hadamard matrix of order M (the width, +1
+    for reverse) and their indices pass every criterion.  Gram entry (i, j)
+    is M [k_i = k_j] - c and row sum M [k_i = 0] - c, for c = 1 when the
+    first column is dropped (reverse), else 0.  So the indices must be
+    distinct, and nonzero when local terms are removed, once the exempt rows
+    are set aside: the `twins` (a, b) must share an index, the `plus` rows
+    must have index 0 (all +)."""
+    size = blocks[0].shape[1] + reverse
+    # the product of Sylvester rows k, k' is row k ^ k'; other S_z rows are looked up
+    xor = len(blocks) == 3 and not size & (size - 1)
+    keys = canonical_indices(blocks[:2] if xor else blocks, reverse)
+    if keys is None:
         return False
-    if len(blocks) == 3:  # the product of Sylvester rows k, k' is row k ^ k'
+    if xor:
         keys.append(keys[0] ^ keys[1])
     idx = np.stack(keys, axis=1).reshape(-1)
     keep = np.ones(len(idx), dtype=bool)

@@ -171,6 +171,17 @@ class TestCompileVerify:
         assert err.startswith("error: ") and "/nonexistent" in err
 
 
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        # numpy's allocation failure is a MemoryError subclass; none is made here
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        monkeypatch.setattr("decoupler.cli.synth", refuse)
+        code, out, err = run(capsys, "--cap", "1099511627776", "synth", "--task", "decouple",
+                             "--framework", "general", "--n", "100000")
+        assert (code, out) == (2, "")
+        assert err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+
 class TestAnalyze:
     def test_csv_shape_and_header(self, capsys):
         code, out, _ = run(capsys, "analyze", "--n-max", "10",

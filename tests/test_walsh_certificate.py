@@ -2,9 +2,10 @@
 
 Row k of sylvester(r) is (-1)^popcount(k & j), so every criterion of
 check_scheme is a statement about row indices: `walsh_indices` reads them in
-O(N m) and certifies a pass without a Gram.  Any other rows, and any scheme
-that fails a criterion, take the exact Gram path, so every report must equal
-the target-and-mask reference of test_gram_scan whatever path it took.
+O(N m) and certifies a pass without a Gram (rows of other orders are looked
+up in their own matrix: test_canonical_certificate).  Any other rows, and any
+scheme that fails a criterion, take the exact Gram path, so every report must
+equal the target-and-mask reference of test_gram_scan whatever path it took.
 """
 
 import contextlib
