@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
 from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, ValidityReport, decode_rows,
-                       exceeds_cap, format_rows, gram, frozen, is_normalized, parse_rows,
-                       read_only, upper_pairs)
+                       exceeds_cap, expect_end, format_rows, gram, frozen, is_normalized,
+                       parse_rows, read_only, upper_pairs)
 from .schur import five_rows, partition_sylvester, sylvester
 
 # sign of coordinate t for element g: rows e, x, y, z
@@ -308,4 +308,6 @@ def read_gh(stream: IO[str]) -> GhMatrix:
     if len(header) != 3 or header[0] != "gh" or header[1] != "4":
         raise ValueError("gh file must start with 'gh 4 <lambda>'")
     lam = int(header[2])
-    return GhMatrix(parse_rows(stream, 4 * lam, 4 * lam, ELEMENT_CHARS, "gh"), lam=lam)
+    rows = parse_rows(stream, 4 * lam, 4 * lam, ELEMENT_CHARS, "gh")
+    expect_end(stream, "gh")
+    return GhMatrix(rows, lam=lam)

@@ -401,6 +401,14 @@ def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.
     return codes
 
 
+def expect_end(stream: IO[str], what: str) -> None:
+    """The rest of a file after its last block: blank lines only, else a
+    ValueError naming the first other line."""
+    for line in stream:
+        if line.strip():
+            raise ValueError(f"{what} file has content after its last row: {line.strip()!r}")
+
+
 def write_matrix(h: HadamardMatrix | np.ndarray, stream: IO[str]) -> None:
     e = h.entries if isinstance(h, HadamardMatrix) else np.asarray(h)
     stream.write(f"order {e.shape[0]}\n")
@@ -412,5 +420,6 @@ def read_matrix(stream: IO[str]) -> HadamardMatrix:
     if len(header) != 2 or header[0] != "order":
         raise ValueError("matrix file must start with 'order m'")
     m = int(header[1])
-    return HadamardMatrix(frozen(1 - 2 * parse_rows(stream, m, m, "+-", "matrix")),
-                          provenance="literal")
+    rows = parse_rows(stream, m, m, "+-", "matrix")
+    expect_end(stream, "matrix")
+    return HadamardMatrix(frozen(1 - 2 * rows), provenance="literal")

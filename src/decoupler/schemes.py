@@ -4,9 +4,13 @@ pair coupling and time reversal.
 A zz-framework scheme is one n x m sign matrix; a general-framework scheme is
 three sign matrices S_x, S_y, S_z tied by the entry-wise product
 S_x * S_y = S_z.  A zz scheme S is the triple (1, S, S), so both are checked
-and lowered by one path.  Each sign column names one conjugating gate, coded
-0..3 for I/X/Y/Z; the phaseless product of two gates is the XOR of their
-codes.  Qubit indices in the public API are 0-based.
+and lowered by one path, from the blocks a scheme stores (`sign_blocks`).
+The embedding is never stored or scanned, since 1 * S = S cannot fail: a zz
+S lowers to X where it is '-', and its certified check at n = 4090
+(m = 4092) traces 48 MiB, the 3 n m bytes of its gate count.  Each sign
+column names one conjugating gate, coded 0..3 for I/X/Y/Z; the phaseless
+product of two gates is the XOR of their codes.  Qubit indices in the
+public API are 0-based.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import IO
 import numpy as np
 
 from .errors import SizeCapExceeded
-from .hadamard import (DEFAULT_SIZE_CAP, all_signs, best_matrix, canonical_indices,
+from .hadamard import (DEFAULT_SIZE_CAP, all_signs, best_matrix, canonical_indices, expect_end,
                        format_rows, frozen, gram, parse_rows, read_only, upper_pairs)
 from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
 from .schur import five_rows, partition_sylvester, sylvester
@@ -55,11 +59,6 @@ class SignTriple:
         shapes = {self.sx.entries.shape, self.sy.entries.shape, self.sz.entries.shape}
         if len(shapes) != 1:
             raise ValueError("S_x, S_y, S_z must have identical shape")
-
-    def schur_consistent(self) -> bool:
-        """True when S_x * S_y = S_z entry-wise (checked, not assumed, so a
-        corrupted scheme can still be loaded and reported on)."""
-        return bool(np.all(self.sx.entries * self.sy.entries == self.sz.entries))
 
     @property
     def qubits(self) -> int:
@@ -368,18 +367,21 @@ def synth(task: TaskSpec, n: int, cap: int = DEFAULT_SIZE_CAP) -> Scheme:
 # ---------------------------------------------------------------------------
 # criteria checking
 
-def sign_columns(scheme: Scheme) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S_x, S_y, S_z) of a scheme.  A zz scheme S embeds as (1, S, S): a '-'
-    entry is X conjugation, whose sign column is (+,-,-)."""
+def sign_blocks(scheme: Scheme) -> tuple[np.ndarray, ...]:
+    """The sign blocks a scheme stores: (S,) for zz, (S_x, S_y, S_z) for
+    general.  A zz S stands for the triple (1, S, S), which is never built."""
     if isinstance(scheme, SignMatrix):
-        return np.ones_like(scheme.entries), scheme.entries, scheme.entries
+        return (scheme.entries,)
     return scheme.sx.entries, scheme.sy.entries, scheme.sz.entries
 
 
-def _schur_cells(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray):
+def _schur_cells(blocks: tuple[np.ndarray, ...]):
     """Every (row, column) where S_x * S_y != S_z, in row-major order; an
     empty tuple when there is none, so a valid scheme skips argwhere, the
-    slow part of the scan."""
+    slow part of the scan.  A zz block is (1, S, S), which has none."""
+    if len(blocks) == 1:
+        return ()
+    sx, sy, sz = blocks
     bad = sx * sy != sz
     return np.argwhere(bad) if bad.any() else ()
 
@@ -388,17 +390,20 @@ def gate_codes(scheme: Scheme) -> np.ndarray:
     """n x m conjugating gates as codes 0..3 for I/X/Y/Z: sign column
     (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z.  The phaseless product
     of two gates is the XOR of their codes."""
-    sx, sy, sz = sign_columns(scheme)
-    bad = _schur_cells(sx.T, sy.T, sz.T)
+    blocks = sign_blocks(scheme)
+    bad = _schur_cells(blocks)
     if len(bad):
-        a, q = (int(v) for v in bad[0])
-        signs = (int(sx[q, a]), int(sy[q, a]), int(sz[q, a]))
+        q, a = (int(v) for v in bad[np.lexsort(bad.T)[0]])  # first by interval, then qubit
+        signs = tuple(int(b[q, a]) for b in blocks)
         raise ValueError(f"sign column {signs} at qubit {q}, interval {a} "
                          "is not realizable (corrupted input)")
-    return _codes(sx, sy)
+    return _codes(blocks)
 
 
-def _codes(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:  # where S_x * S_y = S_z
+def _codes(blocks: tuple[np.ndarray, ...]) -> np.ndarray:  # where S_x * S_y = S_z
+    if len(blocks) == 1:  # a zz S is S_y of (1, S, S): its '-' entries are X
+        return (blocks[0] < 0).view(np.uint8)
+    sx, sy, _ = blocks
     return (sy < 0).view(np.uint8) | ((sx < 0).view(np.uint8) << 1)
 
 
@@ -433,12 +438,11 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
         raise ValueError("single sign matrix is a zz-framework scheme" if zz
                          else "a sign triple is a general-framework scheme")
 
-    sx, sy, sz = blocks = sign_columns(scheme)
-    bad_cells = _schur_cells(sx, sy, sz)
+    blocks = sign_blocks(scheme)
+    bad_cells = _schur_cells(blocks)
     if not zz:
         checks["schur_product"] = _outcome(bad_cells, "cells violating S_x*S_y=S_z")
-    labels = ("z",) if zz else LABELS  # name the last blocks of sign_columns
-    blocks = blocks[-len(labels):]
+    labels = LABELS[-len(blocks):]  # a zz S is the S_z of (1, S, S)
 
     def row(label: str, qubit: int) -> int:
         return len(labels) * qubit + labels.index(label)
@@ -487,7 +491,7 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
             checks["zero_row_sums"] = _outcome(bad_sums, "rows with nonzero sum")
 
     # a triple violating the Schur constraint has no gate realization
-    gates = 0 if len(bad_cells) else np.count_nonzero(merged_codes(_codes(sx, sy)))
+    gates = 0 if len(bad_cells) else np.count_nonzero(merged_codes(_codes(blocks)))
     return SchemeReport(
         qubits=n,
         framework=task.framework,
@@ -583,8 +587,7 @@ def write_scheme(scheme: Scheme, task: TaskSpec, stream: IO[str]) -> None:
     header = (f"scheme {task.framework} n={scheme.qubits} m={scheme.intervals} "
               f"task={_format_task(task)} local={int(task.remove_local_terms)}\n")
     stream.write(header)
-    blocks = sign_columns(scheme)
-    for entries in blocks[2:] if isinstance(scheme, SignMatrix) else blocks:
+    for entries in sign_blocks(scheme):
         _write_block(entries, stream)
 
 
@@ -621,11 +624,10 @@ def read_scheme(stream: IO[str]) -> tuple[Scheme, TaskSpec]:
     if local not in ("0", "1"):
         raise ValueError(f"header field local={local} must be 0 or 1")
     task = parse_task(fields["task"], framework, local == "1")
-    if framework == "zz":
-        scheme: Scheme = SignMatrix(_read_block(stream))
-    else:
-        mats = [_read_block(stream) for _ in range(3)]
-        scheme = SignTriple(SignMatrix(mats[0]), SignMatrix(mats[1]), SignMatrix(mats[2]))
+    blocks = [SignMatrix(_read_block(stream)) for _ in range(1 if framework == "zz" else 3)]
+    expect_end(stream, "scheme")
+    scheme = SignTriple(*blocks) if len(blocks) == 3 else blocks[0]
     if scheme.qubits != int(fields["n"]) or scheme.intervals != int(fields["m"]):
         raise ValueError("scheme header does not match matrix block shape")
+    _check_task_pair(task, scheme.qubits)
     return scheme, task

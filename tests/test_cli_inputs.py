@@ -3,9 +3,12 @@ never a traceback."""
 
 import io
 
+import numpy as np
 import pytest
 
 from decoupler.cli import main
+from decoupler.ghm import gh_for_lambda, read_gh, write_gh
+from decoupler.hadamard import paley, read_matrix, write_matrix
 from decoupler.pulses import read_schedule
 from decoupler.schur import read_partition
 
@@ -322,3 +325,77 @@ def test_verify_scheme_and_hamiltonian_both_from_stdin_exits_2(capsys, monkeypat
     assert code == 2
     assert err.startswith("error: ") and "scheme and --ham" in err and "stdin" in err
     assert stdin.tell() == 0
+
+
+def _outcomes(capsys, path):
+    """(exit, stdout, stderr) of check, compile and verify on one scheme file."""
+    runs = []
+    for argv in (["check", str(path)], ["compile", str(path)],
+                 ["verify", str(path), "--ham", "random:1", "--reps", "2"]):
+        code = main(argv)
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+@pytest.mark.parametrize("framework,task,bad", [
+    ("zz", "select:1,2", "select:1,3"),
+    ("general", "select:1,2,x,y", "select:1,4,x,y"),
+    ("general", "pair:1,2", "pair:4,2"),
+], ids=["zz-select", "general-select", "pair"])
+def test_task_qubit_out_of_range_exits_2_under_every_command(tmp_path, capsys, framework,
+                                                             task, bad):
+    n = 2 if framework == "zz" else 3
+    path = tmp_path / "scheme.txt"
+    assert main(["synth", "--task", task, "--framework", framework, "--n", str(n),
+                 "--out", str(path)]) == 0
+    path.write_text(path.read_text().replace(f"task={task} ", f"task={bad} ", 1))
+    runs = _outcomes(capsys, path)
+    err = runs[0][2]
+    assert err.startswith("error: need two distinct qubit indices in range: ")
+    assert f"for n={n}" in err and err.count("\n") == 1
+    assert runs == [(2, "", err)] * 3
+
+
+@pytest.mark.parametrize("framework", ["zz", "general"])
+@pytest.mark.parametrize("tail,named", [
+    ("rows 3 4\n++++\n+-+-\n++--\n", "'rows 3 4'"),
+    ("\nstray text\n", "'stray text'"),
+    ("+-+-\n", "'+-+-'"),
+], ids=["block", "text", "row"])
+def test_content_after_the_last_block_exits_2_under_every_command(tmp_path, capsys,
+                                                                  framework, tail, named):
+    path = tmp_path / "scheme.txt"
+    assert main(["synth", "--task", "decouple", "--framework", framework, "--n", "3",
+                 "--out", str(path)]) == 0
+    path.write_text(path.read_text() + tail)
+    runs = _outcomes(capsys, path)
+    err = runs[0][2]
+    assert err == f"error: scheme file has content after its last row: {named}\n"
+    assert runs == [(2, "", err)] * 3
+
+
+@pytest.mark.parametrize("framework", ["zz", "general"])
+def test_trailing_blank_lines_and_crlf_read_the_same(tmp_path, capsys, framework):
+    path = tmp_path / "scheme.txt"
+    assert main(["synth", "--task", "decouple", "--framework", framework, "--n", "3",
+                 "--out", str(path)]) == 0
+    text = path.read_text()
+    expected = _outcomes(capsys, path)
+    assert [code for code, *_ in expected] == [0, 0, 0]
+    for variant in (text + "\n\n  \n\t\n", text.replace("\n", "\r\n") + "\r\n"):
+        path.write_bytes(variant.encode())
+        assert _outcomes(capsys, path) == expected
+
+
+@pytest.mark.parametrize("read,write,value,what", [
+    (read_matrix, write_matrix, paley(11, 1), "matrix"),
+    (read_gh, write_gh, gh_for_lambda(2), "gh"),
+], ids=["matrix", "gh"])
+def test_reader_refuses_content_after_its_last_row(read, write, value, what):
+    buf = io.StringIO()
+    write(value, buf)
+    text = buf.getvalue()
+    with pytest.raises(ValueError, match=f"^{what} file has content after its last row: 'junk'$"):
+        read(io.StringIO(text + "\n junk \n"))
+    for variant in (text + "\n \n", text.replace("\n", "\r\n")):
+        assert np.array_equal(read(io.StringIO(variant)).entries, value.entries)

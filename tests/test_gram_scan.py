@@ -28,9 +28,15 @@ from decoupler.schemes import (
     check_scheme,
     gate_codes,
     merged_codes,
-    sign_columns,
     synth,
 )
+
+
+def embedded(scheme):
+    """(S_x, S_y, S_z) of a scheme, a zz S as the triple (1, S, S)."""
+    if isinstance(scheme, SignMatrix):
+        return np.ones_like(scheme.entries), scheme.entries, scheme.entries
+    return scheme.sx.entries, scheme.sy.entries, scheme.sz.entries
 
 
 def reference_check(scheme, task):
@@ -38,7 +44,7 @@ def reference_check(scheme, task):
     checks = {}
     n, m = scheme.qubits, scheme.intervals
     zz = isinstance(scheme, SignMatrix)
-    sx, sy, sz = sign_columns(scheme)
+    sx, sy, sz = embedded(scheme)
     bad_cells = np.argwhere(sx * sy != sz)
     if not zz:
         checks["schur_product"] = _outcome(bad_cells, "cells violating S_x*S_y=S_z")

@@ -37,3 +37,26 @@ def test_analyze_overhead_ranges(capsys):
     assert len(exact) == 24 and exact == [n for n in zz if best_order(n).achieved == n]
     general = _overheads("general", capsys).values()
     assert 1.0039 <= min(general) and max(general) <= 1.9845
+
+
+def _command_runs():
+    """argv of each `decoupler ...` line of the Command line block, without
+    its comment; a line with `[option]` runs without it and with it."""
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", README, re.S).group(1)
+    runs = []
+    for line in block.splitlines():
+        if line.startswith("decoupler "):
+            words = line.split("#")[0].split()[1:]
+            plain = [w for w in words if not w.startswith("[")]
+            optional = [w.strip("[]") for w in words if w.startswith("[")]
+            runs += [plain, plain + optional] if optional else [plain]
+    return runs
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_hamiltonian.txt").write_text("0.37 ZIZ\n-0.5 ZZI\n0.25 IZZ\n0.1 ZII\n")
+    runs = _command_runs()
+    assert len(runs) == 13 and runs[-1][-1] == "--sylvester-only"
+    for argv in runs:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)

@@ -130,7 +130,7 @@ class TestDecoupleGeneral:
         rows = stacked(t)
         m = t.intervals
         assert np.array_equal(gram(rows), m * np.eye(3 * n, dtype=np.int64))
-        assert t.schur_consistent()
+        assert np.array_equal(t.sx.entries * t.sy.entries, t.sz.entries)
         assert np.all(rows.sum(axis=1) == 0)
 
     @given(st.integers(min_value=1, max_value=40))

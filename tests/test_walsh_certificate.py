@@ -27,7 +27,7 @@ from decoupler.schemes import (
     SignTriple,
     TaskSpec,
     check_scheme,
-    sign_columns,
+    sign_blocks,
     synth,
 )
 
@@ -47,7 +47,7 @@ def test_report_equals_reference_on_every_path(spec, corruption, data):
     except ValueError:  # a zz reversal with no interval left
         assume(False)
     zz = isinstance(scheme, SignMatrix)
-    mats = [b.copy() for b in sign_columns(scheme)[2 if zz else 0:]]
+    mats = [b.copy() for b in sign_blocks(scheme)]
     m = scheme.intervals
     reverse = task.kind == "reverse"
     # a task's own qubits, half the time: their rows carry its exceptions
@@ -102,7 +102,7 @@ def test_every_sylvester_row_at_a_task_qubit_equals_the_reference(task, n):
     size = scheme.intervals
     for kx in range(size):
         for ky in [kx] if zz else range(size):
-            mats = [b.copy() for b in sign_columns(scheme)[2 if zz else 0:]]
+            mats = [b.copy() for b in sign_blocks(scheme)]
             for t, k in zip(mats, [ky] if zz else [kx, ky, kx ^ ky]):
                 t[task.qubits[1]] = _walsh_row(k, size, False)
             bad = SignMatrix(mats[0]) if zz else SignTriple(*map(SignMatrix, mats))
