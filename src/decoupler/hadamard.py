@@ -6,6 +6,18 @@ scan; `canonical_indices`, which names rows by their index in the canonical
 `walsh_indices` with no matrix, Paley and Kronecker rows by a lookup in the
 matrix they came from; and `format_rows` / `decode_rows`, the one row codec
 of files and layers.
+
+The codec works on one block of about 64 KiB of text at a time, so what it
+holds beyond its input and output is one block.  Encoding fills one text
+buffer: a two-letter alphabet by the multiply-add a + (b - a)·code, a wider
+one by `np.take` over one block of codes, whose intp copy is then 8 bytes a
+code of that block only (a fancy index over all codes would make it for the
+whole array); `write_signs` writes a +/-1 matrix a block at a time, so no
+sign mask or text as large as the matrix exists.  Decoding joins a block of
+lines, encodes it to ASCII and reads it with `np.equal` (two letters) or
+`bytes.translate` (more) straight into its rows of one int8 array, allocated
+as the rows arrive: no list of all lines, join of all rows or extra copy of
+the codes.
 """
 
 from __future__ import annotations
@@ -357,15 +369,48 @@ def catalog_gaps(limit: int, cap: int = DEFAULT_SIZE_CAP) -> list[tuple[int, int
 # Text formats, all through one row codec.  Matrix files: first line
 # "order m", then m lines of m chars from {+,-}.
 
+# Each step of the codec handles a block of about this many bytes of text, so
+# its temporaries stay in cache and never grow with the matrix.
+_BLOCK_BYTES = 1 << 16
+# A reader allocates codes for at most this many bytes of rows before it has read them.
+_RESERVE_BYTES = 1 << 22
+
+
+def _block_rows(m: int) -> int:
+    """Rows of m letters (and a newline) in one codec block, at least 1."""
+    return max(1, _BLOCK_BYTES // (m + 1))
+
+
 def format_rows(codes, alphabet: str) -> str:
     """The row codec of every text format: row i of a 2-d array of codes
-    0..len(alphabet)-1 becomes a line whose character j is alphabet[codes[i, j]]."""
+    0..len(alphabet)-1 becomes a line whose character j is alphabet[codes[i, j]];
+    any other code raises IndexError."""
     codes = np.asarray(codes)
-    codes = codes.view(np.uint8) if codes.dtype == bool else codes.astype(np.uint8, copy=False)
+    codes = codes.view(np.uint8) if codes.dtype.itemsize == 1 else codes.astype(np.uint8)
+    top = codes.max(initial=0)
+    if top >= len(alphabet):
+        raise IndexError(f"code {top} is outside the alphabet {alphabet!r}")
     n, m = codes.shape
-    text = np.full((n, m + 1), ord("\n"), dtype=np.uint8)
-    text[:, :m] = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)[codes]
+    letters = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)
+    text = np.empty((n, m + 1), dtype=np.uint8)
+    text[:, m] = ord("\n")
+    step = _block_rows(m)
+    for start in range(0, n, step):
+        block, out = codes[start:start + step], text[start:start + step, :m]
+        if len(letters) == 2:  # letter a + (b - a) code, in uint8 arithmetic
+            np.multiply(block, (int(letters[1]) - int(letters[0])) % 256, out=out)
+            out += letters[0]
+        else:  # an intp copy of one block of codes, not of them all
+            np.take(letters, block, out=out)
     return str(text.reshape(-1).data, "ascii")
+
+
+def write_signs(entries: np.ndarray, stream: IO[str]) -> None:
+    """Write the rows of a +/-1 array as lines of '+'/'-', one codec block at
+    a time: no mask or text as large as the array is ever held."""
+    step = _block_rows(entries.shape[1])
+    for start in range(0, len(entries), step):
+        stream.write(format_rows(entries[start:start + step] < 0, "+-"))
 
 
 @lru_cache(maxsize=None)
@@ -376,29 +421,73 @@ def _decoder(alphabet: str) -> bytes:
     return table.tobytes()
 
 
+def _decode_into(codes: np.ndarray, lines: list[str], alphabet: str) -> int:
+    """Decode lines[:len(codes)], each of m letters, into the C-contiguous
+    n x m int8 codes, one codec block at a time; -1 marks a letter outside the
+    alphabet.  The index of the first row holding one, else n."""
+    n, m = codes.shape
+    flat, table = codes.reshape(-1), _decoder(alphabet)
+    step, first = _block_rows(m), n
+    for start in range(0, n, step):
+        text = "".join(lines[start:min(start + step, n)]).encode("ascii", "replace")
+        block = flat[start * m:start * m + len(text)]
+        if len(alphabet) == 2:  # code (letter == b), where every letter is a or b
+            raw = np.frombuffer(text, dtype=np.uint8)
+            np.equal(raw, ord(alphabet[1]), out=block.view(bool))
+            if np.count_nonzero(block) + np.count_nonzero(raw == ord(alphabet[0])) == len(text):
+                continue
+        block[:] = np.frombuffer(text.translate(table), dtype=np.int8)
+        if first == n and block.min(initial=0) < 0:
+            first = start + int(np.argmax(block < 0)) // m
+    return first
+
+
 def decode_rows(lines: list[str], m: int, alphabet: str) -> tuple[np.ndarray, int]:
     """`format_rows` undone: the writable int8 codes of the lines before the
     first of another length than m, and the index of the first that is not m
     letters of the alphabet (len(lines) if none)."""
     short = next((i for i, line in enumerate(lines) if len(line) != m), len(lines))
-    codes = "".join(lines[:short]).encode("ascii", "replace").translate(_decoder(alphabet))
-    codes = np.frombuffer(bytearray(codes), dtype=np.int8)
-    bad = np.flatnonzero(codes < 0)  # empty when m = 0
-    return codes.reshape(short, m), int(bad[0]) // m if len(bad) else short
+    codes = np.empty((short, m), dtype=np.int8)
+    return codes, _decode_into(codes, lines, alphabet)
 
 
 def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.ndarray:
-    """Read n >= 1 lines of m letters from alphabet as an n x m int8 code
-    array.  The first line of the wrong length or with a letter outside the
-    alphabet raises ValueError("bad <what> row '...'")."""
+    """Read n >= 1 lines of m letters from alphabet as a writable n x m int8
+    code array.  The first line of the wrong length or with a letter outside
+    the alphabet raises ValueError("bad <what> row '...'")."""
     if n < 1 or m < 0:
         raise ValueError(f"bad {what} shape {n} x {m}")
-    # a missing row, named '', ends the block, however large n claims it to be
-    lines = [line.strip() for line in itertools.islice(stream, n)]
-    codes, first = decode_rows(lines, m, alphabet)
-    if first < n:
-        raise ValueError(f"bad {what} row {lines[first] if first < len(lines) else ''!r}")
+    step = _block_rows(m)
+    codes = np.empty((0, m), dtype=np.int8)
+    done = 0
+    while done < n:
+        # a missing row, named '', ends the block, however large n claims it to be
+        want = min(step, n - done)
+        lines = [line.strip() for line in itertools.islice(stream, want)]
+        short = next((i for i, line in enumerate(lines) if len(line) != m), len(lines))
+        if done + short > len(codes):
+            # room for the rows read, _RESERVE_BYTES at first, then twice as
+            # many: a header that claims more or longer rows than the stream
+            # holds allocates no more than was read
+            rows = min(n, max(done + short, 2 * len(codes), _RESERVE_BYTES // max(m, 1)))
+            if done:  # grown in place, not copied
+                codes.resize((rows, m), refcheck=False)
+            else:
+                codes = np.empty((rows, m), dtype=np.int8)
+        first = _decode_into(codes[done:done + short], lines, alphabet)
+        if first < want:
+            raise ValueError(f"bad {what} row {lines[first] if first < len(lines) else ''!r}")
+        done += want
     return codes
+
+
+def parse_signs(stream: IO[str], n: int, m: int, what: str) -> np.ndarray:
+    """`parse_rows` of n lines of m '+'/'-' as their read-only +/-1 signs,
+    mapped in place (code c is the sign 1 - 2c)."""
+    signs = parse_rows(stream, n, m, "+-", what)
+    signs *= -2
+    signs += 1
+    return frozen(signs)
 
 
 def expect_end(stream: IO[str], what: str) -> None:
@@ -412,7 +501,7 @@ def expect_end(stream: IO[str], what: str) -> None:
 def write_matrix(h: HadamardMatrix | np.ndarray, stream: IO[str]) -> None:
     e = h.entries if isinstance(h, HadamardMatrix) else np.asarray(h)
     stream.write(f"order {e.shape[0]}\n")
-    stream.write(format_rows(e < 0, "+-"))
+    write_signs(e, stream)
 
 
 def read_matrix(stream: IO[str]) -> HadamardMatrix:
@@ -420,6 +509,6 @@ def read_matrix(stream: IO[str]) -> HadamardMatrix:
     if len(header) != 2 or header[0] != "order":
         raise ValueError("matrix file must start with 'order m'")
     m = int(header[1])
-    rows = parse_rows(stream, m, m, "+-", "matrix")
+    entries = parse_signs(stream, m, m, "matrix")
     expect_end(stream, "matrix")
-    return HadamardMatrix(frozen(1 - 2 * rows), provenance="literal")
+    return HadamardMatrix(entries, provenance="literal")

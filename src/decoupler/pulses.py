@@ -55,8 +55,8 @@ def compile_general(scheme: Scheme, tau: float = 1.0, merged: bool = True) -> Pu
     a zz scheme S lowers as the triple (1, S, S)."""
     codes = gate_codes(scheme)
     if merged:
-        return _alternating(scheme.qubits, tau, merged_codes(codes).T)
-    layers = format_rows(codes.T, GATES).splitlines()
+        return _alternating(scheme.qubits, tau, merged_codes(codes))
+    layers = format_rows(np.ascontiguousarray(codes.T), GATES).splitlines()
     steps = [step for layer in layers for step in (layer, None, layer)]
     return PulseSchedule(scheme.qubits, tau, tuple(steps))
 

@@ -7,7 +7,8 @@ S_x * S_y = S_z.  A zz scheme S is the triple (1, S, S), so both are checked
 and lowered by one path, from the blocks a scheme stores (`sign_blocks`).
 The embedding is never stored or scanned, since 1 * S = S cannot fail: a zz
 S lowers to X where it is '-', and its certified check at n = 4090
-(m = 4092) traces 48 MiB, the 3 n m bytes of its gate count.  Each sign
+(m = 4092) traces 34 MiB, the peak of its index lookup: the gate count
+reads the codes in place, with no merged layers.  Each sign
 column names one conjugating gate, coded 0..3 for I/X/Y/Z; the phaseless
 product of two gates is the XOR of their codes.  Qubit indices in the
 public API are 0-based.
@@ -22,12 +23,16 @@ import numpy as np
 
 from .errors import SizeCapExceeded
 from .hadamard import (DEFAULT_SIZE_CAP, all_signs, best_matrix, canonical_indices, expect_end,
-                       format_rows, frozen, gram, parse_rows, read_only, upper_pairs)
+                       frozen, gram, parse_signs, read_only, upper_pairs, write_signs)
 from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
 from .schur import five_rows, partition_sylvester, sylvester
 
 LABELS = ("x", "y", "z")
 GATES = "IXYZ"  # gate code c conjugates with GATES[c]
+# The smallest Paley or Kronecker order whose rows check_scheme looks up in the
+# canonical matrix: at every such order below it the Gram check was faster
+# (1.3-3x, timeit over synthesized zz schemes); from order 224 on the lookup was.
+LOOKUP_MIN_ORDER = 128
 
 
 @dataclass(frozen=True)
@@ -408,12 +413,19 @@ def _codes(blocks: tuple[np.ndarray, ...]) -> np.ndarray:  # where S_x * S_y = S
 
 
 def merged_codes(codes: np.ndarray) -> np.ndarray:
-    """The m+1 layers of the merged schedule: codes[:, 0] before the first
-    interval, codes[:, a-1] ^ codes[:, a] between intervals a-1 and a, and
-    codes[:, -1] after the last."""
-    padded = np.zeros((codes.shape[0], codes.shape[1] + 2), dtype=codes.dtype)
-    padded[:, 1:-1] = codes  # np.pad costs ~20 us a call on a small block
-    return padded[:, :-1] ^ padded[:, 1:]
+    """The m+1 layers of the merged schedule as the rows of a C-contiguous
+    (m+1) x n array: codes[:, 0] before the first interval, codes[:, a-1] ^
+    codes[:, a] between intervals a-1 and a, and codes[:, -1] after the last."""
+    padded = np.zeros((codes.shape[1] + 2, codes.shape[0]), dtype=codes.dtype)
+    padded[1:-1] = codes.T  # the one transposing pass; np.pad costs ~20 us a call on a small block
+    return padded[:-1] ^ padded[1:]
+
+
+def merged_gate_count(codes: np.ndarray) -> int:
+    """The nonzero entries of `merged_codes(codes)`, counted without it: the
+    gates of the first and last column, and every change along a row."""
+    return (np.count_nonzero(codes[:, :1]) + np.count_nonzero(codes[:, -1:])
+            + np.count_nonzero(codes[:, 1:] != codes[:, :-1]))
 
 
 def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
@@ -491,7 +503,7 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
             checks["zero_row_sums"] = _outcome(bad_sums, "rows with nonzero sum")
 
     # a triple violating the Schur constraint has no gate realization
-    gates = 0 if len(bad_cells) else np.count_nonzero(merged_codes(_codes(blocks)))
+    gates = 0 if len(bad_cells) else merged_gate_count(_codes(blocks))
     return SchemeReport(
         qubits=n,
         framework=task.framework,
@@ -510,10 +522,15 @@ def _certify(blocks, reverse: bool, local: bool, twins: tuple, plus: list) -> bo
     first column is dropped (reverse), else 0.  So the indices must be
     distinct, and nonzero when local terms are removed, once the exempt rows
     are set aside: the `twins` (a, b) must share an index, the `plus` rows
-    must have index 0 (all +)."""
+    must have index 0 (all +).  Below order LOOKUP_MIN_ORDER only Sylvester
+    rows are read: building a Paley or Kronecker matrix costs more there than
+    the Gram, which gives the same report."""
     size = blocks[0].shape[1] + reverse
+    walsh = not size & (size - 1)
+    if not walsh and size < LOOKUP_MIN_ORDER:
+        return False
     # the product of Sylvester rows k, k' is row k ^ k'; other S_z rows are looked up
-    xor = len(blocks) == 3 and not size & (size - 1)
+    xor = len(blocks) == 3 and walsh
     keys = canonical_indices(blocks[:2] if xor else blocks, reverse)
     if keys is None:
         return False
@@ -572,7 +589,7 @@ def parse_task(body: str, framework: str, remove_local_terms: bool) -> TaskSpec:
 def _write_block(entries: np.ndarray, stream: IO[str]) -> None:
     n, m = entries.shape
     stream.write(f"rows {n} {m}\n")
-    stream.write(format_rows(entries < 0, "+-"))
+    write_signs(entries, stream)
 
 
 def _read_block(stream: IO[str]) -> np.ndarray:
@@ -580,7 +597,7 @@ def _read_block(stream: IO[str]) -> np.ndarray:
     if len(header) != 3 or header[0] != "rows":
         raise ValueError("sign-matrix block must start with 'rows n m'")
     n, m = int(header[1]), int(header[2])
-    return frozen(1 - 2 * parse_rows(stream, n, m, "+-", "sign-matrix"))
+    return parse_signs(stream, n, m, "sign-matrix")
 
 
 def write_scheme(scheme: Scheme, task: TaskSpec, stream: IO[str]) -> None:
