@@ -14,10 +14,9 @@ one by `np.take` over one block of codes, whose intp copy is then 8 bytes a
 code of that block only (a fancy index over all codes would make it for the
 whole array); `write_signs` writes a +/-1 matrix a block at a time, so no
 sign mask or text as large as the matrix exists.  Decoding joins a block of
-lines, encodes it to ASCII and reads it with `np.equal` (two letters) or
-`bytes.translate` (more) straight into its rows of one int8 array, allocated
-as the rows arrive: no list of all lines, join of all rows or extra copy of
-the codes.
+lines, encodes it to ASCII and maps it by `bytes.translate` straight into its
+rows of one int8 array, allocated as the rows arrive: no list of all lines,
+join of all rows or extra copy of the codes.
 """
 
 from __future__ import annotations
@@ -431,11 +430,6 @@ def _decode_into(codes: np.ndarray, lines: list[str], alphabet: str) -> int:
     for start in range(0, n, step):
         text = "".join(lines[start:min(start + step, n)]).encode("ascii", "replace")
         block = flat[start * m:start * m + len(text)]
-        if len(alphabet) == 2:  # code (letter == b), where every letter is a or b
-            raw = np.frombuffer(text, dtype=np.uint8)
-            np.equal(raw, ord(alphabet[1]), out=block.view(bool))
-            if np.count_nonzero(block) + np.count_nonzero(raw == ord(alphabet[0])) == len(text):
-                continue
         block[:] = np.frombuffer(text.translate(table), dtype=np.int8)
         if first == n and block.min(initial=0) < 0:
             first = start + int(np.argmax(block < 0)) // m
@@ -468,7 +462,7 @@ def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.
         if done + short > len(codes):
             # room for the rows read, _RESERVE_BYTES at first, then twice as
             # many: a header that claims more or longer rows than the stream
-            # holds allocates no more than was read
+            # holds allocates at most _RESERVE_BYTES or twice what was read
             rows = min(n, max(done + short, 2 * len(codes), _RESERVE_BYTES // max(m, 1)))
             if done:  # grown in place, not copied
                 codes.resize((rows, m), refcheck=False)

@@ -56,7 +56,7 @@ def compile_general(scheme: Scheme, tau: float = 1.0, merged: bool = True) -> Pu
     codes = gate_codes(scheme)
     if merged:
         return _alternating(scheme.qubits, tau, merged_codes(codes))
-    layers = format_rows(np.ascontiguousarray(codes.T), GATES).splitlines()
+    layers = format_rows(codes.T, GATES).splitlines()
     steps = [step for layer in layers for step in (layer, None, layer)]
     return PulseSchedule(scheme.qubits, tau, tuple(steps))
 

@@ -29,10 +29,6 @@ from .schur import five_rows, partition_sylvester, sylvester
 
 LABELS = ("x", "y", "z")
 GATES = "IXYZ"  # gate code c conjugates with GATES[c]
-# The smallest Paley or Kronecker order whose rows check_scheme looks up in the
-# canonical matrix: at every such order below it the Gram check was faster
-# (1.3-3x, timeit over synthesized zz schemes); from order 224 on the lookup was.
-LOOKUP_MIN_ORDER = 128
 
 
 @dataclass(frozen=True)
@@ -522,15 +518,10 @@ def _certify(blocks, reverse: bool, local: bool, twins: tuple, plus: list) -> bo
     first column is dropped (reverse), else 0.  So the indices must be
     distinct, and nonzero when local terms are removed, once the exempt rows
     are set aside: the `twins` (a, b) must share an index, the `plus` rows
-    must have index 0 (all +).  Below order LOOKUP_MIN_ORDER only Sylvester
-    rows are read: building a Paley or Kronecker matrix costs more there than
-    the Gram, which gives the same report."""
+    must have index 0 (all +)."""
     size = blocks[0].shape[1] + reverse
-    walsh = not size & (size - 1)
-    if not walsh and size < LOOKUP_MIN_ORDER:
-        return False
     # the product of Sylvester rows k, k' is row k ^ k'; other S_z rows are looked up
-    xor = len(blocks) == 3 and walsh
+    xor = len(blocks) == 3 and not size & (size - 1)
     keys = canonical_indices(blocks[:2] if xor else blocks, reverse)
     if keys is None:
         return False

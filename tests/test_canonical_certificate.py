@@ -37,12 +37,6 @@ def no_gram():
     return mock.patch.object(schemes, "gram", side_effect=AssertionError("Gram built"))
 
 
-def lookup_at_every_order():
-    """check_scheme looks rows up at every order, also where the Gram is
-    cheaper: the certificate's own tests run at small orders."""
-    return mock.patch.object(schemes, "LOOKUP_MIN_ORDER", 0)
-
-
 @pytest.mark.parametrize("w", [w for w in range(1, 1025) if _recipe(w)] + [1008, 4088, 4092])
 def test_canonical_matrix_is_a_normalized_hadamard_matrix(w):
     # the trust base of the certificate: every index rule rests on this
@@ -59,7 +53,7 @@ def _zz_task(kind, n, local):
 def test_every_synthesized_zz_scheme_up_to_1024_is_certified():
     # n = w - 1 and n = w with zero-sum rows and without, and selection's
     # one row more, land on order w; reversal drops its first column
-    with no_gram(), lookup_at_every_order():
+    with no_gram():
         for w in _other_orders(1024):
             for kind, local in itertools.product(("decouple", "select", "reverse"), (True, False)):
                 n = w - local + (kind == "select")
@@ -67,18 +61,6 @@ def test_every_synthesized_zz_scheme_up_to_1024_is_certified():
                 scheme = synth(task, n)
                 assert scheme.intervals + (kind == "reverse") == w
                 assert check_scheme(scheme, task).passed
-
-
-@pytest.mark.parametrize("w", _other_orders(schemes.LOOKUP_MIN_ORDER - 1))
-def test_below_the_lookup_order_the_gram_checks(w):
-    # where the Gram is cheaper the matrix is not built; the report is the same
-    task = _zz_task("decouple", w - 1, True)
-    scheme = synth(task, w - 1)
-    assert scheme.intervals == w
-    with mock.patch.object(schemes, "canonical_indices",
-                           side_effect=AssertionError("lookup built")):
-        report = check_scheme(scheme, task)
-    assert report.passed and report == reference_check(scheme, task)
 
 
 @pytest.mark.parametrize("w", [1008, 2044, 4088, 4092])
@@ -130,8 +112,7 @@ def test_report_equals_reference_at_other_orders(kind, local, n, corruption, dat
     expected = reference_check(scheme, task)
     # a passing scheme of canonical rows is certified without a Gram
     named = canonical_indices([s], reverse) is not None
-    with no_gram() if named and expected.passed else contextlib.nullcontext(), \
-            lookup_at_every_order():
+    with no_gram() if named and expected.passed else contextlib.nullcontext():
         report = check_scheme(scheme, task)
     assert report == expected
     assert report.lines() == expected.lines()
@@ -150,8 +131,7 @@ def test_every_canonical_row_at_a_task_qubit_equals_the_reference(task, n):
         s = scheme.entries.copy()
         s[task.qubits[1]] = table[k]
         bad = SignMatrix(s)
-        with lookup_at_every_order():
-            assert check_scheme(bad, task) == reference_check(bad, task)
+        assert check_scheme(bad, task) == reference_check(bad, task)
 
 
 def _lookup(table, rows):
@@ -230,8 +210,7 @@ def test_general_triple_of_paley_rows_is_not_read_by_xor():
         sx, sy = h[[a, c]], h[[b, d]]
         scheme = SignTriple(SignMatrix(sx), SignMatrix(sy), SignMatrix(sx * sy))
         expected = reference_check(scheme, task)
-        with lookup_at_every_order():
-            assert check_scheme(scheme, task) == expected
+        assert check_scheme(scheme, task) == expected
         idx = [a, b, a ^ b, c, d, c ^ d]
         if len(set(idx)) == 6 and 0 not in idx and not expected.passed:
             xor_would_pass += 1
