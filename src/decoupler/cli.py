@@ -43,26 +43,25 @@ def analyze_rows(n_max: int, framework: str, sylvester_only: bool = False,
     if framework not in ("zz", "general"):
         raise ValueError(f"unknown framework {framework!r}")
     rows_per_qubit = 1 if framework == "zz" else 3
-    if n_max < 1 or rows_per_qubit * n_max > cap:
-        raise ValueError(f"n_max must be in 1..{cap // rows_per_qubit}")
+    # a general construction plans one qubit beyond its Schur triples when
+    # rows other than the all-+ one are left over, that qubit's local terms
+    # handled outside the scheme
+    table = [] if framework == "zz" else [
+        (c.triples + (c.intervals - 3 * c.triples > 1), c)
+        for c in _candidates(cap) if not sylvester_only or c.kind == "sylvester"]
+    bound = cap if framework == "zz" else max((capacity for capacity, _ in table), default=0)
+    if not 1 <= n_max <= bound:
+        raise ValueError(f"n_max must be in 1..{bound} for the {framework} framework "
+                         f"under cap {cap}, got {n_max}")
     rows = []
-    if framework == "zz":
-        for n in range(1, n_max + 1):
-            entry = best_order(n, cap)
-            rows.append(AnalyzerRow(n, "zz", entry.achieved,
-                                    entry.achieved / n, recipe_str(entry.recipe)))
-        return rows
-    # a construction plans one qubit beyond its Schur triples when rows other
-    # than the all-+ one are left over, that qubit's local terms handled
-    # outside the scheme
-    table = [(c.triples + (c.intervals - 3 * c.triples > 1), c)
-             for c in _candidates(cap) if not sylvester_only or c.kind == "sylvester"]
     for n in range(1, n_max + 1):
-        cand = next((c for capacity, c in table if capacity >= n), None)
-        if cand is None:
-            raise SizeCapExceeded(f"no construction holds {n} qubits under cap {cap}")
-        m = cand.intervals
-        rows.append(AnalyzerRow(n, "general", m, m / (3 * n), cand.describe()))
+        if framework == "zz":
+            entry = best_order(n, cap)
+            m, construction = entry.achieved, recipe_str(entry.recipe)
+        else:
+            cand = next(c for capacity, c in table if capacity >= n)
+            m, construction = cand.intervals, cand.describe()
+        rows.append(AnalyzerRow(n, framework, m, m / (rows_per_qubit * n), construction))
     return rows
 
 

@@ -3,12 +3,13 @@ pair coupling and time reversal.
 
 A zz-framework scheme is one n x m sign matrix; a general-framework scheme is
 three sign matrices S_x, S_y, S_z tied by the entry-wise product
-S_x * S_y = S_z.  A zz scheme S is the triple (1, S, S), so both are checked
-and lowered by one path, from the blocks a scheme stores (`sign_blocks`).
-The embedding is never stored or scanned, since 1 * S = S cannot fail: a zz
-S lowers to X where it is '-', and its certified check at n = 4090
-(m = 4092) traces 34 MiB, the peak of its index lookup: the gate count
-reads the codes in place, with no merged layers.  Each sign
+S_x * S_y = S_z.  Each is one gather of construction rows (`_gather`), which
+`check` reads back by one index lookup for every block.  A zz scheme S is the
+triple (1, S, S), so both are checked and lowered by one path, from the
+blocks a scheme stores (`sign_blocks`); the embedding is never built, since
+1 * S = S cannot fail.  A certified check traces at most 2 n m bytes for a
+general triple and 34 MiB for a zz S at n = 4090 (m = 4092), the peak of
+its index lookup: gate codes are built and counted in place.  Each sign
 column names one conjugating gate, coded 0..3 for I/X/Y/Z; the phaseless
 product of two gates is the XOR of their codes.  Qubit indices in the
 public API are 0-based.
@@ -144,15 +145,30 @@ class SchemeReport:
 
 
 # ---------------------------------------------------------------------------
-# zz-framework synthesis
+# synthesis: every scheme is rows[idx] for an n x k array idx of row indices
+# into one construction, qubit q taking rows idx[q]: its one row (zz, k = 1)
+# or its (S_x, S_y, S_z) rows (general, k = 3)
 
-def _zz_rows(count: int, zero_sums: bool, cap: int) -> np.ndarray:
-    """`count` pairwise-orthogonal rows of a normalized Hadamard matrix;
-    rows 2.. (zero row sums) when zero_sums, rows 1.. otherwise."""
-    want = count + 1 if zero_sums else count
-    h = best_matrix(want, cap)
-    start = 1 if zero_sums else 0
-    return h.entries[start:start + count]
+def _gather(rows: np.ndarray, idx: np.ndarray, reverse: bool = False) -> Scheme:
+    """The scheme rows[idx]; for reversal, without the construction's first
+    column, which must be all + on the rows taken."""
+    if reverse:
+        if not np.all(rows[idx, 0] == 1):
+            raise AssertionError("construction must yield an all-+ first column")
+        if rows.shape[1] < 2:
+            raise ValueError(f"reversal scheme for n={len(idx)} would have no interval")
+        rows = rows[:, 1:]
+    blocks = [SignMatrix(b) for b in frozen(rows[idx.T])]
+    return blocks[0] if len(blocks) == 1 else SignTriple(*blocks)
+
+
+def _zz_scheme(count: int, pos: np.ndarray, zero_sums: bool, cap: int,
+               reverse: bool = False) -> SignMatrix:
+    """Qubit q takes row pos[q] of `count` pairwise-orthogonal rows of a
+    normalized Hadamard matrix: rows 1.. (zero row sums) when zero_sums,
+    rows 0.. otherwise."""
+    rows = best_matrix(count + zero_sums, cap).entries
+    return _gather(rows, pos[:, None] + int(zero_sums), reverse)
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -177,33 +193,27 @@ def synth_decouple_zz(n: int, remove_local_terms: bool = True,
     """n orthogonal rows; m = best constructible order holding them."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return SignMatrix(_zz_rows(n, remove_local_terms, cap))
+    return _zz_scheme(n, np.arange(n), remove_local_terms, cap)
 
 
 def synth_select_zz(n: int, i: int, j: int, remove_local_terms: bool = True,
                     cap: int = DEFAULT_SIZE_CAP) -> SignMatrix:
     """All rows orthogonal except rows i and j, which are identical."""
     _check_pair(n, i, j)
-    rows = _zz_rows(n - 1, remove_local_terms, cap)
     pos = np.arange(n) - (np.arange(n) > j)  # every qubit but j, in order
     pos[j] = pos[i]
-    return SignMatrix(frozen(rows[pos]))
+    return _zz_scheme(n - 1, pos, remove_local_terms, cap)
 
 
 def synth_reverse_zz(n: int, remove_local_terms: bool = True,
                      cap: int = DEFAULT_SIZE_CAP) -> SignMatrix:
     """Drop the first (all +) column of a decoupling matrix: every row pair
     then has inner product -1, and with zero-sum rows every row sum is -1."""
-    rows = _zz_rows(n, remove_local_terms, cap)
-    if rows.shape[1] < 2:
-        raise ValueError(f"reversal scheme for n={n} would have no interval")
-    return SignMatrix(rows[:, 1:])
+    return _zz_scheme(n, np.arange(n), remove_local_terms, cap, reverse=True)
 
 
-# ---------------------------------------------------------------------------
-# general-framework synthesis: every scheme is rows[idx] for an n x 3 array
-# idx of row indices into one construction, qubit q taking rows idx[q] as
-# its (S_x, S_y, S_z) rows
+# general-framework constructions: Sylvester or composed, with their Schur
+# triples
 
 @dataclass(frozen=True)
 class _Candidate:
@@ -273,11 +283,6 @@ def _schur_rows(need: int, cap: int, five: bool = False):
     raise SizeCapExceeded(f"no construction with {need} Schur triples under cap {cap}")
 
 
-def _triple(signs: np.ndarray) -> SignTriple:
-    """The scheme whose S_x, S_y, S_z are the three n x m blocks of signs."""
-    return SignTriple(*map(SignMatrix, frozen(signs)))
-
-
 def _decoupling(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, idx) of the decoupling scheme: one Schur triple per qubit."""
     if n < 1:
@@ -288,8 +293,7 @@ def _decoupling(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
 def synth_decouple_general(n: int, cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
     """One Schur triple of Hadamard rows per qubit; every pair of distinct
     rows orthogonal, S_x*S_y=S_z by the triple structure, zero row sums."""
-    rows, idx = _decoupling(n, cap)
-    return _triple(rows[idx.T])
+    return _gather(*_decoupling(n, cap))
 
 
 def _third_label(a: str, b: str) -> str:
@@ -316,31 +320,27 @@ def synth_select_general(n: int, l: int, k: int, gamma: str, eta: str,
     idx[[q for q in range(n) if q not in (l, k)]] = free
     idx[l, order] = f5, f1, f2
     idx[k, order] = (f3, f5, f4) if eta != gamma else (f5, f3, f4)
-    return _triple(rows[idx.T])
+    return _gather(rows, idx)
 
 
 def synth_select_pair(n: int, i: int, j: int, cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
-    """Keep every coupling between qubits i and j: their rows are all +1 in
-    S_x, S_y, S_z and the other n-2 qubits are decoupled as usual (n = 2
-    leaves one all-+ interval)."""
+    """Keep every coupling between qubits i and j: they take row 0 (all +)
+    of the construction in S_x, S_y, S_z and the other n-2 qubits are
+    decoupled as usual (n = 2 leaves the one interval of sylvester(0))."""
     _check_pair(n, i, j)
     if n == 2:
-        signs = np.ones((3, 0, 1), dtype=np.int8)
+        rows, free = sylvester(0).entries, np.empty((0, 3), dtype=np.intp)
     else:
-        rows, idx = _decoupling(n - 2, cap)
-        signs = rows[idx.T]
-    out = np.ones((3, n, signs.shape[2]), dtype=np.int8)
-    out[:, [q for q in range(n) if q not in (i, j)]] = signs
-    return _triple(out)
+        rows, free = _decoupling(n - 2, cap)
+    idx = np.zeros((n, 3), dtype=np.intp)
+    idx[[q for q in range(n) if q not in (i, j)]] = free
+    return _gather(rows, idx)
 
 
 def synth_reverse_general(n: int, cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
     """Drop the first column of a general decoupling scheme; the construction
     guarantees that column is all +."""
-    rows, idx = _decoupling(n, cap)
-    if not np.all(rows[idx, 0] == 1):
-        raise AssertionError("construction must yield an all-+ first column")
-    return _triple(rows[:, 1:][idx.T])
+    return _gather(*_decoupling(n, cap), reverse=True)
 
 
 def synth(task: TaskSpec, n: int, cap: int = DEFAULT_SIZE_CAP) -> Scheme:
@@ -405,7 +405,10 @@ def _codes(blocks: tuple[np.ndarray, ...]) -> np.ndarray:  # where S_x * S_y = S
     if len(blocks) == 1:  # a zz S is S_y of (1, S, S): its '-' entries are X
         return (blocks[0] < 0).view(np.uint8)
     sx, sy, _ = blocks
-    return (sy < 0).view(np.uint8) | ((sx < 0).view(np.uint8) << 1)
+    codes = (sx < 0).view(np.uint8)  # in place: one more n x m mask at most
+    codes <<= 1
+    codes |= (sy < 0).view(np.uint8)
+    return codes
 
 
 def merged_codes(codes: np.ndarray) -> np.ndarray:
@@ -511,22 +514,17 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
 
 
 def _certify(blocks, reverse: bool, local: bool, twins: tuple, plus: list) -> bool:
-    """True when every row of the stacked blocks, which satisfy S_x * S_y =
-    S_z, is a row of the canonical Hadamard matrix of order M (the width, +1
-    for reverse) and their indices pass every criterion.  Gram entry (i, j)
+    """True when every row of the stacked blocks is a row of the canonical
+    Hadamard matrix of order M (the width, +1 for reverse), S_z's as any
+    other, and their indices pass every criterion.  Gram entry (i, j)
     is M [k_i = k_j] - c and row sum M [k_i = 0] - c, for c = 1 when the
     first column is dropped (reverse), else 0.  So the indices must be
     distinct, and nonzero when local terms are removed, once the exempt rows
     are set aside: the `twins` (a, b) must share an index, the `plus` rows
     must have index 0 (all +)."""
-    size = blocks[0].shape[1] + reverse
-    # the product of Sylvester rows k, k' is row k ^ k'; other S_z rows are looked up
-    xor = len(blocks) == 3 and not size & (size - 1)
-    keys = canonical_indices(blocks[:2] if xor else blocks, reverse)
+    keys = canonical_indices(blocks, reverse)
     if keys is None:
         return False
-    if xor:
-        keys.append(keys[0] ^ keys[1])
     idx = np.stack(keys, axis=1).reshape(-1)
     keep = np.ones(len(idx), dtype=bool)
     keep[[*twins[:1], *plus[1:]]] = False

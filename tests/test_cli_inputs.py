@@ -10,6 +10,7 @@ from decoupler.cli import main
 from decoupler.ghm import gh_for_lambda, read_gh, write_gh
 from decoupler.hadamard import paley, read_matrix, write_matrix
 from decoupler.pulses import read_schedule
+from decoupler.schemes import _candidates
 from decoupler.schur import read_partition
 
 ZZ_SCHEME = "scheme zz n=2 m=2 task=decouple local=0\nrows 2 2\n++\n+-\n"
@@ -51,6 +52,34 @@ def test_analyze_beyond_every_construction_exits_2(capsys):
                                  "--framework", "general"])
     assert code == 2
     assert "1366" in err and "Traceback" not in err
+
+
+def _largest_capacity(cap, sylvester_only):
+    """The most qubits any general construction under the cap plans: its
+    Schur triples, plus one idle qubit when more than the all-+ row is left."""
+    return max((c.triples + (c.intervals - 3 * c.triples > 1) for c in _candidates(cap)
+                if not sylvester_only or c.kind == "sylvester"), default=0)
+
+
+@pytest.mark.parametrize("cap,bound", [(3, 0), (100, 21), (4100, 1365)])
+def test_largest_capacity_at_caps_where_a_third_of_the_cap_is_more(cap, bound):
+    assert _largest_capacity(cap, False) == _largest_capacity(cap, True) == bound
+
+
+@pytest.mark.parametrize("sylvester_only", [False, True])
+def test_analyze_general_range_is_the_largest_capacity(capsys, sylvester_only):
+    # n_max = the bound writes its rows; one more exits 2 naming both numbers
+    flag = ["--sylvester-only"] if sylvester_only else []
+    for cap in [*range(1, 301), 4100]:
+        bound = _largest_capacity(cap, sylvester_only)
+        argv = ["--cap", str(cap), "analyze", "--framework", "general", *flag, "--n-max"]
+        if bound >= 1:
+            assert main([*argv, str(bound)]) == 0, cap
+            out = capsys.readouterr().out
+            assert out.splitlines()[-1].startswith(f"{bound},general,"), cap
+        code, err = run_cli(capsys, [*argv, str(bound + 1)])
+        assert code == 2, cap
+        assert f"n_max must be in 1..{bound} " in err and f"got {bound + 1}" in err, cap
 
 
 @pytest.mark.parametrize("time", ["inf", "nan"])

@@ -29,6 +29,7 @@ from decoupler.schemes import (
     gate_codes,
     sign_blocks,
     synth,
+    synth_decouple_general,
     synth_decouple_zz,
     write_scheme,
 )
@@ -138,4 +139,24 @@ def test_certified_zz_check_peak_is_linear_in_the_scheme(n):
     finally:
         tracemalloc.stop()
     assert report.passed
+    assert peak <= bound, f"peak {peak} B over the bound {bound} B"
+
+
+@pytest.mark.parametrize("call", ["check_scheme", "gate_codes"])
+def test_certified_general_check_and_codes_peak_at_two_blocks(call):
+    # the gate codes are built in place from S_x < 0, shifted, then ORed with
+    # S_y < 0: besides them one n x m mask at a time, the peak of the Schur
+    # scan too, plus 1 MiB for one-time set-up
+    task = TaskSpec("decouple", "general")
+    scheme = synth_decouple_general(1365)
+    n, m = scheme.qubits, scheme.intervals
+    bound = 2 * n * m + (1 << 20)
+    tracemalloc.start()
+    try:
+        result = check_scheme(scheme, task) if call == "check_scheme" else gate_codes(scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if call == "check_scheme":
+        assert result.passed and result.gate_count == 4194304
     assert peak <= bound, f"peak {peak} B over the bound {bound} B"

@@ -5,7 +5,10 @@ across n = 1..40 and {150, 300, 400} at caps 64 and 4096, several
 qubit pairs (valid and refused), local terms on and off for zz and, for general selection, all nine label pairs.  A refusal
 contributes its exception type and message instead of a scheme, so a
 changed error text fails here too.  The `analyze` CSV is frozen the same
-way, up to the largest n_max each cap allows.
+way, up to the largest n_max each cap allows.  So are the `check` report and
+the `compile` schedule (or its refusal) of each scheme over a subset of the
+sizes, and of a copy with one sign flipped, which fails the Gram criteria and,
+in the general framework, the Schur product.
 """
 
 import hashlib
@@ -15,12 +18,16 @@ import numpy as np
 import pytest
 
 from decoupler.cli import analyze_csv, analyze_rows
+from decoupler.pulses import compile_general, write_schedule
 from decoupler.schemes import (
+    SignMatrix,
+    SignTriple,
     TaskSpec,
     _Candidate,
     _candidates,
     _construction_rows,
     check_scheme,
+    sign_blocks,
     synth_decouple_general,
     synth_decouple_zz,
     synth_reverse_general,
@@ -58,11 +65,11 @@ def _text(make):
     return buf.getvalue()
 
 
-def _cases(name, cap):
+def _cases(name, cap, sizes=SIZES):
     """(key, make) for every input of one synthesizer; make() returns the
     scheme and its task, synthesizing first so a refusal raises before the
     task is built."""
-    for n in SIZES:
+    for n in sizes:
         if name == "decouple_zz":
             for local in (True, False):
                 yield f"{n} {local}", lambda: (
@@ -125,6 +132,66 @@ GOLDEN = {
 @pytest.mark.parametrize("name,cap", sorted(GOLDEN))
 def test_synthesizer_output_is_frozen(name, cap):
     assert digest(name, cap) == GOLDEN[name, cap]
+
+
+# sizes whose check reports and schedules are frozen: every zz recipe kind
+# (Sylvester, Paley, Kronecker) and the composed general selection at n = 19
+CHECK_SIZES = [*range(1, 21), 24, 28, 36, 40, 150]
+
+
+def _flipped(scheme):
+    """The scheme with the sign at (n // 2, m // 2) of its first block flipped."""
+    blocks = [b.copy() for b in sign_blocks(scheme)]
+    n, m = blocks[0].shape
+    blocks[0][n // 2, m // 2] *= -1
+    return SignMatrix(blocks[0]) if len(blocks) == 1 else SignTriple(*map(SignMatrix, blocks))
+
+
+def _checked(scheme, task):
+    """The check report, then the compiled schedule or its refusal."""
+    buf = io.StringIO()
+    buf.write("\n".join(check_scheme(scheme, task).lines()) + "\n")
+    try:
+        write_schedule(compile_general(scheme), buf)
+    except ValueError as exc:
+        buf.write(f"{type(exc).__name__}: {exc}\n")
+    return buf.getvalue()
+
+
+def check_digest(name, cap):
+    h = hashlib.sha256()
+    for key, make in _cases(name, cap, CHECK_SIZES):
+        try:
+            scheme, task = make()
+        except Exception:  # refusals are frozen by GOLDEN
+            continue
+        for variant, s in (("", scheme), (" flipped", _flipped(scheme))):
+            h.update(f"{name} {key}{variant}\n".encode())
+            h.update(_checked(s, task).encode())
+    return h.hexdigest()
+
+
+CHECK_GOLDEN = {
+    ("decouple_zz", 64): "bdf3f9248aec263a9dfc57c703dcd4136222ef7693178cdccc85c0bc30b196cf",
+    ("decouple_zz", 4096): "a2e3e6c17c97efeecc448ce88c8d9382a42c5d593ee1ce854238988cafe42733",
+    ("select_zz", 64): "be468daeb822bc5cce1e8ddf3dbc844c5b471f879ea5a7bdef869d54e6edf3f5",
+    ("select_zz", 4096): "30c30f39d93a92a542e5ad0319669ebce2702997e0fa46cc4719c86c06f4d08b",
+    ("reverse_zz", 64): "4f3c5a6e461f525629420ff084d60c6a54562436f8fcc7a331ebcda0975dc1d9",
+    ("reverse_zz", 4096): "178bc3703c78e70e58b391d6b3cc342aaafeee4b3494b37a6d75b62c3f73db4e",
+    ("decouple_general", 64): "b9f28825affdc82b687fc996e4d4bbba539c2a842664ae5db4438d36757aeb76",
+    ("decouple_general", 4096): "94a1150b8861b45da4ddf8ebeae49c93d72cf2251d5ecf3c6c8b45817848fe8a",
+    ("select_general", 64): "7cb7c0168bca240924995ca1a6cb39799668746fc4b2162396e4e982cba26528",
+    ("select_general", 4096): "96f71e4cd6e27c86b4f01daa60b0d0ff4e6cd208fa2cb647f4bf9684ef35b430",
+    ("select_pair", 64): "4acbea3dc40522e30b155757f7658ebe8807f3783119c22eb68c118219ef59ed",
+    ("select_pair", 4096): "969d7aa8bb06d9e6fbf83e7aa49ff571e86958fad7bf3a906c96bc63efebbad6",
+    ("reverse_general", 64): "8c4f80af617bdb069247e3f5209d372ef33e4f802e965b5384aa5e82206248e7",
+    ("reverse_general", 4096): "3321629207e5d4b68e036a19986701362d35983283250ef509ac67b4cbb28c82",
+}
+
+
+@pytest.mark.parametrize("name,cap", sorted(CHECK_GOLDEN))
+def test_check_and_compile_output_is_frozen(name, cap):
+    assert check_digest(name, cap) == CHECK_GOLDEN[name, cap]
 
 
 @pytest.mark.parametrize("cap", [64, 1024])
