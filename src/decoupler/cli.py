@@ -17,7 +17,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
-from .hadamard import DEFAULT_SIZE_CAP, best_order, exceeds_cap, recipe_str, write_matrix
+from .hadamard import (DEFAULT_SIZE_CAP, _recipe, best_order, exceeds_cap, recipe_str,
+                       write_matrix)
 from .ghm import compose_sylvester, gh_for_lambda
 from .schemes import _candidates, check_scheme, parse_task, read_scheme, synth, write_scheme
 from .pulses import compile_general, write_schedule
@@ -50,6 +51,13 @@ def analyze_rows(n_max: int, framework: str, sylvester_only: bool = False,
         (c.triples + (c.intervals - 3 * c.triples > 1), c)
         for c in _candidates(cap) if not sylvester_only or c.kind == "sylvester"]
     bound = cap if framework == "zz" else max((capacity for capacity, _ in table), default=0)
+    if framework == "zz" and 1 <= n_max <= cap:
+        # no order in n_max..cap: the rows end at the largest order below n_max,
+        # a scan that costs less than the rows up to n_max would
+        try:
+            best_order(n_max, cap)
+        except SizeCapExceeded:
+            bound = next(m for m in range(n_max - 1, 0, -1) if _recipe(m))
     if not 1 <= n_max <= bound:
         raise ValueError(f"n_max must be in 1..{bound} for the {framework} framework "
                          f"under cap {cap}, got {n_max}")

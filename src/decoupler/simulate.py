@@ -5,20 +5,38 @@ Evolution follows e^{-iHt}; reversal targets e^{+iHt}.  Distances are
 spectral norms after optimal global-phase alignment, which for unitary
 operands reduces to the spread of the eigenphases of U_target^dag U_scheme.
 
-A Pauli word, and every pass of a schedule under a Z-diagonal Hamiltonian,
-is a monomial (flip, u): U|x> = u[x] |x ^ flip>.  Those run on 2^n vectors;
-any other Hamiltonian runs on dense 2^n x 2^n matrices, which stay the
-reference the vector path is tested against.
+A Pauli word is decoded once, a Hamiltonian's when it is built and a
+schedule's gate layers once per pass, into gate codes read as bit masks (the
+binary symplectic form): flip, its X/Y qubits, z, its Y/Z qubits, and y, its
+number of Y.  With qubit 0 the most significant bit of x (np.kron order) it is
+the monomial P|x> = i^y (-1)^popcount(x & z) |x ^ flip>, and its sign over x
+is row z of sylvester(n), a Walsh function.  A layer's phase is that Walsh
+row times i^y.  A Hamiltonian term's z has at most two bits, so its sign is
+the product of at most two per-qubit sign rows: the vector path adds it as
+that broadcast product, the dense path tables it as a Walsh row.  Tables are
+built a block at a time, a block at most one operator of the backend (or
+_MIN_BLOCK entries, when that is more).
+
+Every pass of a schedule under a Z-diagonal Hamiltonian is a monomial too,
+(flip, u) with U|x> = u[x] |x ^ flip>, and runs on 2^n vectors; any other
+Hamiltonian runs on dense 2^n x 2^n matrices, which stay the reference the
+vector path is tested against.  One verify assembles and eigendecomposes the
+Hamiltonian once (dense), or sums its diagonal once (vectors); the pass and a
+reversal target share that result, and nothing of it outlives the call.
+
+Every array is bit for bit what the letter-by-letter rule gives: a flip's sum
+adds c i^y (-1)^popcount(x & z) of its terms in term order from 0.0, and a
+phase is a float +/-1 row times the scalar i^y.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import IO, Iterable
+from dataclasses import dataclass, field
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
+from .hadamard import decode_rows, frozen
 from .pulses import PulseSchedule, compile_general
 from .schemes import GATES, Scheme, TaskSpec, check_scheme
 
@@ -30,6 +48,37 @@ UNITARITY_TOL = 1e-10
 
 _SIGN = np.array([1.0, -1.0])
 _I_POWERS = (1, 1j, -1, -1j)
+_POWERS = np.array(_I_POWERS)
+# the letter rule, by gate code (I, X, Y, Z = 0..3): X and Y flip their qubit,
+# Y and Z sign it by its bit, and each Y is a factor i
+_FLIPS = np.array([False, True, True, False])
+_SIGNED = np.array([False, False, True, True])
+_Y = GATES.index("Y")
+# the fewest entries a table block may hold, as many as one n = 6 dense operator
+_MIN_BLOCK = 1 << 12
+
+
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """Each row of a words x n bool array (n <= 62) as an int64, column 0 the
+    most significant bit."""
+    packed = np.packbits(bits, axis=1)
+    out = np.zeros(len(bits), dtype=np.int64)
+    for byte in packed.T:
+        out = out << 8 | byte
+    return out >> (8 * packed.shape[1] - bits.shape[1])
+
+
+def word_masks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flip, z, y) of each row of a words x n code array: the X/Y and the Y/Z
+    qubits as int64 bit masks, qubit 0 the most significant bit of x (np.kron
+    order), and the number of Y."""
+    return (_packed(_FLIPS[codes]), _packed(_SIGNED[codes]),
+            np.count_nonzero(codes == _Y, axis=1))
+
+
+def _first(flags: np.ndarray) -> int:
+    """The index of the first True in flags, len(flags) if none."""
+    return int(np.argmax(flags)) if flags.any() else len(flags)
 
 
 @dataclass(frozen=True)
@@ -39,30 +88,46 @@ class PauliHamiltonian:
 
     qubits: int
     terms: tuple[tuple[float, str], ...]
+    # the terms decoded once, read-only: each word's gate codes (I, X, Y, Z =
+    # 0..3) and each coefficient as a float64
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for coeff, word in self.terms:
-            if len(word) != self.qubits or set(word) - set(GATES):
+        codes, bad = decode_rows([w for _, w in self.terms], self.qubits, GATES)
+        heavy = np.count_nonzero(codes[:bad], axis=1) > 2
+        coefficients = np.array([c for c, _ in self.terms])
+        if coefficients.dtype.kind not in "biuf":  # numpy would parse strings, for one
+            raise TypeError(f"coefficients must be real numbers, not {coefficients.dtype}")
+        coefficients = coefficients.astype(np.float64)
+        finite = np.isfinite(coefficients)
+        # the first term failing a check, named by the first check it fails
+        k = min(bad, _first(heavy), _first(~finite))
+        if k < len(self.terms):
+            word = self.terms[k][1]
+            if k == bad:
                 raise ValueError(f"bad Pauli word {word!r} for n={self.qubits}")
-            if sum(c != "I" for c in word) > 2:
+            if heavy[k]:
                 raise ValueError(f"word {word!r} has more than two non-identity letters")
-            if not np.isfinite(coeff):
-                raise ValueError(f"non-finite coefficient for {word!r}")
+            raise ValueError(f"non-finite coefficient for {word!r}")
+        object.__setattr__(self, "codes", frozen(codes))
+        object.__setattr__(self, "coefficients", frozen(coefficients))
 
     def coefficient(self, word: str) -> float:
-        return float(sum(c for c, w in self.terms if w == word))
+        codes, valid = decode_rows([word], self.qubits, GATES)
+        hits = np.flatnonzero((self.codes == codes[:valid]).all(axis=1)) if valid else ()
+        return float(sum(self.terms[k][0] for k in hits))
 
     def restricted(self, qubits: Iterable[int]) -> "PauliHamiltonian":
         """Terms supported entirely on the given qubits (identity elsewhere)."""
         keep = set(qubits)
-        terms = tuple(
-            (c, w) for c, w in self.terms
-            if all(ch == "I" or q in keep for q, ch in enumerate(w))
-        )
-        return PauliHamiltonian(self.qubits, terms)
+        outside = [q for q in range(self.qubits) if q not in keep]
+        inside = ~self.codes[:, outside].any(axis=1)
+        return PauliHamiltonian(self.qubits,
+                                tuple(t for t, k in zip(self.terms, inside) if k))
 
     def is_diagonal(self) -> bool:
-        return all(set(w) <= {"I", "Z"} for _, w in self.terms)
+        return not _FLIPS[self.codes].any()
 
 
 @dataclass(frozen=True)
@@ -124,35 +189,102 @@ def random_hamiltonian(n: int, seed: int, kind: str = "zz",
     return PauliHamiltonian(n, tuple(terms))
 
 
-def _word_phase(word: str) -> tuple[int, np.ndarray]:
-    """A Pauli word P as (flip, phase), P|x> = phase[x] |x ^ flip>, with phase
-    broadcastable over (2,)*n and qubit 0 the most significant bit of x (np.kron
-    order): X and Y flip their qubit, Y and Z give (-1)^bit, each Y a factor i."""
-    n = len(word)
-    flip, phase = 0, np.ones((1,) * n)
-    for q, c in enumerate(word):
-        if c in "XY":
-            flip |= 1 << (n - 1 - q)
-        if c in "YZ":
-            phase = phase * _SIGN.reshape((1,) * q + (2,) + (1,) * (n - q - 1))
-    return flip, phase * _I_POWERS[word.count("Y") % 4]
+def _block_rows(dim: int, operator: int) -> int:
+    """Rows of 2^n entries a table block may hold: one operator of the backend
+    (operator entries), or _MIN_BLOCK entries when that is more."""
+    return max(operator, _MIN_BLOCK) // dim
 
 
-def _flip_sums(h: PauliHamiltonian) -> dict[int, np.ndarray]:
-    """H as one signed permutation per flip, {flip: u} with H|x> = sum of u[x] |x ^ flip>:
-    each u is (2,)*n, real unless a word has an odd number of Y, and zero for a new flip."""
-    words = [(coeff, *_word_phase(word)) for coeff, word in h.terms]
-    dtype = np.result_type(np.float64, *{phase.dtype for _, _, phase in words})
-    sums = defaultdict(lambda: np.zeros((2,) * h.qubits, dtype))
-    for coeff, flip, phase in words:
-        sums[flip] += coeff * phase
-    return sums
+def _parities(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """popcount(x & z) mod 2 as uint8, one row per mask z, over x in idx: the
+    signs of rows z of sylvester(n), 0 for + and 1 for -."""
+    return np.bitwise_count(idx & z[:, None]) & 1
+
+
+def _phase(z: int, y: int, parity: np.ndarray, shift: int = 0) -> np.ndarray:
+    """phase[x ^ shift] over x for the word P|x> = phase[x] |x ^ flip> with
+    masks z and y and parity row `parity`, each entry one of +/-1.0 times the
+    scalar i^y.  (x ^ shift) & z has the parity of x & z flipped by that of
+    shift & z, so no index is permuted."""
+    plus, minus = _SIGN * _I_POWERS[y % 4]
+    if (shift & z).bit_count() & 1:
+        plus, minus = minus, plus
+    return np.where(parity, minus, plus)
+
+
+def _layers(p: PulseSchedule, idx: np.ndarray,
+            operator: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """(flip, z, y, parity row) of each gate layer of p in order, its layers
+    decoded once and their parity rows tabled a block at a time."""
+    flips, z, y = word_masks(decode_rows(p.layers, p.qubits, GATES)[0])
+    rows = _block_rows(len(idx), operator)
+    for start in range(0, len(flips), rows):
+        block = slice(start, start + rows)
+        yield from zip(flips[block].tolist(), z[block].tolist(), y[block].tolist(),
+                       _parities(z[block], idx))
 
 
 def word_monomial(word: str) -> tuple[int, np.ndarray]:
-    """A Pauli word as the (flip, phase) of _word_phase, phase a flat 2^n vector."""
-    flip, phase = _word_phase(word)
-    return flip, np.broadcast_to(phase, (2,) * len(word)).flatten()
+    """A Pauli word P as (flip, phase), P|x> = phase[x] |x ^ flip>, phase a
+    flat 2^n vector, real unless the word has an odd number of Y."""
+    codes, valid = decode_rows([word], len(word), GATES)
+    if not valid:
+        raise ValueError(f"bad Pauli word {word!r}")
+    flip, z, y = word_masks(codes)
+    return int(flip[0]), _phase(int(z[0]), int(y[0]),
+                                _parities(z, np.arange(1 << len(word)))[0])
+
+
+def _flip_sums(h: PauliHamiltonian, operator: int) -> tuple[np.ndarray, np.ndarray]:
+    """H as one signed permutation per flip: (flips, sums), ascending flips,
+    with H|x> = sum over k of sums[k, x] |x ^ flips[k]>.  Row k adds
+    c i^y (-1)^popcount(x & z) of each term with flip k in term order, from
+    0.0; sums is complex when some word has an odd number of Y.
+
+    The terms are tabled in flip order a block at a time, each flip of the
+    block as its running sum followed by its terms, and each such run is
+    reduced along axis 0, which adds one row after the other."""
+    dim = 1 << h.qubits
+    idx = np.arange(dim)
+    flips, z, y = word_masks(h.codes)
+    order = np.argsort(flips, kind="stable")
+    new = np.diff(flips[order], prepend=-1) != 0   # the first term of each flip
+    keys = flips[order][new]
+    group = np.cumsum(new) - 1                     # each sorted term's row of sums
+    weights = h.coefficients * _POWERS[y % 4]
+    if not (y % 2).any():
+        weights = weights.real
+    sums = np.zeros((len(keys), dim), weights.dtype)
+    rows = _block_rows(dim, operator)
+    step = rows - min(len(keys), rows // 2)  # terms, with a running sum for each flip
+    for start in range(0, len(order), step):
+        terms, g = order[start:start + step], group[start:start + step]
+        first = np.diff(g, prepend=-1) != 0        # the block's first term of a flip
+        at = np.arange(len(terms)) + np.cumsum(first)
+        heads = at[first] - 1                      # that flip's running sum
+        table = np.empty((at[-1] + 1, dim), sums.dtype)
+        table[heads] = sums[g[first]]
+        table[at] = weights[terms, None] * _SIGN[_parities(z[terms], idx)]
+        for k, a, b in zip(g[first].tolist(), heads.tolist(), [*heads[1:].tolist(), len(table)]):
+            np.add.reduce(table[a:b], axis=0, out=sums[k])
+    return keys, sums
+
+
+def _diagonal_sum(h: PauliHamiltonian) -> np.ndarray:
+    """The diagonal of a Z-diagonal H as a flat 2^n float64 vector: each term
+    adds c times the broadcast product of its at most two per-qubit sign
+    rows, in term order from 0.0.  No 2^n row is built per term: near the
+    vector cap a table block holds one row, which costs more memory passes
+    than the broadcast."""
+    n = h.qubits
+    rows = [_SIGN.reshape((1,) * q + (2,) + (1,) * (n - q - 1)) for q in range(n)]
+    factors: list[list[np.ndarray]] = [[] for _ in h.terms]
+    for t, q in zip(*np.nonzero(_SIGNED[h.codes])):
+        factors[t].append(rows[q])
+    out = np.zeros((2,) * n)
+    for c, f in zip(h.coefficients.tolist(), factors):
+        out += c * (f[0] * f[1] if len(f) == 2 else f[0] if f else 1.0)
+    return out.reshape(-1)
 
 
 def monomial_matrix(flip: int, u: np.ndarray) -> np.ndarray:
@@ -170,25 +302,40 @@ def word_matrix(word: str) -> np.ndarray:
 def hamiltonian_matrix(h: PauliHamiltonian) -> np.ndarray:
     out = np.zeros((2 ** h.qubits,) * 2, dtype=np.complex128)
     idx = np.arange(len(out))
-    for flip, u in _flip_sums(h).items():
-        out[idx ^ flip, idx] = u.reshape(-1)
+    flips, sums = _flip_sums(h, out.size)
+    out[idx ^ flips[:, None], idx] = sums
     return out
 
 
 def _diagonal_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:
-    """Diagonal of e^{-iHt} for a Z/I-only Hamiltonian: its flip-0 sum."""
-    return np.exp(-1j * _flip_sums(h)[0].reshape(-1) * t)
+    """Diagonal of e^{-iHt} for a Z/I-only Hamiltonian."""
+    return _phases(_diagonal_sum(h), t)
+
+
+def _phases(energies: np.ndarray, t: float) -> np.ndarray:
+    """e^{-i E t} of each energy E."""
+    return np.exp(-1j * energies * t)
+
+
+def _spectrum(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of h's assembled 2^n x 2^n matrix."""
+    m = hamiltonian_matrix(h)
+    if not np.allclose(m, m.conj().T, atol=1e-12):
+        raise ValueError("assembled Hamiltonian is not Hermitian")
+    return np.linalg.eigh(m)
+
+
+def _exponential(spectrum: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """e^{-iHt} from H's eigendecomposition."""
+    vals, vecs = spectrum
+    return (vecs * _phases(vals, t)) @ vecs.conj().T
 
 
 def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:
     """Exact e^{-iHt} via eigendecomposition (diagonal fast path for Z/I)."""
     if h.is_diagonal():
         return np.diag(_diagonal_evolution(h, t))
-    m = hamiltonian_matrix(h)
-    if not np.allclose(m, m.conj().T, atol=1e-12):
-        raise ValueError("assembled Hamiltonian is not Hermitian")
-    vals, vecs = np.linalg.eigh(m)
-    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    return _exponential(_spectrum(h), t)
 
 
 def run_schedule(p: PulseSchedule, h: PauliHamiltonian) -> np.ndarray:
@@ -198,17 +345,21 @@ def run_schedule(p: PulseSchedule, h: PauliHamiltonian) -> np.ndarray:
     number of 2^n x 2^n matrices however many layers it has."""
     if p.qubits != h.qubits:
         raise ValueError(f"schedule is for {p.qubits} qubits, Hamiltonian for {h.qubits}")
-    dim = 2 ** h.qubits
-    u_free = evolve(h, p.tau)
-    idx = np.arange(dim)
-    u = np.eye(dim, dtype=np.complex128)
+    return _dense_pass(p, evolve(h, p.tau))
+
+
+def _dense_pass(p: PulseSchedule, u_free: np.ndarray) -> np.ndarray:
+    """run_schedule with the free evolution e^{-iH tau} given."""
+    idx = np.arange(len(u_free))
+    layers = _layers(p, idx, u_free.size)
+    u = np.eye(len(u_free), dtype=np.complex128)
     for step in p.steps:
         if step is None:
             u = u_free @ u
         else:
-            flip, phase = word_monomial(step)
+            flip, z, y, parity = next(layers)
             u = u[idx ^ flip]
-            u *= phase[idx ^ flip, None]
+            u *= _phase(z, y, parity, flip)[:, None]
     return u
 
 
@@ -220,15 +371,20 @@ def run_schedule_diagonal(p: PulseSchedule, h: PauliHamiltonian) -> tuple[int, n
         raise ValueError(f"schedule is for {p.qubits} qubits, Hamiltonian for {h.qubits}")
     if not h.is_diagonal():
         raise ValueError("Hamiltonian is not Z-diagonal")
-    d = _diagonal_evolution(h, p.tau)
+    return _diagonal_pass(p, _diagonal_evolution(h, p.tau))
+
+
+def _diagonal_pass(p: PulseSchedule, d: np.ndarray) -> tuple[int, np.ndarray]:
+    """run_schedule_diagonal with the diagonal d of e^{-iH tau} given."""
     idx = np.arange(d.size)
+    layers = _layers(p, idx, d.size)
     flip, u = 0, np.ones_like(d)
     for step in p.steps:
         if step is None:
             u *= d[idx ^ flip]
             continue
-        layer_flip, phase = word_monomial(step)
-        u *= phase[idx ^ flip]
+        layer_flip, z, y, parity = next(layers)
+        u *= _phase(z, y, parity, flip)
         flip ^= layer_flip
     return flip, u
 
@@ -309,21 +465,33 @@ def target_unitary(task: TaskSpec, h: PauliHamiltonian, total_time: float,
 
 def _dense_distance(task: TaskSpec, schedule: PulseSchedule, h: PauliHamiltonian,
                     total_time: float, reps: int, intervals: int) -> float:
-    u_pass = run_schedule(schedule, h)
+    spectrum = _spectrum(h)  # the one eigendecomposition of h
+    u_pass = _dense_pass(schedule, _exponential(spectrum, schedule.tau))
     if not np.allclose(u_pass @ u_pass.conj().T, np.eye(u_pass.shape[0]),
                        atol=UNITARITY_TOL):
         raise AssertionError("schedule unitary failed the unitarity check")
-    u = np.linalg.matrix_power(u_pass, reps)
-    return phase_aligned_distance(u, target_unitary(task, h, total_time, intervals))
+    # the pass's rounding grows with the power, past float range for a huge reps
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.linalg.matrix_power(u_pass, reps)
+    if not np.isfinite(u).all():
+        raise ValueError(f"the pass to the power --reps {reps} is not finite; "
+                         "use a smaller --reps")
+    target_h, t = _target_hamiltonian(task, h, total_time, intervals)
+    target = _exponential(spectrum, t) if target_h is h else evolve(target_h, t)
+    del spectrum  # freed before the distance, which holds the most operators
+    return phase_aligned_distance(u, target)
 
 
 def _diagonal_distance(task: TaskSpec, schedule: PulseSchedule, h: PauliHamiltonian,
                        total_time: float, reps: int, intervals: int) -> float:
-    flip, u_pass = run_schedule_diagonal(schedule, h)
+    energies = _diagonal_sum(h)  # the one diagonal of h
+    flip, u_pass = _diagonal_pass(schedule, _phases(energies, schedule.tau))
     # a monomial is unitary exactly when every |u[x]| = 1
     if not np.allclose(np.abs(u_pass) ** 2, 1, atol=UNITARITY_TOL):
         raise AssertionError("schedule unitary failed the unitarity check")
-    target = _diagonal_evolution(*_target_hamiltonian(task, h, total_time, intervals))
+    target_h, t = _target_hamiltonian(task, h, total_time, intervals)
+    target = _phases(energies if target_h is h else _diagonal_sum(target_h), t)
+    del energies  # freed before the distance, which holds the most vectors
     return monomial_distance(*monomial_power(flip, u_pass, reps), target)
 
 
@@ -345,6 +513,14 @@ def verify(task: TaskSpec, scheme: Scheme, h: PauliHamiltonian,
         raise ValueError(f"time * sum of |coefficients| must be finite (time={total_time})")
     if not total_time > 0:
         raise ValueError(f"time must be > 0, got {total_time}")
+    m = scheme.intervals
+    try:
+        tau = total_time / (m * reps)
+    except OverflowError:  # m * reps beyond float range
+        tau = 0.0
+    if not tau > 0:
+        raise ValueError(f"--time {total_time!r} / (m={m} intervals * --reps {reps}) "
+                         "leaves an interval of 0 s; raise --time or lower --reps")
     if scheme.qubits != h.qubits:
         raise ValueError("scheme and Hamiltonian qubit counts differ")
     diagonal = h.is_diagonal()
@@ -357,8 +533,7 @@ def verify(task: TaskSpec, scheme: Scheme, h: PauliHamiltonian,
     if not report.passed:
         failed = [k for k, v in report.checks.items() if not v.passed]
         raise ValueError(f"scheme fails its criteria: {failed}")
-    m = scheme.intervals
-    schedule = compile_general(scheme, total_time / (m * reps))
+    schedule = compile_general(scheme, tau)
     backend = _diagonal_distance if diagonal else _dense_distance
     if tolerance is None:
         tolerance = 1e-10 if task.framework == "zz" else 2e-2

@@ -2,6 +2,7 @@
 never a traceback."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -425,3 +426,50 @@ def test_reader_refuses_content_after_its_last_row(read, write, value, what):
         read(io.StringIO(text + "\n junk \n"))
     for variant in (text + "\n \n", text.replace("\n", "\r\n")):
         assert np.array_equal(read(io.StringIO(variant)).entries, value.entries)
+
+
+@pytest.mark.parametrize("cap,n_max,bound", [
+    (4097, 4097, 4096), (4101, 4101, 4100),
+    (7, 5, 4), (7, 7, 4), (13, 13, 12),
+])
+def test_analyze_zz_range_ends_at_the_largest_order_with_a_recipe(capsys, cap, n_max, bound):
+    # no recipe reaches n_max..cap: the range message names the last order that
+    # has one, and that n_max writes its rows
+    argv = ["--cap", str(cap), "analyze", "--framework", "zz", "--n-max"]
+    code, err = run_cli(capsys, [*argv, str(n_max)])
+    assert code == 2
+    assert f"n_max must be in 1..{bound} " in err and f"got {n_max}" in err
+    assert main([*argv, str(bound)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"{bound},zz,{bound},")
+
+
+def _general_scheme(tmp_path):
+    path = tmp_path / "scheme.txt"
+    assert main(["synth", "--task", "decouple", "--framework", "general", "--n", "3",
+                 "--out", str(path)]) == 0
+    return str(path)
+
+
+def test_verify_reps_past_float_range_is_refused_naming_reps(tmp_path, capsys):
+    # the dense power's rounding overflows: refused without a numpy warning
+    path = _general_scheme(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_cli(capsys, ["verify", path, "--ham", "random:1",
+                                     "--reps", str(10 ** 18)])
+    assert code == 2
+    assert err.startswith("error: ") and "--reps" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("time,reps", [("5e-324", "1"), ("0.1", str(10 ** 400))],
+                         ids=["time-underflows", "reps-past-float"])
+@pytest.mark.parametrize("framework", ["zz", "general"])
+def test_verify_interval_of_zero_is_refused_naming_time_reps_and_m(tmp_path, capsys, framework,
+                                                                    time, reps):
+    path = tmp_path / "scheme.txt"
+    assert main(["synth", "--task", "decouple", "--framework", framework, "--n", "3",
+                 "--out", str(path)]) == 0
+    code, err = run_cli(capsys, ["verify", str(path), "--ham", "random:1", "--time", time,
+                                 "--reps", reps])
+    assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "--time" in err and "--reps" in err and "m=" in err and "tau must be" not in err

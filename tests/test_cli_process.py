@@ -1,6 +1,6 @@
 """The decoupler CLI run as a real process (`python -m decoupler.cli`), so the
 module's `sys.exit(main())` and the exit status a shell sees are exercised.
-Thirteen processes in all; none may print a traceback."""
+Fourteen processes in all; none may print a traceback."""
 
 import os
 import subprocess
@@ -60,6 +60,14 @@ def test_one_flipped_sign_fails_the_check(scheme):
     lines[2] = ("-" if lines[2][0] == "+" else "+") + lines[2][1:]
     check = decoupler("check", "-", stdin="".join(lines))
     assert check.returncode == 1 and check.stdout.endswith("result=FAIL\n")
+
+
+def test_verify_reps_past_float_range_exits_2_with_one_line(scheme):
+    done = decoupler("verify", "-", "--ham", "random:1", "--reps", str(10 ** 18),
+                     stdin=scheme)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and "--reps" in done.stderr
+    assert len(done.stderr.splitlines()) == 1
 
 
 def test_missing_scheme_exits_2(tmp_path):

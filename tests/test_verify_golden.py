@@ -9,7 +9,7 @@ OPERATOR_GOLDEN is a sha256 over the dtype and bytes of `hamiltonian_matrix`,
 of up to three letters.  Any change to how the simulator sums, signs or
 exponentiates shows here, down to the last bit.  The digests name float bit
 patterns of one numpy/LAPACK build (numpy's bundled OpenBLAS on x86-64): on
-another build, freeze them anew from the parent commit before comparing.
+another build, freeze them anew from a commit known to be right before comparing.
 """
 
 import hashlib

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from decoupler.hadamard import sylvester
-from decoupler.schemes import SignMatrix, SignTriple, TaskSpec
-from decoupler.simulate import PauliHamiltonian, pair_words, verify
+from decoupler.schemes import SignMatrix, SignTriple, TaskSpec, synth
+from decoupler.simulate import DIAGONAL_QUBIT_CAP, PauliHamiltonian, pair_words, verify
 
 # operators of the backend's size a pass may hold at once, and room for the
 # scheme's own O(n m) data (its check and its schedule) at m <= 4096
@@ -60,3 +60,24 @@ def test_verify_peak_is_a_few_operators_whatever_m(framework, n, r):
         tracemalloc.stop()
     assert result.passed
     assert peak <= OPERATORS * operator_bytes(framework, n) + SLACK
+
+
+def test_zz_verify_peak_at_the_diagonal_cap():
+    """The largest vector verify runs: a synthesized decoupling scheme against
+    every ZZ pair and Z local at DIAGONAL_QUBIT_CAP qubits."""
+    n = DIAGONAL_QUBIT_CAP
+    rng = np.random.default_rng(n)
+    words = [w for i in range(n) for j in range(i + 1, n) for w in pair_words(n, i, j, "zz")]
+    words += ["I" * i + "Z" + "I" * (n - i - 1) for i in range(n)]
+    h = PauliHamiltonian(n, tuple((float(rng.uniform(-1, 1)), w) for w in words))
+    task = TaskSpec("decouple", "zz")
+    scheme = synth(task, n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = verify(task, scheme, h, 0.1, reps=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak <= OPERATORS * operator_bytes("zz", n) + SLACK
