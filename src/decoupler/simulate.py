@@ -10,19 +10,20 @@ schedule's gate layers once per pass, into gate codes read as bit masks (the
 binary symplectic form): flip, its X/Y qubits, z, its Y/Z qubits, and y, its
 number of Y.  With qubit 0 the most significant bit of x (np.kron order) it is
 the monomial P|x> = i^y (-1)^popcount(x & z) |x ^ flip>, and its sign over x
-is row z of sylvester(n), a Walsh function.  A layer's phase is that Walsh
-row times i^y.  A Hamiltonian term's z has at most two bits, so its sign is
-the product of at most two per-qubit sign rows: the vector path adds it as
-that broadcast product, the dense path tables it as a Walsh row.  Tables are
-built a block at a time, a block at most one operator of the backend (or
-_MIN_BLOCK entries, when that is more).
+is row z of sylvester(n), a Walsh function, read as popcount parities.  A
+layer's phase is that Walsh row times i^y.  The dense path tables its
+Hamiltonian terms' Walsh rows and adds each to its flip's sum; the vector path
+adds each term's sign as the broadcast product of its at most two per-qubit
+sign rows, which near its 20-qubit cap costs fewer memory passes than a row.
+Tables are built a block at a time, a block at most one operator of the
+backend (or _MIN_BLOCK entries, when that is more).
 
 Every pass of a schedule under a Z-diagonal Hamiltonian is a monomial too,
 (flip, u) with U|x> = u[x] |x ^ flip>, and runs on 2^n vectors; any other
 Hamiltonian runs on dense 2^n x 2^n matrices, which stay the reference the
-vector path is tested against.  One verify assembles and eigendecomposes the
-Hamiltonian once (dense), or sums its diagonal once (vectors); the pass and a
-reversal target share that result, and nothing of it outlives the call.
+vector path is tested against.  Each evolution a verify needs, the pass's and
+the target's, assembles and eigendecomposes its Hamiltonian once (dense) or
+sums its diagonal once (vectors), and nothing outlives the call.
 
 Every array is bit for bit what the letter-by-letter rule gives: a flip's sum
 adds c i^y (-1)^popcount(x & z) of its terms in term order from 0.0, and a
@@ -59,19 +60,21 @@ _MIN_BLOCK = 1 << 12
 
 
 def _packed(bits: np.ndarray) -> np.ndarray:
-    """Each row of a words x n bool array (n <= 62) as an int64, column 0 the
-    most significant bit."""
-    packed = np.packbits(bits, axis=1)
-    out = np.zeros(len(bits), dtype=np.int64)
-    for byte in packed.T:
-        out = out << 8 | byte
-    return out >> (8 * packed.shape[1] - bits.shape[1])
+    """Each row of a words x n bool array as a non-negative int64, column 0
+    the most significant bit (n <= 63)."""
+    n = bits.shape[1]
+    if n > 63:
+        raise ValueError(f"bit masks hold at most 63 qubits, got {n}")
+    out = np.zeros(len(bits), dtype=np.uint64)
+    for byte in np.packbits(bits, axis=1).T:
+        out = out << np.uint64(8) | byte
+    return (out >> np.uint64(-n % 8)).astype(np.int64)
 
 
 def word_masks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(flip, z, y) of each row of a words x n code array: the X/Y and the Y/Z
     qubits as int64 bit masks, qubit 0 the most significant bit of x (np.kron
-    order), and the number of Y."""
+    order), and the number of Y.  n <= 63."""
     return (_packed(_FLIPS[codes]), _packed(_SIGNED[codes]),
             np.count_nonzero(codes == _Y, axis=1))
 
@@ -195,10 +198,24 @@ def _block_rows(dim: int, operator: int) -> int:
     return max(operator, _MIN_BLOCK) // dim
 
 
-def _parities(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """popcount(x & z) mod 2 as uint8, one row per mask z, over x in idx: the
-    signs of rows z of sylvester(n), 0 for + and 1 for -."""
-    return np.bitwise_count(idx & z[:, None]) & 1
+def _fold(v: np.ndarray) -> np.ndarray:
+    """The parity of each entry of a non-negative int64 array below 2^32, as uint8."""
+    for shift in (16, 8, 4, 2, 1):
+        v = v ^ v >> shift
+    return (v & 1).astype(np.uint8)
+
+
+def _parities(z: np.ndarray, n: int) -> np.ndarray:
+    """popcount(x & z) mod 2 as uint8 over x in 0..2^n - 1, one row per mask
+    z: the signs of rows z of sylvester(n), 0 for + and 1 for -.  Row z is the
+    Kronecker product of row z >> low of sylvester(n - low) and row
+    z mod 2^low of sylvester(low), so each 2^n row is one XOR of two short
+    parity rows."""
+    low = n // 2
+    x = np.arange(1 << (n - low))
+    high = _fold((z >> low)[:, None] & x)
+    rest = _fold((z & ((1 << low) - 1))[:, None] & x[:1 << low])
+    return (high[:, :, None] ^ rest[:, None, :]).reshape(len(z), -1)
 
 
 def _phase(z: int, y: int, parity: np.ndarray, shift: int = 0) -> np.ndarray:
@@ -212,16 +229,15 @@ def _phase(z: int, y: int, parity: np.ndarray, shift: int = 0) -> np.ndarray:
     return np.where(parity, minus, plus)
 
 
-def _layers(p: PulseSchedule, idx: np.ndarray,
-            operator: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+def _layers(p: PulseSchedule, operator: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """(flip, z, y, parity row) of each gate layer of p in order, its layers
     decoded once and their parity rows tabled a block at a time."""
     flips, z, y = word_masks(decode_rows(p.layers, p.qubits, GATES)[0])
-    rows = _block_rows(len(idx), operator)
+    rows = _block_rows(1 << p.qubits, operator)
     for start in range(0, len(flips), rows):
         block = slice(start, start + rows)
         yield from zip(flips[block].tolist(), z[block].tolist(), y[block].tolist(),
-                       _parities(z[block], idx))
+                       _parities(z[block], p.qubits))
 
 
 def word_monomial(word: str) -> tuple[int, np.ndarray]:
@@ -231,42 +247,28 @@ def word_monomial(word: str) -> tuple[int, np.ndarray]:
     if not valid:
         raise ValueError(f"bad Pauli word {word!r}")
     flip, z, y = word_masks(codes)
-    return int(flip[0]), _phase(int(z[0]), int(y[0]),
-                                _parities(z, np.arange(1 << len(word)))[0])
+    return int(flip[0]), _phase(int(z[0]), int(y[0]), _parities(z, len(word))[0])
 
 
-def _flip_sums(h: PauliHamiltonian, operator: int) -> tuple[np.ndarray, np.ndarray]:
+def _flip_sums(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """H as one signed permutation per flip: (flips, sums), ascending flips,
     with H|x> = sum over k of sums[k, x] |x ^ flips[k]>.  Row k adds
     c i^y (-1)^popcount(x & z) of each term with flip k in term order, from
-    0.0; sums is complex when some word has an odd number of Y.
-
-    The terms are tabled in flip order a block at a time, each flip of the
-    block as its running sum followed by its terms, and each such run is
-    reduced along axis 0, which adds one row after the other."""
+    0.0; sums is complex when some word has an odd number of Y.  The terms'
+    Walsh rows are tabled a block of at most one 2^n x 2^n operator at a time."""
     dim = 1 << h.qubits
-    idx = np.arange(dim)
     flips, z, y = word_masks(h.codes)
-    order = np.argsort(flips, kind="stable")
-    new = np.diff(flips[order], prepend=-1) != 0   # the first term of each flip
-    keys = flips[order][new]
-    group = np.cumsum(new) - 1                     # each sorted term's row of sums
+    keys, group = np.unique(flips, return_inverse=True)
     weights = h.coefficients * _POWERS[y % 4]
     if not (y % 2).any():
         weights = weights.real
     sums = np.zeros((len(keys), dim), weights.dtype)
-    rows = _block_rows(dim, operator)
-    step = rows - min(len(keys), rows // 2)  # terms, with a running sum for each flip
-    for start in range(0, len(order), step):
-        terms, g = order[start:start + step], group[start:start + step]
-        first = np.diff(g, prepend=-1) != 0        # the block's first term of a flip
-        at = np.arange(len(terms)) + np.cumsum(first)
-        heads = at[first] - 1                      # that flip's running sum
-        table = np.empty((at[-1] + 1, dim), sums.dtype)
-        table[heads] = sums[g[first]]
-        table[at] = weights[terms, None] * _SIGN[_parities(z[terms], idx)]
-        for k, a, b in zip(g[first].tolist(), heads.tolist(), [*heads[1:].tolist(), len(table)]):
-            np.add.reduce(table[a:b], axis=0, out=sums[k])
+    rows = _block_rows(dim, dim * dim)
+    for start in range(0, len(flips), rows):
+        block = slice(start, start + rows)
+        table = weights[block, None] * _SIGN[_parities(z[block], h.qubits)]
+        for k, row in zip(group[block].tolist(), table):
+            sums[k] += row
     return keys, sums
 
 
@@ -274,8 +276,8 @@ def _diagonal_sum(h: PauliHamiltonian) -> np.ndarray:
     """The diagonal of a Z-diagonal H as a flat 2^n float64 vector: each term
     adds c times the broadcast product of its at most two per-qubit sign
     rows, in term order from 0.0.  No 2^n row is built per term: near the
-    vector cap a table block holds one row, which costs more memory passes
-    than the broadcast."""
+    vector cap a table block would hold one row, which costs more memory
+    passes than the broadcast."""
     n = h.qubits
     rows = [_SIGN.reshape((1,) * q + (2,) + (1,) * (n - q - 1)) for q in range(n)]
     factors: list[list[np.ndarray]] = [[] for _ in h.terms]
@@ -302,40 +304,25 @@ def word_matrix(word: str) -> np.ndarray:
 def hamiltonian_matrix(h: PauliHamiltonian) -> np.ndarray:
     out = np.zeros((2 ** h.qubits,) * 2, dtype=np.complex128)
     idx = np.arange(len(out))
-    flips, sums = _flip_sums(h, out.size)
+    flips, sums = _flip_sums(h)
     out[idx ^ flips[:, None], idx] = sums
     return out
 
 
 def _diagonal_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:
     """Diagonal of e^{-iHt} for a Z/I-only Hamiltonian."""
-    return _phases(_diagonal_sum(h), t)
-
-
-def _phases(energies: np.ndarray, t: float) -> np.ndarray:
-    """e^{-i E t} of each energy E."""
-    return np.exp(-1j * energies * t)
-
-
-def _spectrum(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors) of h's assembled 2^n x 2^n matrix."""
-    m = hamiltonian_matrix(h)
-    if not np.allclose(m, m.conj().T, atol=1e-12):
-        raise ValueError("assembled Hamiltonian is not Hermitian")
-    return np.linalg.eigh(m)
-
-
-def _exponential(spectrum: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
-    """e^{-iHt} from H's eigendecomposition."""
-    vals, vecs = spectrum
-    return (vecs * _phases(vals, t)) @ vecs.conj().T
+    return np.exp(-1j * _diagonal_sum(h) * t)
 
 
 def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:
     """Exact e^{-iHt} via eigendecomposition (diagonal fast path for Z/I)."""
     if h.is_diagonal():
         return np.diag(_diagonal_evolution(h, t))
-    return _exponential(_spectrum(h), t)
+    m = hamiltonian_matrix(h)
+    if not np.allclose(m, m.conj().T, atol=1e-12):
+        raise ValueError("assembled Hamiltonian is not Hermitian")
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
 
 def run_schedule(p: PulseSchedule, h: PauliHamiltonian) -> np.ndarray:
@@ -345,14 +332,11 @@ def run_schedule(p: PulseSchedule, h: PauliHamiltonian) -> np.ndarray:
     number of 2^n x 2^n matrices however many layers it has."""
     if p.qubits != h.qubits:
         raise ValueError(f"schedule is for {p.qubits} qubits, Hamiltonian for {h.qubits}")
-    return _dense_pass(p, evolve(h, p.tau))
-
-
-def _dense_pass(p: PulseSchedule, u_free: np.ndarray) -> np.ndarray:
-    """run_schedule with the free evolution e^{-iH tau} given."""
-    idx = np.arange(len(u_free))
-    layers = _layers(p, idx, u_free.size)
-    u = np.eye(len(u_free), dtype=np.complex128)
+    dim = 2 ** h.qubits
+    u_free = evolve(h, p.tau)
+    idx = np.arange(dim)
+    layers = _layers(p, u_free.size)
+    u = np.eye(dim, dtype=np.complex128)
     for step in p.steps:
         if step is None:
             u = u_free @ u
@@ -371,13 +355,9 @@ def run_schedule_diagonal(p: PulseSchedule, h: PauliHamiltonian) -> tuple[int, n
         raise ValueError(f"schedule is for {p.qubits} qubits, Hamiltonian for {h.qubits}")
     if not h.is_diagonal():
         raise ValueError("Hamiltonian is not Z-diagonal")
-    return _diagonal_pass(p, _diagonal_evolution(h, p.tau))
-
-
-def _diagonal_pass(p: PulseSchedule, d: np.ndarray) -> tuple[int, np.ndarray]:
-    """run_schedule_diagonal with the diagonal d of e^{-iH tau} given."""
+    d = _diagonal_evolution(h, p.tau)
     idx = np.arange(d.size)
-    layers = _layers(p, idx, d.size)
+    layers = _layers(p, d.size)
     flip, u = 0, np.ones_like(d)
     for step in p.steps:
         if step is None:
@@ -465,8 +445,7 @@ def target_unitary(task: TaskSpec, h: PauliHamiltonian, total_time: float,
 
 def _dense_distance(task: TaskSpec, schedule: PulseSchedule, h: PauliHamiltonian,
                     total_time: float, reps: int, intervals: int) -> float:
-    spectrum = _spectrum(h)  # the one eigendecomposition of h
-    u_pass = _dense_pass(schedule, _exponential(spectrum, schedule.tau))
+    u_pass = run_schedule(schedule, h)
     if not np.allclose(u_pass @ u_pass.conj().T, np.eye(u_pass.shape[0]),
                        atol=UNITARITY_TOL):
         raise AssertionError("schedule unitary failed the unitarity check")
@@ -476,22 +455,16 @@ def _dense_distance(task: TaskSpec, schedule: PulseSchedule, h: PauliHamiltonian
     if not np.isfinite(u).all():
         raise ValueError(f"the pass to the power --reps {reps} is not finite; "
                          "use a smaller --reps")
-    target_h, t = _target_hamiltonian(task, h, total_time, intervals)
-    target = _exponential(spectrum, t) if target_h is h else evolve(target_h, t)
-    del spectrum  # freed before the distance, which holds the most operators
-    return phase_aligned_distance(u, target)
+    return phase_aligned_distance(u, target_unitary(task, h, total_time, intervals))
 
 
 def _diagonal_distance(task: TaskSpec, schedule: PulseSchedule, h: PauliHamiltonian,
                        total_time: float, reps: int, intervals: int) -> float:
-    energies = _diagonal_sum(h)  # the one diagonal of h
-    flip, u_pass = _diagonal_pass(schedule, _phases(energies, schedule.tau))
+    flip, u_pass = run_schedule_diagonal(schedule, h)
     # a monomial is unitary exactly when every |u[x]| = 1
     if not np.allclose(np.abs(u_pass) ** 2, 1, atol=UNITARITY_TOL):
         raise AssertionError("schedule unitary failed the unitarity check")
-    target_h, t = _target_hamiltonian(task, h, total_time, intervals)
-    target = _phases(energies if target_h is h else _diagonal_sum(target_h), t)
-    del energies  # freed before the distance, which holds the most vectors
+    target = _diagonal_evolution(*_target_hamiltonian(task, h, total_time, intervals))
     return monomial_distance(*monomial_power(flip, u_pass, reps), target)
 
 

@@ -1,8 +1,8 @@
 """Pauli words decoded once into masks.  A PauliHamiltonian's checks and reads
 agree with the letter-by-letter rule they replace, its tables agree bit for
 bit with a term-by-term sum however many blocks they take, and one verify
-assembles and exponentiates each Hamiltonian once, with nothing kept for the
-next call."""
+exponentiates each Hamiltonian it needs once, with nothing kept for the next
+call."""
 
 import itertools
 import tracemalloc
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoupler import simulate
+from decoupler.hadamard import sylvester
 from decoupler.schemes import GATES, TaskSpec, synth
 from decoupler.simulate import (
     PauliHamiltonian,
@@ -97,6 +98,38 @@ def test_word_masks_follow_the_letter_rule():
         assert word_monomial(word)[0] == flip
 
 
+def test_masks_hold_qubit_0_in_the_top_bit_up_to_63_qubits():
+    for n in (56, 57, 60, 63):
+        codes = np.zeros((2, n), dtype=np.uint8)
+        codes[0, 0] = GATES.index("Y")
+        codes[1, [0, n - 1]] = GATES.index("Z")
+        flip, z, y = word_masks(codes)
+        assert flip.tolist() == [1 << (n - 1), 0]
+        assert z.tolist() == [1 << (n - 1), (1 << (n - 1)) | 1]
+        assert y.tolist() == [1, 0]
+    with pytest.raises(ValueError, match="at most 63 qubits"):
+        word_masks(np.zeros((1, 64), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_parity_rows_are_the_sylvester_rows(n):
+    """Row z of the parities, split into two half-length rows, is row z of
+    sylvester(n): 0 where it is +1 and 1 where it is -1."""
+    rows = simulate._parities(np.arange(1 << n), n)
+    assert rows.dtype == np.uint8
+    assert np.array_equal(rows, sylvester(n).entries < 0)
+
+
+def test_the_simulator_needs_no_numpy_2_popcount(monkeypatch):
+    """numpy.bitwise_count first appeared in numpy 2.0; numpy 1.23 is supported."""
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    for kind, n in (("general", 3), ("zz", 5)):
+        task = TaskSpec("reverse", kind)
+        h = random_hamiltonian(n, 2, kind, with_local=True)
+        assert verify(task, synth(task, n), h, 0.1, 3).passed
+    assert word_monomial("XYZ")[0] == 0b110
+
+
 def test_a_bad_letter_is_not_read_as_a_gate():
     with pytest.raises(ValueError, match="bad Pauli word"):
         word_monomial("XQ")
@@ -145,13 +178,14 @@ def counted(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("task,eighs", [
     (TaskSpec("decouple", "general"), 1),
-    (TaskSpec("reverse", "general"), 1),
+    (TaskSpec("reverse", "general"), 2),
     (TaskSpec("select", "general", (0, 2), ("x", "y")), 2),
     (TaskSpec("select_pair", "general", (0, 2)), 2),
 ], ids=["decouple", "reverse", "select", "pair"])
-def test_dense_verify_eigendecomposes_each_hamiltonian_once(monkeypatch, task, eighs):
-    """The pass and a reversal target share h's one eigendecomposition; a
-    select or pair target is another Hamiltonian, with its own."""
+def test_dense_verify_eigendecomposes_once_per_evolution(monkeypatch, task, eighs):
+    """run_schedule decomposes h once, and target_unitary decomposes a target
+    other than the identity once more: for a reversal that is h again, at
+    its own time."""
     h = random_hamiltonian(4, 3, "general", with_local=True)
     calls = counted(monkeypatch, np.linalg, "eigh")
     result = verify(task, synth(task, 4), h, 0.1, 4)
@@ -160,18 +194,20 @@ def test_dense_verify_eigendecomposes_each_hamiltonian_once(monkeypatch, task, e
 
 
 @pytest.mark.parametrize("kind", ["decouple", "select", "reverse"])
-def test_diagonal_verify_sums_the_diagonal_of_h_once(monkeypatch, kind):
+def test_diagonal_verify_sums_one_diagonal_per_evolution(monkeypatch, kind):
+    """The pass sums h's diagonal once and the target sums its own: h's again
+    for a reversal."""
     h = random_hamiltonian(5, 3, "zz", with_local=True)
     task = TaskSpec(kind, "zz", (1, 3) if kind == "select" else ())
     calls = counted(monkeypatch, simulate, "_diagonal_sum")
     assert verify(task, synth(task, 5), h, 0.1, 4).passed
-    assert sum(arg is h for arg in calls) == 1
-    assert len(calls) == (1 if kind == "reverse" else 2)
+    assert sum(arg is h for arg in calls) == (2 if kind == "reverse" else 1)
+    assert len(calls) == 2
 
 
 def test_no_state_crosses_verify_calls(monkeypatch):
     """Equal Hamiltonians, and the same one twice: each call decomposes its own."""
-    task = TaskSpec("reverse", "general")
+    task = TaskSpec("decouple", "general")
     scheme = synth(task, 3)
     first = random_hamiltonian(3, 8, "general", with_local=True)
     second = random_hamiltonian(3, 8, "general", with_local=True)
