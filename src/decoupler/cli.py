@@ -51,7 +51,10 @@ def analyze_rows(n_max: int, framework: str, sylvester_only: bool = False,
         (c.triples + (c.intervals - 3 * c.triples > 1), c)
         for c in _candidates(cap) if not sylvester_only or c.kind == "sylvester"]
     bound = cap if framework == "zz" else max((capacity for capacity, _ in table), default=0)
-    if framework == "zz" and 1 <= n_max <= cap:
+    if framework == "zz" and n_max > cap:  # no scan down from a cap of any size
+        raise ValueError(f"n_max must be in 1..N for the zz framework, N the largest "
+                         f"Hadamard order within cap {cap}; got {n_max}, above the cap")
+    if framework == "zz" and 1 <= n_max:
         # no order in n_max..cap: the rows end at the largest order below n_max,
         # a scan that costs less than the rows up to n_max would
         try:

@@ -11,23 +11,28 @@ binary symplectic form): flip, its X/Y qubits, z, its Y/Z qubits, and y, its
 number of Y.  With qubit 0 the most significant bit of x (np.kron order) it is
 the monomial P|x> = i^y (-1)^popcount(x & z) |x ^ flip>, and its sign over x
 is row z of sylvester(n), a Walsh function, read as popcount parities.  A
-layer's phase is that Walsh row times i^y.  The dense path tables its
-Hamiltonian terms' Walsh rows and adds each to its flip's sum; the vector path
-adds each term's sign as the broadcast product of its at most two per-qubit
-sign rows, which near its 20-qubit cap costs fewer memory passes than a row.
-Tables are built a block at a time, a block at most one operator of the
-backend (or _MIN_BLOCK entries, when that is more).
+layer's phase is that Walsh row times i^y.
+
+One kernel, _pauli_sums, builds every Pauli sum as one row per distinct flip:
+the dense path scatters the rows into a 2^n x 2^n matrix, the vector path
+exponentiates the flip-0 row, the diagonal.  Row z of sylvester(n) is row
+z >> low of sylvester(n - low) times row z mod 2^low of sylvester(low), so x
+runs in cache-sized chunks of 2^low entries with fixed high bits, low =
+min(n, _CHUNK_BITS), one chunk at every dense size: each term's low row times
+c i^y is tabled once and added to each chunk of its flip's row, subtracted
+where popcount(chunk & z >> low) is odd.  Term rows and layer parity rows are
+tabled a block of at most _TABLE entries at a time.
 
 Every pass of a schedule under a Z-diagonal Hamiltonian is a monomial too,
 (flip, u) with U|x> = u[x] |x ^ flip>, and runs on 2^n vectors; any other
 Hamiltonian runs on dense 2^n x 2^n matrices, which stay the reference the
 vector path is tested against.  Each evolution a verify needs, the pass's and
-the target's, assembles and eigendecomposes its Hamiltonian once (dense) or
-sums its diagonal once (vectors), and nothing outlives the call.
+the target's, sums its Hamiltonian once (and, dense, eigendecomposes it
+once), and nothing outlives the call.
 
-Every array is bit for bit what the letter-by-letter rule gives: a flip's sum
-adds c i^y (-1)^popcount(x & z) of its terms in term order from 0.0, and a
-phase is a float +/-1 row times the scalar i^y.
+Every array is bit for bit what the letter-by-letter rule gives: each entry
+of a flip's row adds c i^y (-1)^popcount(x & z) of its terms in term order
+from 0.0, whatever the chunks, and a phase is a float +/-1 row times i^y.
 """
 
 from __future__ import annotations
@@ -55,8 +60,10 @@ _POWERS = np.array(_I_POWERS)
 _FLIPS = np.array([False, True, True, False])
 _SIGNED = np.array([False, False, True, True])
 _Y = GATES.index("Y")
-# the fewest entries a table block may hold, as many as one n = 6 dense operator
-_MIN_BLOCK = 1 << 12
+# the most entries a table block holds, of term rows or layer parity rows
+_TABLE = 1 << 15
+# _pauli_sums runs over x in chunks of at most 2^_CHUNK_BITS entries
+_CHUNK_BITS = 13
 
 
 def _packed(bits: np.ndarray) -> np.ndarray:
@@ -192,12 +199,6 @@ def random_hamiltonian(n: int, seed: int, kind: str = "zz",
     return PauliHamiltonian(n, tuple(terms))
 
 
-def _block_rows(dim: int, operator: int) -> int:
-    """Rows of 2^n entries a table block may hold: one operator of the backend
-    (operator entries), or _MIN_BLOCK entries when that is more."""
-    return max(operator, _MIN_BLOCK) // dim
-
-
 def _fold(v: np.ndarray) -> np.ndarray:
     """The parity of each entry of a non-negative int64 array below 2^32, as uint8."""
     for shift in (16, 8, 4, 2, 1):
@@ -229,11 +230,11 @@ def _phase(z: int, y: int, parity: np.ndarray, shift: int = 0) -> np.ndarray:
     return np.where(parity, minus, plus)
 
 
-def _layers(p: PulseSchedule, operator: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+def _layers(p: PulseSchedule) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """(flip, z, y, parity row) of each gate layer of p in order, its layers
     decoded once and their parity rows tabled a block at a time."""
     flips, z, y = word_masks(decode_rows(p.layers, p.qubits, GATES)[0])
-    rows = _block_rows(1 << p.qubits, operator)
+    rows = max(1, _TABLE >> p.qubits)
     for start in range(0, len(flips), rows):
         block = slice(start, start + rows)
         yield from zip(flips[block].tolist(), z[block].tolist(), y[block].tolist(),
@@ -250,43 +251,33 @@ def word_monomial(word: str) -> tuple[int, np.ndarray]:
     return int(flip[0]), _phase(int(z[0]), int(y[0]), _parities(z, len(word))[0])
 
 
-def _flip_sums(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+def _pauli_sums(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """H as one signed permutation per flip: (flips, sums), ascending flips,
-    with H|x> = sum over k of sums[k, x] |x ^ flips[k]>.  Row k adds
-    c i^y (-1)^popcount(x & z) of each term with flip k in term order, from
-    0.0; sums is complex when some word has an odd number of Y.  The terms'
-    Walsh rows are tabled a block of at most one 2^n x 2^n operator at a time."""
-    dim = 1 << h.qubits
+    with H|x> = sum over k of sums[k, x] |x ^ flips[k]>, complex when some
+    word has an odd number of Y.  Each entry of row k adds
+    c i^y (-1)^popcount(x & z) of the terms with flip k in term order from
+    0.0, a chunk of x at a time as the module docstring describes."""
+    low = min(h.qubits, _CHUNK_BITS)
     flips, z, y = word_masks(h.codes)
     keys, group = np.unique(flips, return_inverse=True)
     weights = h.coefficients * _POWERS[y % 4]
     if not (y % 2).any():
         weights = weights.real
-    sums = np.zeros((len(keys), dim), weights.dtype)
-    rows = _block_rows(dim, dim * dim)
+    sums = np.zeros((len(keys), 1 << h.qubits), weights.dtype)
+    chunks = sums.reshape(len(keys), 1 << (h.qubits - low), 1 << low)
+    high = (z >> low).tolist()
+    rows = _TABLE >> low
     for start in range(0, len(flips), rows):
         block = slice(start, start + rows)
-        table = weights[block, None] * _SIGN[_parities(z[block], h.qubits)]
-        for k, row in zip(group[block].tolist(), table):
-            sums[k] += row
+        w = weights[block, None]
+        table = np.where(_parities(z[block] & ((1 << low) - 1), low), -w, w)
+        for chunk in range(chunks.shape[1]):
+            for k, zh, row in zip(group[block].tolist(), high[block], table):
+                if (chunk & zh).bit_count() & 1:
+                    chunks[k, chunk] -= row
+                else:
+                    chunks[k, chunk] += row
     return keys, sums
-
-
-def _diagonal_sum(h: PauliHamiltonian) -> np.ndarray:
-    """The diagonal of a Z-diagonal H as a flat 2^n float64 vector: each term
-    adds c times the broadcast product of its at most two per-qubit sign
-    rows, in term order from 0.0.  No 2^n row is built per term: near the
-    vector cap a table block would hold one row, which costs more memory
-    passes than the broadcast."""
-    n = h.qubits
-    rows = [_SIGN.reshape((1,) * q + (2,) + (1,) * (n - q - 1)) for q in range(n)]
-    factors: list[list[np.ndarray]] = [[] for _ in h.terms]
-    for t, q in zip(*np.nonzero(_SIGNED[h.codes])):
-        factors[t].append(rows[q])
-    out = np.zeros((2,) * n)
-    for c, f in zip(h.coefficients.tolist(), factors):
-        out += c * (f[0] * f[1] if len(f) == 2 else f[0] if f else 1.0)
-    return out.reshape(-1)
 
 
 def monomial_matrix(flip: int, u: np.ndarray) -> np.ndarray:
@@ -304,14 +295,16 @@ def word_matrix(word: str) -> np.ndarray:
 def hamiltonian_matrix(h: PauliHamiltonian) -> np.ndarray:
     out = np.zeros((2 ** h.qubits,) * 2, dtype=np.complex128)
     idx = np.arange(len(out))
-    flips, sums = _flip_sums(h)
+    flips, sums = _pauli_sums(h)
     out[idx ^ flips[:, None], idx] = sums
     return out
 
 
 def _diagonal_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:
-    """Diagonal of e^{-iHt} for a Z/I-only Hamiltonian."""
-    return np.exp(-1j * _diagonal_sum(h) * t)
+    """Diagonal of e^{-iHt} for a Z/I-only Hamiltonian: the exponential of its
+    flip-0 sum, or of zeros when H has no term."""
+    flips, sums = _pauli_sums(h)
+    return np.exp(-1j * (sums[0] if len(flips) else np.zeros(1 << h.qubits)) * t)
 
 
 def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:
@@ -335,7 +328,7 @@ def run_schedule(p: PulseSchedule, h: PauliHamiltonian) -> np.ndarray:
     dim = 2 ** h.qubits
     u_free = evolve(h, p.tau)
     idx = np.arange(dim)
-    layers = _layers(p, u_free.size)
+    layers = _layers(p)
     u = np.eye(dim, dtype=np.complex128)
     for step in p.steps:
         if step is None:
@@ -357,7 +350,7 @@ def run_schedule_diagonal(p: PulseSchedule, h: PauliHamiltonian) -> tuple[int, n
         raise ValueError("Hamiltonian is not Z-diagonal")
     d = _diagonal_evolution(h, p.tau)
     idx = np.arange(d.size)
-    layers = _layers(p, d.size)
+    layers = _layers(p)
     flip, u = 0, np.ones_like(d)
     for step in p.steps:
         if step is None:

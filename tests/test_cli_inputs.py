@@ -2,6 +2,7 @@
 never a traceback."""
 
 import io
+import time
 import warnings
 
 import numpy as np
@@ -473,3 +474,15 @@ def test_verify_interval_of_zero_is_refused_naming_time_reps_and_m(tmp_path, cap
                                  "--reps", reps])
     assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
     assert "--time" in err and "--reps" in err and "m=" in err and "tau must be" not in err
+
+
+@pytest.mark.parametrize("cap", [4097, 10 ** 12 + 1])
+def test_analyze_zz_past_the_cap_is_refused_without_a_scan(capsys, cap):
+    # the cap need not have a recipe, so the message names no order as the
+    # bound; it is refused at once, with no scan down from the cap
+    argv = ["--cap", str(cap), "analyze", "--framework", "zz", "--n-max", str(cap + 1)]
+    start = time.perf_counter()
+    code, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"got {cap + 1}, above the cap" in err and f"1..{cap} " not in err

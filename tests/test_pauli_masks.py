@@ -199,7 +199,7 @@ def test_diagonal_verify_sums_one_diagonal_per_evolution(monkeypatch, kind):
     for a reversal."""
     h = random_hamiltonian(5, 3, "zz", with_local=True)
     task = TaskSpec(kind, "zz", (1, 3) if kind == "select" else ())
-    calls = counted(monkeypatch, simulate, "_diagonal_sum")
+    calls = counted(monkeypatch, simulate, "_pauli_sums")
     assert verify(task, synth(task, 5), h, 0.1, 4).passed
     assert sum(arg is h for arg in calls) == (2 if kind == "reverse" else 1)
     assert len(calls) == 2
