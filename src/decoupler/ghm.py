@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
 from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, ValidityReport, decode_rows,
                        exceeds_cap, expect_end, format_rows, gram, frozen, is_normalized,
-                       parse_rows, read_only, upper_pairs)
-from .schur import five_rows, partition_sylvester, sylvester
+                       parse_rows, read_only, sylvester, upper_pairs)
+from .schur import five_rows, partition_sylvester
 
 # sign of coordinate t for element g: rows e, x, y, z
 TRIPLE_SIGNS = np.array(

@@ -1,11 +1,11 @@
 """Hadamard matrix constructions and the recipe of each constructible order,
-plus the kernels every sign matrix goes through: `gram`, the exact float32
-Gram matrix by which all orthogonality is tested, with `upper_pairs` its one
-scan; `canonical_indices`, which names rows by their index in the canonical
-(normalized, recipe-built) matrix of their order instead, Sylvester rows by
-`walsh_indices` with no matrix, Paley and Kronecker rows by a lookup in the
-matrix they came from; and `format_rows` / `decode_rows`, the one row codec
-of files and layers.
+plus the kernels every sign matrix goes through: `walsh_rows`, which builds
+every Sylvester row (sylvester(r) and the simulator's sign rows); `gram`, the
+exact float32 Gram by which all orthogonality is tested, with `upper_pairs`
+its one scan; `canonical_indices`, which names rows by their index in the
+canonical matrix of their order instead, Sylvester rows by `walsh_indices`
+(`walsh_rows` undone) with no matrix, other rows by a lookup in the matrix
+they came from; and `format_rows` / `decode_rows`, the one row codec.
 
 The codec works on one block of about 64 KiB of text at a time, so what it
 holds beyond its input and output is one block.  Encoding fills one text
@@ -152,6 +152,21 @@ def walsh_indices(rows, dropped_first: bool = False) -> np.ndarray | None:
     return (rows[:, powers - off] < 0) @ powers
 
 
+def walsh_rows(k, r: int) -> np.ndarray:
+    """Rows k of sylvester(r), bits of k from r up ignored, as a new +/-1 int8
+    array of shape k.shape + (2^r,): `walsh_indices`' recurrence run forward,
+    x[0] = 1 and x[2^b:2^(b+1)] = x[:2^b] * (-1)^(bit b of k), each level one
+    XOR of the bytes (0x01 for +1, 0xFF for -1) with 0xFE where bit b is set."""
+    k = np.asarray(k, dtype=np.int64)
+    rows = np.empty(k.shape + (1 << r,), dtype=np.int8)
+    rows[..., 0] = 1
+    x = rows.view(np.uint8)
+    masks = (k[..., None] >> np.arange(r) & 1).astype(np.uint8) * np.uint8(0xFE)
+    for b in range(r):
+        np.bitwise_xor(x[..., :1 << b], masks[..., b, None], out=x[..., 1 << b:2 << b])
+    return rows
+
+
 def upper_pairs(mismatch: np.ndarray) -> np.ndarray:
     """Every (i, j) with i < j where the square bool matrix is set, in
     row-major order: the one pair scan of every orthogonality test."""
@@ -181,12 +196,7 @@ def sylvester(r: int, cap: int = DEFAULT_SIZE_CAP) -> HadamardMatrix:
         raise ValueError("r must be >= 0")
     if exceeds_cap(r, cap):
         raise SizeCapExceeded(f"sylvester order 2^{r} exceeds cap {cap}")
-    m = 1 << r
-    entries = np.ones((m, m), dtype=np.int8)
-    for k in (1 << b for b in range(r)):  # H, the leading k x k block, to [[H, H], [H, -H]]
-        entries[:k, k:2 * k] = entries[k:2 * k, :k] = entries[:k, :k]
-        np.negative(entries[:k, :k], out=entries[k:2 * k, k:2 * k])
-    return HadamardMatrix(frozen(entries), provenance=f"sylvester({r})")
+    return HadamardMatrix(frozen(walsh_rows(np.arange(1 << r), r)), provenance=f"sylvester({r})")
 
 
 def _is_prime(n: int) -> bool:

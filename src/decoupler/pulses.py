@@ -16,7 +16,7 @@ from typing import IO
 
 import numpy as np
 
-from .hadamard import decode_rows, format_rows
+from .hadamard import _block_rows, decode_rows, format_rows
 from .schemes import GATES, Scheme, SignMatrix, gate_codes, header_fields, merged_codes
 
 Step = str | None
@@ -53,10 +53,9 @@ def compile_zz(s: SignMatrix, tau: float = 1.0, merged: bool = True) -> PulseSch
 def compile_general(scheme: Scheme, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
     """Sign column (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z conjugation;
     a zz scheme S lowers as the triple (1, S, S)."""
-    codes = gate_codes(scheme)
-    if merged:
-        return _alternating(scheme.qubits, tau, merged_codes(codes))
-    layers = format_rows(codes.T, GATES).splitlines()
+    if merged:  # the gate codes are freed once merged, before the layers are formatted
+        return _alternating(scheme.qubits, tau, merged_codes(gate_codes(scheme)))
+    layers = format_rows(gate_codes(scheme).T, GATES).splitlines()
     steps = [step for layer in layers for step in (layer, None, layer)]
     return PulseSchedule(scheme.qubits, tau, tuple(steps))
 
@@ -88,9 +87,12 @@ def gate_count(p: PulseSchedule) -> int:
 # "G <layer>" and "F <tau>".
 
 def write_schedule(p: PulseSchedule, stream: IO[str]) -> None:
+    """The header, then the steps a codec block of text at a time, never all of it."""
     free = f"F {p.tau!r}\n"
-    body = "".join(free if s is None else f"G {s}\n" for s in p.steps)
-    stream.write(f"pulses n={p.qubits} m={p.total_intervals} tau={p.tau!r}\n{body}")
+    stream.write(f"pulses n={p.qubits} m={p.total_intervals} tau={p.tau!r}\n")
+    block = _block_rows(p.qubits + 2)  # a "G <layer>" line has n + 3 characters
+    for i in range(0, len(p.steps), block):
+        stream.write("".join(free if s is None else f"G {s}\n" for s in p.steps[i:i + block]))
 
 
 def read_schedule(stream: IO[str]) -> PulseSchedule:

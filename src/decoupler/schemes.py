@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import SizeCapExceeded
 from .hadamard import (DEFAULT_SIZE_CAP, all_signs, best_matrix, canonical_indices, expect_end,
-                       frozen, gram, parse_signs, read_only, upper_pairs, write_signs)
+                       frozen, gram, parse_signs, read_only, sylvester, upper_pairs, write_signs)
 from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
-from .schur import five_rows, partition_sylvester, sylvester
+from .schur import five_rows, partition_sylvester
 
 LABELS = ("x", "y", "z")
 GATES = "IXYZ"  # gate code c conjugates with GATES[c]

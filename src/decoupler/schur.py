@@ -14,7 +14,8 @@ from typing import IO
 
 import numpy as np
 
-from .hadamard import HadamardMatrix, sylvester
+from .errors import SizeCapExceeded
+from .hadamard import DEFAULT_SIZE_CAP, HadamardMatrix, exceeds_cap, walsh_rows
 
 Triple = tuple[int, int, int]
 
@@ -162,8 +163,9 @@ class FiveRows:
 
     @property
     def rows(self) -> np.ndarray:
-        h = sylvester(self.r)
-        return np.stack([h.row(i) for i in self.indices])
+        if exceeds_cap(self.r, DEFAULT_SIZE_CAP):  # the bound sylvester(r) puts on r
+            raise SizeCapExceeded(f"sylvester order 2^{self.r} exceeds cap {DEFAULT_SIZE_CAP}")
+        return walsh_rows(self.indices, self.r)
 
 
 def five_rows(r: int) -> FiveRows:

@@ -10,8 +10,8 @@ schedule's gate layers once per pass, into gate codes read as bit masks (the
 binary symplectic form): flip, its X/Y qubits, z, its Y/Z qubits, and y, its
 number of Y.  With qubit 0 the most significant bit of x (np.kron order) it is
 the monomial P|x> = i^y (-1)^popcount(x & z) |x ^ flip>, and its sign over x
-is row z of sylvester(n), a Walsh function, read as popcount parities.  A
-layer's phase is that Walsh row times i^y.
+is row z of sylvester(n), a Walsh function, which hadamard.walsh_rows
+builds.  A layer's phase is that Walsh row times i^y.
 
 One kernel, _pauli_sums, builds every Pauli sum as one row per distinct flip:
 the dense path scatters the rows into a 2^n x 2^n matrix, the vector path
@@ -20,8 +20,9 @@ z >> low of sylvester(n - low) times row z mod 2^low of sylvester(low), so x
 runs in cache-sized chunks of 2^low entries with fixed high bits, low =
 min(n, _CHUNK_BITS), one chunk at every dense size: each term's low row times
 c i^y is tabled once and added to each chunk of its flip's row, subtracted
-where popcount(chunk & z >> low) is odd.  Term rows and layer parity rows are
-tabled a block of at most _TABLE entries at a time.
+where popcount(chunk & z >> low) is odd.  Term rows and layer sign rows are
+tabled a block of at most _TABLE entries at a time, and an empty H, the
+target of every decouple task, has no flip and skips the kernel.
 
 Every pass of a schedule under a Z-diagonal Hamiltonian is a monomial too,
 (flip, u) with U|x> = u[x] |x ^ flip>, and runs on 2^n vectors; any other
@@ -42,7 +43,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .hadamard import decode_rows, frozen
+from .hadamard import decode_rows, frozen, walsh_rows
 from .pulses import PulseSchedule, compile_general
 from .schemes import GATES, Scheme, TaskSpec, check_scheme
 
@@ -60,7 +61,7 @@ _POWERS = np.array(_I_POWERS)
 _FLIPS = np.array([False, True, True, False])
 _SIGNED = np.array([False, False, True, True])
 _Y = GATES.index("Y")
-# the most entries a table block holds, of term rows or layer parity rows
+# the most entries a table block holds, of term rows or layer sign rows
 _TABLE = 1 << 15
 # _pauli_sums runs over x in chunks of at most 2^_CHUNK_BITS entries
 _CHUNK_BITS = 13
@@ -199,31 +200,11 @@ def random_hamiltonian(n: int, seed: int, kind: str = "zz",
     return PauliHamiltonian(n, tuple(terms))
 
 
-def _fold(v: np.ndarray) -> np.ndarray:
-    """The parity of each entry of a non-negative int64 array below 2^32, as uint8."""
-    for shift in (16, 8, 4, 2, 1):
-        v = v ^ v >> shift
-    return (v & 1).astype(np.uint8)
-
-
-def _parities(z: np.ndarray, n: int) -> np.ndarray:
-    """popcount(x & z) mod 2 as uint8 over x in 0..2^n - 1, one row per mask
-    z: the signs of rows z of sylvester(n), 0 for + and 1 for -.  Row z is the
-    Kronecker product of row z >> low of sylvester(n - low) and row
-    z mod 2^low of sylvester(low), so each 2^n row is one XOR of two short
-    parity rows."""
-    low = n // 2
-    x = np.arange(1 << (n - low))
-    high = _fold((z >> low)[:, None] & x)
-    rest = _fold((z & ((1 << low) - 1))[:, None] & x[:1 << low])
-    return (high[:, :, None] ^ rest[:, None, :]).reshape(len(z), -1)
-
-
 def _phase(z: int, y: int, parity: np.ndarray, shift: int = 0) -> np.ndarray:
     """phase[x ^ shift] over x for the word P|x> = phase[x] |x ^ flip> with
-    masks z and y and parity row `parity`, each entry one of +/-1.0 times the
-    scalar i^y.  (x ^ shift) & z has the parity of x & z flipped by that of
-    shift & z, so no index is permuted."""
+    masks z and y and `parity` the bool row walsh_rows(z, n) < 0, each entry
+    one of +/-1.0 times the scalar i^y.  (x ^ shift) & z has the parity of
+    x & z flipped by that of shift & z, so no index is permuted."""
     plus, minus = _SIGN * _I_POWERS[y % 4]
     if (shift & z).bit_count() & 1:
         plus, minus = minus, plus
@@ -232,13 +213,13 @@ def _phase(z: int, y: int, parity: np.ndarray, shift: int = 0) -> np.ndarray:
 
 def _layers(p: PulseSchedule) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """(flip, z, y, parity row) of each gate layer of p in order, its layers
-    decoded once and their parity rows tabled a block at a time."""
+    decoded once and their Walsh rows read a block at a time."""
     flips, z, y = word_masks(decode_rows(p.layers, p.qubits, GATES)[0])
     rows = max(1, _TABLE >> p.qubits)
     for start in range(0, len(flips), rows):
         block = slice(start, start + rows)
         yield from zip(flips[block].tolist(), z[block].tolist(), y[block].tolist(),
-                       _parities(z[block], p.qubits))
+                       walsh_rows(z[block], p.qubits) < 0)
 
 
 def word_monomial(word: str) -> tuple[int, np.ndarray]:
@@ -248,7 +229,7 @@ def word_monomial(word: str) -> tuple[int, np.ndarray]:
     if not valid:
         raise ValueError(f"bad Pauli word {word!r}")
     flip, z, y = word_masks(codes)
-    return int(flip[0]), _phase(int(z[0]), int(y[0]), _parities(z, len(word))[0])
+    return int(flip[0]), _phase(int(z[0]), int(y[0]), walsh_rows(z[0], len(word)) < 0)
 
 
 def _pauli_sums(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -257,6 +238,8 @@ def _pauli_sums(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     word has an odd number of Y.  Each entry of row k adds
     c i^y (-1)^popcount(x & z) of the terms with flip k in term order from
     0.0, a chunk of x at a time as the module docstring describes."""
+    if not h.terms:  # every decouple target: no flip, and nothing to decode
+        return np.zeros(0, np.int64), np.zeros((0, 1 << h.qubits))
     low = min(h.qubits, _CHUNK_BITS)
     flips, z, y = word_masks(h.codes)
     keys, group = np.unique(flips, return_inverse=True)
@@ -270,7 +253,7 @@ def _pauli_sums(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, len(flips), rows):
         block = slice(start, start + rows)
         w = weights[block, None]
-        table = np.where(_parities(z[block] & ((1 << low) - 1), low), -w, w)
+        table = np.where(walsh_rows(z[block], low) < 0, -w, w)
         for chunk in range(chunks.shape[1]):
             for k, zh, row in zip(group[block].tolist(), high[block], table):
                 if (chunk & zh).bit_count() & 1:

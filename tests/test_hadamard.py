@@ -1,7 +1,10 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoupler.errors import SizeCapExceeded
 from decoupler.hadamard import (
@@ -18,6 +21,8 @@ from decoupler.hadamard import (
     read_matrix,
     recipe_str,
     sylvester,
+    walsh_indices,
+    walsh_rows,
     write_matrix,
 )
 
@@ -83,6 +88,56 @@ class TestSylvester:
     def test_negative_r(self):
         with pytest.raises(ValueError):
             sylvester(-1)
+
+
+# sha256 of sylvester(r).entries as built by the Kronecker block-doubling loop
+# that walsh_rows replaced, frozen before the change
+SYLVESTER_SHA256 = [
+    "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    "ae0c359ec39763b63fab5028b9c20bdc187b02cf0b81eed343de9b44a84c32c1",
+    "14edb060b895542e36542bfe57c990c3ab60c74c6ded991c127ff28bf669f4aa",
+    "7c99a8eda1a433afd28577a0d930873985123e34c4999f5e6a60e393c505a36d",
+    "4173cdf0377bf83a777e9674bf71f5b1cbb97a7c767d5b8465e27b04c375ab1f",
+    "0b71401da96bcee9b8441720c63918f3485d8541ed6dca419199d56c43128853",
+    "4be469934f00a70b701ba4d1d2f489d817feb9fce017ad0decb3433bb851aae0",
+    "6c75072bc838cd31cf9d36107ed40203803153bb786269c7ef3e53e17ba46fee",
+    "48e8331c828232b2d80b2d9f39b388a49c074fd94a6688a58f8a872a7d1c12f9",
+    "6746c1ade12fafc83ad1d0ec4cda7dca2b0138b6ec2f2f37fc25915f12ee2c0f",
+    "5a173b88a228b188b33834779879f49d602f43520e6c56c581d8adeb206732d7",
+    "1b0bbe0b93141d457a5eaacf3e9593a71b5bfa389219937d47c97082ff3e51dc",
+    "1d9ba72dad9df866357b12ee4d9abc39da0bd29b009ac04fab6b1cbb994c97b2",
+    "b3d718a0b6674e90f8212b332beca53bf6970cd560379a517d26e26fb1ce4673",
+]
+
+
+class TestWalshRows:
+    @pytest.mark.parametrize("r", range(len(SYLVESTER_SHA256)))
+    def test_sylvester_bytes_are_frozen(self, r):
+        h = sylvester(r, cap=1 << r)
+        assert h.entries.dtype == np.int8 and h.entries.flags.c_contiguous
+        assert hashlib.sha256(h.entries.tobytes()).hexdigest() == SYLVESTER_SHA256[r]
+
+    @pytest.mark.parametrize("r", range(13))
+    def test_rows_of_every_shape_are_the_sylvester_rows(self, r):
+        entries = sylvester(r, cap=1 << r).entries
+        rng = np.random.default_rng(r)
+        for shape in ((), (7,), (3, 5), (0,), (2, 0)):
+            k = rng.integers(0, 1 << r, size=shape)
+            rows = walsh_rows(k, r)
+            assert rows.dtype == np.int8 and rows.shape == np.shape(k) + (1 << r,)
+            assert rows.flags.writeable
+            assert np.array_equal(rows, entries[k])
+
+    def test_bits_above_r_are_ignored(self):
+        k = np.array([5, 5 + 8, 5 + 64])
+        assert np.array_equal(walsh_rows(k, 3), np.tile(sylvester(3).entries[5], (3, 1)))
+
+    @given(st.integers(0, 12).flatmap(
+        lambda r: st.tuples(st.just(r), st.lists(st.integers(0, (1 << r) - 1), max_size=20))))
+    @settings(deadline=None)
+    def test_walsh_indices_undoes_walsh_rows(self, case):
+        r, k = case
+        assert walsh_indices(walsh_rows(np.array(k, dtype=np.int64), r)).tolist() == k
 
 
 class TestPaley:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoupler import simulate
-from decoupler.hadamard import sylvester
+from decoupler.hadamard import sylvester, walsh_rows
 from decoupler.schemes import GATES, TaskSpec, synth
 from decoupler.simulate import (
     PauliHamiltonian,
@@ -113,10 +113,10 @@ def test_masks_hold_qubit_0_in_the_top_bit_up_to_63_qubits():
 
 @pytest.mark.parametrize("n", range(8))
 def test_parity_rows_are_the_sylvester_rows(n):
-    """Row z of the parities, split into two half-length rows, is row z of
-    sylvester(n): 0 where it is +1 and 1 where it is -1."""
-    rows = simulate._parities(np.arange(1 << n), n)
-    assert rows.dtype == np.uint8
+    """The parity rows the simulator reads, walsh_rows(z, n) < 0, are the
+    rows z of sylvester(n): False where it is +1 and True where it is -1."""
+    rows = walsh_rows(np.arange(1 << n), n) < 0
+    assert rows.dtype == bool
     assert np.array_equal(rows, sylvester(n).entries < 0)
 
 

@@ -1,5 +1,7 @@
 import io
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from decoupler.pulses import (
     simplify,
     write_schedule,
 )
-from decoupler.schemes import SignMatrix, SignTriple, synth_select_zz
+from decoupler.schemes import SignMatrix, SignTriple, TaskSpec, synth, synth_select_zz
 
 S2 = SignMatrix(np.array([[1, 1], [1, -1]]))
 S4 = SignMatrix(np.array([
@@ -168,6 +170,23 @@ class TestScheduleFormat:
         spaced = head + "\n".join(body) + "\n  \n\t\n"
         assert read_schedule(io.StringIO(spaced)) == read_schedule(io.StringIO(buf.getvalue())) == p
 
+    @pytest.mark.parametrize("merged", [True, False])
+    def test_text_past_one_block_is_every_line_in_order(self, merged):
+        """A general n = 30 scheme (m = 128) with its rows repeated to 2000
+        qubits: lines of about 2 KB, so its 257 or 384 steps span several
+        blocks of text."""
+        scheme = synth(TaskSpec("decouple", "general"), 30)
+        wide = SignTriple(*(SignMatrix(np.tile(b.entries, (67, 1))[:2000])
+                            for b in (scheme.sx, scheme.sy, scheme.sz)))
+        p = compile_general(wide, 0.25, merged)
+        buf = io.StringIO()
+        write_schedule(p, buf)
+        header = f"pulses n=2000 m={wide.intervals} tau=0.25"
+        lines = [header] + ["F 0.25" if s is None else f"G {s}" for s in p.steps]
+        assert buf.getvalue() == "\n".join(lines) + "\n"
+        buf.seek(0)
+        assert read_schedule(buf) == p
+
     def test_bad_header(self):
         with pytest.raises(ValueError):
             read_schedule(io.StringIO("nope\n"))
@@ -209,3 +228,22 @@ def test_layer_check_names_the_first_bad_layer(qubits, steps):
     else:
         with pytest.raises(ValueError, match="^" + re.escape(f"bad gate layer {bad!r}") + "$"):
             PulseSchedule(qubits, 1.0, tuple(steps))
+
+
+def test_compile_and_write_hold_one_copy_of_the_schedule():
+    """compile_general frees the n x m gate codes once they are merged, and
+    write_schedule writes the steps a line at a time, so compiling and writing
+    a general scheme peaks near three n x m byte arrays (the merged codes,
+    their text and the layer strings), not five."""
+    scheme = synth(TaskSpec("decouple", "general"), 1365)
+    n, m = scheme.qubits, scheme.intervals
+    assert m == 4096
+    with open(os.devnull, "w") as devnull:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_schedule(compile_general(scheme), devnull)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3.5 * n * m + (1 << 20)

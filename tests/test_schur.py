@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoupler.errors import SizeCapExceeded
 from decoupler.hadamard import sylvester
 from decoupler.schur import (
     five_rows,
@@ -186,6 +187,11 @@ class TestFiveRows:
     def test_r_below_three_rejected(self):
         with pytest.raises(ValueError):
             five_rows(2)
+
+    def test_rows_keep_the_sylvester_cap(self):
+        assert five_rows(12).rows.shape == (5, 4096)
+        with pytest.raises(SizeCapExceeded, match=r"2\^13 exceeds cap 4096"):
+            five_rows(13).rows
 
 
 class TestReportingAndFormat:
