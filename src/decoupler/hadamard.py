@@ -9,19 +9,22 @@ they came from; and `format_rows` / `decode_rows`, the one row codec.
 
 The codec works on one block of about 64 KiB of text at a time, so what it
 holds beyond its input and output is one block.  Encoding fills one text
-buffer: a two-letter alphabet by the multiply-add a + (b - a)·code, a wider
-one by `np.take` over one block of codes, whose intp copy is then 8 bytes a
-code of that block only (a fancy index over all codes would make it for the
-whole array); `write_signs` writes a +/-1 matrix a block at a time, so no
-sign mask or text as large as the matrix exists.  Decoding joins a block of
-lines, encodes it to ASCII and maps it by `bytes.translate` straight into its
-rows of one int8 array, allocated as the rows arrive: no list of all lines,
-join of all rows or extra copy of the codes.
+buffer, each block of codes mapped to its letters by `bytes.translate`;
+`write_signs` writes a +/-1 matrix a block at a time, each letter 44 - sign
+('+' is byte 43, '-' byte 45), so no sign mask or text as large as the
+matrix exists.  A reader takes each block of n rows of m letters with one
+read of n (m + 1) characters.  A canonical block, a newline after every m
+letters (the last row of the stream may lack it), is decoded over its
+bytes straight into its rows of one int8 array, allocated as the rows
+arrive: signs as 44 - letter, other alphabets by a `bytes.translate` table.
+Any other block (CRLF or padded rows, a short or missing row) is read line
+by line and stripped, as a line reader would, and so is a canonical block
+with a bad letter, so that the first bad row is named.  Only a short row
+makes the one read take text past the block, and it is always an error.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO
@@ -152,19 +155,20 @@ def walsh_indices(rows, dropped_first: bool = False) -> np.ndarray | None:
     return (rows[:, powers - off] < 0) @ powers
 
 
-def walsh_rows(k, r: int) -> np.ndarray:
+def walsh_rows(k, r: int, parity: bool = False) -> np.ndarray:
     """Rows k of sylvester(r), bits of k from r up ignored, as a new +/-1 int8
-    array of shape k.shape + (2^r,): `walsh_indices`' recurrence run forward,
-    x[0] = 1 and x[2^b:2^(b+1)] = x[:2^b] * (-1)^(bit b of k), each level one
-    XOR of the bytes (0x01 for +1, 0xFF for -1) with 0xFE where bit b is set."""
+    array of shape k.shape + (2^r,), or with `parity` as the bool array of
+    their signs < 0, popcount(k & j) odd: `walsh_indices`' recurrence run
+    forward, x[0] = 1 and x[2^b:2^(b+1)] = x[:2^b] * (-1)^(bit b of k), each
+    level one XOR of the bytes (0x01 for +1, 0xFF for -1; 0 and 1 for the
+    parity) with 0xFE (1) where bit b is set."""
     k = np.asarray(k, dtype=np.int64)
-    rows = np.empty(k.shape + (1 << r,), dtype=np.int8)
-    rows[..., 0] = 1
-    x = rows.view(np.uint8)
-    masks = (k[..., None] >> np.arange(r) & 1).astype(np.uint8) * np.uint8(0xFE)
+    x = np.empty(k.shape + (1 << r,), dtype=np.uint8)
+    x[..., 0] = 0 if parity else 1
+    masks = (k[..., None] >> np.arange(r) & 1).astype(np.uint8) * np.uint8(1 if parity else 0xFE)
     for b in range(r):
         np.bitwise_xor(x[..., :1 << b], masks[..., b, None], out=x[..., 1 << b:2 << b])
-    return rows
+    return x.view(bool if parity else np.int8)
 
 
 def upper_pairs(mismatch: np.ndarray) -> np.ndarray:
@@ -383,6 +387,8 @@ def catalog_gaps(limit: int, cap: int = DEFAULT_SIZE_CAP) -> list[tuple[int, int
 _BLOCK_BYTES = 1 << 16
 # A reader allocates codes for at most this many bytes of rows before it has read them.
 _RESERVE_BYTES = 1 << 22
+# '+' and '-' are the bytes 43 and 45, so the letter of a sign s is 44 - s
+_SIGN_LETTER = 44
 
 
 def _block_rows(m: int) -> int:
@@ -390,36 +396,41 @@ def _block_rows(m: int) -> int:
     return max(1, _BLOCK_BYTES // (m + 1))
 
 
-def format_rows(codes, alphabet: str) -> str:
+def format_rows(codes, alphabet: str, prefix: str = "", suffix: str = "") -> str:
     """The row codec of every text format: row i of a 2-d array of codes
-    0..len(alphabet)-1 becomes a line whose character j is alphabet[codes[i, j]];
-    any other code raises IndexError."""
+    0..len(alphabet)-1 becomes a line whose character j is alphabet[codes[i, j]],
+    between `prefix` and `suffix`; any other code raises IndexError."""
     codes = np.asarray(codes)
     codes = codes.view(np.uint8) if codes.dtype.itemsize == 1 else codes.astype(np.uint8)
     top = codes.max(initial=0)
     if top >= len(alphabet):
         raise IndexError(f"code {top} is outside the alphabet {alphabet!r}")
     n, m = codes.shape
-    letters = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)
-    text = np.empty((n, m + 1), dtype=np.uint8)
-    text[:, m] = ord("\n")
-    step = _block_rows(m)
+    head, tail = prefix.encode("ascii"), (suffix + "\n").encode("ascii")
+    text = np.empty((n, len(head) + m + len(tail)), dtype=np.uint8)
+    text[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+    text[:, len(head) + m:] = np.frombuffer(tail, dtype=np.uint8)
+    letters = alphabet.encode("ascii").ljust(256, b"\0")  # a bytes.translate table
+    step = _block_rows(text.shape[1] - 1)
     for start in range(0, n, step):
-        block, out = codes[start:start + step], text[start:start + step, :m]
-        if len(letters) == 2:  # letter a + (b - a) code, in uint8 arithmetic
-            np.multiply(block, (int(letters[1]) - int(letters[0])) % 256, out=out)
-            out += letters[0]
-        else:  # an intp copy of one block of codes, not of them all
-            np.take(letters, block, out=out)
+        block = codes[start:start + step]
+        text[start:start + step, len(head):len(head) + m] = np.frombuffer(
+            block.tobytes().translate(letters), dtype=np.uint8).reshape(block.shape)
     return str(text.reshape(-1).data, "ascii")
 
 
 def write_signs(entries: np.ndarray, stream: IO[str]) -> None:
     """Write the rows of a +/-1 array as lines of '+'/'-', one codec block at
-    a time: no mask or text as large as the array is ever held."""
-    step = _block_rows(entries.shape[1])
-    for start in range(0, len(entries), step):
-        stream.write(format_rows(entries[start:start + step] < 0, "+-"))
+    a time, each letter 44 - sign: no text as large as the array is held."""
+    n, m = entries.shape
+    step = _block_rows(m)
+    text = np.empty((min(n, step), m + 1), dtype=np.uint8)
+    text[:, m] = ord("\n")
+    for start in range(0, n, step):
+        block = entries[start:start + step]
+        out = text[:len(block)]
+        np.subtract(_SIGN_LETTER, block, out=out[:, :m], casting="unsafe")
+        stream.write(str(out.reshape(-1).data, "ascii"))
 
 
 @lru_cache(maxsize=None)
@@ -455,10 +466,69 @@ def decode_rows(lines: list[str], m: int, alphabet: str) -> tuple[np.ndarray, in
     return codes, _decode_into(codes, lines, alphabet)
 
 
-def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.ndarray:
-    """Read n >= 1 lines of m letters from alphabet as a writable n x m int8
-    code array.  The first line of the wrong length or with a letter outside
-    the alphabet raises ValueError("bad <what> row '...'")."""
+def _read(stream: IO[str], size: int) -> str:
+    """stream.read(size) in reads of at most _RESERVE_BYTES characters: a file
+    read allocates what it is asked for, however little the file holds, and a
+    header may claim rows longer than the file."""
+    parts = []
+    while size > 0 and (part := stream.read(min(size, _RESERVE_BYTES))):
+        parts.append(part)
+        size -= len(part)
+    return "".join(parts)
+
+
+def _canonical(text: str, rows: int, m: int) -> tuple[bytes, np.ndarray] | None:
+    """(bytes, rows x m letters) of a canonical block, `rows` lines of m
+    characters each ended by a newline (the last line of the stream may lack
+    it), read as one string of rows (m + 1) characters or up to the end of
+    the stream; None for any other text."""
+    raw = text.encode("ascii", "replace")  # one byte a character
+    if m and len(raw) == rows * (m + 1) - 1:  # a short read: the stream has ended
+        raw += b"\n"
+    if len(raw) != rows * (m + 1):
+        return None
+    block = np.frombuffer(raw, dtype=np.uint8).reshape(rows, m + 1)
+    return (raw, block[:, :m]) if (block[:, m] == ord("\n")).all() else None
+
+
+def _lines(text: str, stream: IO[str], rows: int) -> list[str]:
+    """The next `rows` lines of the stream, stripped, where `text` is what one
+    read of the block returned: its last line completed by readline, then
+    one readline a line up to `rows` or the end of the stream.  More lines
+    than `rows` are read only when one of the first is short, an error."""
+    lines = text.split("\n")
+    if lines[-1]:
+        lines[-1] += stream.readline()
+    else:
+        lines.pop()
+    while len(lines) < rows and (line := stream.readline()):
+        lines.append(line)
+    return [line.strip() for line in lines[:rows]]
+
+
+def _decoded(out: np.ndarray, raw: bytes, letters: np.ndarray, alphabet: str,
+             signs: bool) -> bool:
+    """Decode a canonical block (`_canonical`) into out: a sign as 44 - letter
+    (1 for '+', -1 for '-'), else a code by the alphabet's table.  True when
+    every letter was valid."""
+    if signs:
+        np.subtract(_SIGN_LETTER, letters, out=out.view(np.uint8))
+        return all_signs(out)
+    codes = np.frombuffer(raw.translate(_decoder(alphabet)), dtype=np.int8)
+    out[:] = codes.reshape(len(out), -1)[:, :-1]
+    return out.min(initial=0) >= 0
+
+
+def _short(lines: list[str], m: int) -> int:
+    """The index of the first line of another length than m, else len(lines)."""
+    return next((i for i, line in enumerate(lines) if len(line) != m), len(lines))
+
+
+def _parse(stream: IO[str], n: int, m: int, alphabet: str, what: str, signs: bool) -> np.ndarray:
+    """parse_rows, or with `signs` parse_signs: each block of rows is one
+    read of its rows (m + 1) characters.  A canonical block is decoded over
+    its bytes; any other block, and one with a bad letter, line by line as
+    the lines are stripped, so that the first bad row is named."""
     if n < 1 or m < 0:
         raise ValueError(f"bad {what} shape {n} x {m}")
     step = _block_rows(m)
@@ -467,8 +537,10 @@ def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.
     while done < n:
         # a missing row, named '', ends the block, however large n claims it to be
         want = min(step, n - done)
-        lines = [line.strip() for line in itertools.islice(stream, want)]
-        short = next((i for i, line in enumerate(lines) if len(line) != m), len(lines))
+        text = _read(stream, want * (m + 1))
+        block = _canonical(text, want, m)
+        lines = None if block else _lines(text, stream, want)
+        short = _short(lines, m) if lines is not None else want
         if done + short > len(codes):
             # room for the rows read, _RESERVE_BYTES at first, then twice as
             # many: a header that claims more or longer rows than the stream
@@ -478,27 +550,41 @@ def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.
                 codes.resize((rows, m), refcheck=False)
             else:
                 codes = np.empty((rows, m), dtype=np.int8)
-        first = _decode_into(codes[done:done + short], lines, alphabet)
-        if first < want:
-            raise ValueError(f"bad {what} row {lines[first] if first < len(lines) else ''!r}")
+        if lines is None and not _decoded(codes[done:done + want], *block, alphabet, signs):
+            lines = _lines(text, stream, want)
+            short = _short(lines, m)
+        if lines is not None:
+            out = codes[done:done + short]
+            first = _decode_into(out, lines, alphabet)
+            if first < want:
+                raise ValueError(f"bad {what} row {lines[first] if first < len(lines) else ''!r}")
+            if signs:  # code c is the sign 1 - 2c
+                out *= -2
+                out += 1
         done += want
     return codes
 
 
+def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.ndarray:
+    """Read n >= 1 lines of m letters from alphabet as a writable n x m int8
+    code array.  The first line of the wrong length or with a letter outside
+    the alphabet raises ValueError("bad <what> row '...'")."""
+    return _parse(stream, n, m, alphabet, what, signs=False)
+
+
 def parse_signs(stream: IO[str], n: int, m: int, what: str) -> np.ndarray:
-    """`parse_rows` of n lines of m '+'/'-' as their read-only +/-1 signs,
-    mapped in place (code c is the sign 1 - 2c)."""
-    signs = parse_rows(stream, n, m, "+-", what)
-    signs *= -2
-    signs += 1
-    return frozen(signs)
+    """`parse_rows` of n lines of m '+'/'-' as their read-only +/-1 signs."""
+    return frozen(_parse(stream, n, m, "+-", what, signs=True))
 
 
 def expect_end(stream: IO[str], what: str) -> None:
-    """The rest of a file after its last block: blank lines only, else a
-    ValueError naming the first other line."""
-    for line in stream:
-        if line.strip():
+    """The rest of a file after its last block, read a codec block at a time:
+    blank lines only, else a ValueError naming the first other line."""
+    while text := stream.read(_BLOCK_BYTES):
+        if text.strip():
+            start = len(text) - len(text.lstrip())  # that line, completed past the block
+            line, newline, _ = text[text.rfind("\n", 0, start) + 1:].partition("\n")
+            line += "" if newline else stream.readline()
             raise ValueError(f"{what} file has content after its last row: {line.strip()!r}")
 
 

@@ -7,42 +7,99 @@ schedules carry the conjugating layer before and after every interval;
 simplification multiplies adjacent layers (Pauli product with global phase
 discarded, which is safe because the gates act purely by conjugation).
 With I/X/Y/Z coded as 0..3 that product is the XOR of the codes.
+
+A schedule keeps its layers as gate codes, one read-only (layers x n) uint8
+array, and which steps are intervals as one bool array: the lowering builds
+them from the scheme's codes and never formats a layer, a schedule given as
+text decodes its layers once, and `steps` and `layers` are formatted on first
+use.  `simplify`, `gate_count`, the simulator and the writer read the codes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO
+from dataclasses import FrozenInstanceError
+from typing import IO, Iterable
 
 import numpy as np
 
-from .hadamard import _block_rows, decode_rows, format_rows
+from .hadamard import _block_rows, decode_rows, format_rows, frozen
 from .schemes import GATES, Scheme, SignMatrix, gate_codes, header_fields, merged_codes
 
 Step = str | None
 
 
-@dataclass(frozen=True)
 class PulseSchedule:
-    qubits: int
-    tau: float
-    steps: tuple[Step, ...]
+    """Gate layers and free evolutions of `tau` each on `qubits` qubits, built
+    from its steps; `codes` holds the layers' gate codes, `free` is True at
+    each interval.  Immutable, and equal to a schedule of the same steps."""
 
-    def __post_init__(self):
-        if not 0 < self.tau < float("inf"):  # false for nan as for +/-inf
-            raise ValueError(f"tau must be finite and > 0, got {self.tau!r}")
-        layers = self.layers
-        first = decode_rows(layers, self.qubits, GATES)[1]
+    __slots__ = ("qubits", "tau", "codes", "free", "_steps")
+
+    def __init__(self, qubits: int, tau: float, steps: Iterable[Step]):
+        steps = tuple(steps)
+        _check_tau(tau)
+        layers = [s for s in steps if s is not None]
+        codes, first = decode_rows(layers, qubits, GATES)
         if first < len(layers):
             raise ValueError(f"bad gate layer {layers[first]!r}")
+        self._set(qubits, tau, codes.view(np.uint8),
+                  np.array([s is None for s in steps], dtype=bool), steps)
+
+    @classmethod
+    def of_codes(cls, qubits: int, tau: float, codes: np.ndarray,
+                 free: np.ndarray) -> PulseSchedule:
+        """The schedule whose layers are the rows of the uint8 gate codes, in
+        order at the steps where `free` is False; both arrays are kept, made
+        read-only."""
+        _check_tau(tau)
+        p = object.__new__(cls)
+        p._set(qubits, tau, codes, free, None)
+        return p
+
+    def _set(self, qubits, tau, codes, free, steps) -> None:
+        for name, value in zip(self.__slots__, (qubits, tau, frozen(codes), frozen(free), steps)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return PulseSchedule.of_codes, (self.qubits, self.tau, self.codes, self.free)
 
     @property
-    def total_intervals(self) -> int:
-        return sum(1 for s in self.steps if s is None)
+    def steps(self) -> tuple[Step, ...]:
+        if self._steps is None:
+            layers = iter(format_rows(self.codes, GATES).splitlines())
+            object.__setattr__(self, "_steps", tuple(
+                None if free else next(layers) for free in self.free.tolist()))
+        return self._steps
 
     @property
     def layers(self) -> list[str]:
         return [s for s in self.steps if s is not None]
+
+    @property
+    def total_intervals(self) -> int:
+        return int(np.count_nonzero(self.free))
+
+    def _key(self) -> tuple:
+        return self.qubits, self.tau, self.free.tobytes(), self.codes.tobytes()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"PulseSchedule(qubits={self.qubits!r}, tau={self.tau!r}, steps={self.steps!r})"
+
+
+def _check_tau(tau: float) -> None:
+    if not 0 < tau < float("inf"):  # false for nan as for +/-inf
+        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
 
 
 def compile_zz(s: SignMatrix, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
@@ -53,33 +110,35 @@ def compile_zz(s: SignMatrix, tau: float = 1.0, merged: bool = True) -> PulseSch
 def compile_general(scheme: Scheme, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
     """Sign column (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z conjugation;
     a zz scheme S lowers as the triple (1, S, S)."""
-    if merged:  # the gate codes are freed once merged, before the layers are formatted
+    if merged:  # the gate codes are freed once merged
         return _alternating(scheme.qubits, tau, merged_codes(gate_codes(scheme)))
-    layers = format_rows(gate_codes(scheme).T, GATES).splitlines()
-    steps = [step for layer in layers for step in (layer, None, layer)]
-    return PulseSchedule(scheme.qubits, tau, tuple(steps))
+    # layer a, interval a, layer a again, for every interval a
+    codes = gate_codes(scheme)
+    layers = np.empty((scheme.intervals, 2, scheme.qubits), dtype=np.uint8)
+    layers[:] = codes.T[:, None]
+    free = np.tile([False, True, False], scheme.intervals)
+    return PulseSchedule.of_codes(scheme.qubits, tau, layers.reshape(-1, scheme.qubits), free)
 
 
 def _alternating(qubits: int, tau: float, layers: np.ndarray) -> PulseSchedule:
     """Layer 0, an interval, layer 1, ..., layer m: rows of an (m+1) x n code array."""
-    steps: list[Step] = [None] * (2 * len(layers) - 1)
-    steps[::2] = format_rows(layers, GATES).splitlines()
-    return PulseSchedule(qubits, tau, tuple(steps))
+    free = np.zeros(2 * len(layers) - 1, dtype=bool)
+    free[1::2] = True
+    return PulseSchedule.of_codes(qubits, tau, layers.view(np.uint8), free)
 
 
 def simplify(p: PulseSchedule) -> PulseSchedule:
     """Merge adjacent gate layers; keep explicit (possibly identity) boundary
     layers and exactly one layer between consecutive intervals."""
-    free = np.array([s is None for s in p.steps], dtype=bool)
-    merged = np.zeros((p.total_intervals + 1, p.qubits), dtype=np.int8)
+    merged = np.zeros((p.total_intervals + 1, p.qubits), dtype=np.uint8)
     # a layer merges into the row of the intervals before it
-    np.bitwise_xor.at(merged, np.cumsum(free)[~free], decode_rows(p.layers, p.qubits, GATES)[0])
+    np.bitwise_xor.at(merged, np.cumsum(p.free)[~p.free], p.codes)
     return _alternating(p.qubits, p.tau, merged)
 
 
 def gate_count(p: PulseSchedule) -> int:
     """Non-identity gate entries across all layers (at most n*(m+1))."""
-    return int(np.count_nonzero(decode_rows(p.layers, p.qubits, GATES)[0]))
+    return int(np.count_nonzero(p.codes))
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +146,28 @@ def gate_count(p: PulseSchedule) -> int:
 # "G <layer>" and "F <tau>".
 
 def write_schedule(p: PulseSchedule, stream: IO[str]) -> None:
-    """The header, then the steps a codec block of text at a time, never all of it."""
+    """The header, then the steps a codec block of text at a time, never all
+    of it, formatted from the codes.  An alternating schedule (layer,
+    interval, ..., layer) is written as records of a G line and its F line;
+    any other a block of steps at a time, its G lines split and joined with
+    its F lines."""
     free = f"F {p.tau!r}\n"
     stream.write(f"pulses n={p.qubits} m={p.total_intervals} tau={p.tau!r}\n")
-    block = _block_rows(p.qubits + 2)  # a "G <layer>" line has n + 3 characters
-    for i in range(0, len(p.steps), block):
-        stream.write("".join(free if s is None else f"G {s}\n" for s in p.steps[i:i + block]))
+    count = len(p.codes)
+    if count and len(p.free) == 2 * count - 1 and p.free[1::2].all():
+        block = _block_rows(p.qubits + 2 + len(free))
+        for i in range(0, count - 1, block):
+            stream.write(format_rows(p.codes[i:min(i + block, count - 1)], GATES, "G ",
+                                     "\n" + free[:-1]))
+        stream.write(format_rows(p.codes[-1:], GATES, "G "))
+        return
+    block, done = _block_rows(p.qubits + 2), 0  # a "G <layer>" line has n + 3 characters
+    for i in range(0, len(p.free), block):
+        kinds = p.free[i:i + block].tolist()
+        layers = kinds.count(False)
+        lines = iter(format_rows(p.codes[done:done + layers], GATES, "G ").splitlines(True))
+        stream.write("".join(free if kind else next(lines) for kind in kinds))
+        done += layers
 
 
 def read_schedule(stream: IO[str]) -> PulseSchedule:

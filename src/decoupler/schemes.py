@@ -23,8 +23,9 @@ from typing import IO
 import numpy as np
 
 from .errors import SizeCapExceeded
-from .hadamard import (DEFAULT_SIZE_CAP, all_signs, best_matrix, canonical_indices, expect_end,
-                       frozen, gram, parse_signs, read_only, sylvester, upper_pairs, write_signs)
+from .hadamard import (DEFAULT_SIZE_CAP, _block_rows, all_signs, best_matrix, canonical_indices,
+                       expect_end, frozen, gram, parse_signs, read_only, sylvester, upper_pairs,
+                       write_signs)
 from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
 from .schur import five_rows, partition_sylvester
 
@@ -415,9 +416,17 @@ def merged_codes(codes: np.ndarray) -> np.ndarray:
     """The m+1 layers of the merged schedule as the rows of a C-contiguous
     (m+1) x n array: codes[:, 0] before the first interval, codes[:, a-1] ^
     codes[:, a] between intervals a-1 and a, and codes[:, -1] after the last."""
-    padded = np.zeros((codes.shape[1] + 2, codes.shape[0]), dtype=codes.dtype)
-    padded[1:-1] = codes.T  # the one transposing pass; np.pad costs ~20 us a call on a small block
-    return padded[:-1] ^ padded[1:]
+    n, m = codes.shape
+    layers = np.empty((m + 1, n), dtype=codes.dtype)
+    layers[:m] = codes.T  # the one transposing pass
+    layers[m] = 0
+    # row a ^= row a-1, from the last row up a block at a time: numpy copies
+    # the rows a block reads, which overlap it, so the copy is one block
+    step = _block_rows(n)
+    for stop in range(m + 1, 1, -step):
+        start = max(1, stop - step)
+        layers[start:stop] ^= layers[start - 1:stop - 1]
+    return layers
 
 
 def merged_gate_count(codes: np.ndarray) -> int:

@@ -5,13 +5,14 @@ Evolution follows e^{-iHt}; reversal targets e^{+iHt}.  Distances are
 spectral norms after optimal global-phase alignment, which for unitary
 operands reduces to the spread of the eigenphases of U_target^dag U_scheme.
 
-A Pauli word is decoded once, a Hamiltonian's when it is built and a
-schedule's gate layers once per pass, into gate codes read as bit masks (the
-binary symplectic form): flip, its X/Y qubits, z, its Y/Z qubits, and y, its
-number of Y.  With qubit 0 the most significant bit of x (np.kron order) it is
-the monomial P|x> = i^y (-1)^popcount(x & z) |x ^ flip>, and its sign over x
-is row z of sylvester(n), a Walsh function, which hadamard.walsh_rows
-builds.  A layer's phase is that Walsh row times i^y.
+A Pauli word is decoded once, a Hamiltonian's when it is built, into gate
+codes, and a schedule keeps its layers as gate codes; a pass reads them as
+bit masks (the binary symplectic form): flip, its X/Y qubits, z, its Y/Z
+qubits, and y, its number of Y.  With qubit 0 the most significant bit of x
+(np.kron order) it is the monomial P|x> = i^y (-1)^popcount(x & z)
+|x ^ flip>, and its sign over x is row z of sylvester(n), a Walsh function,
+whose parity row, popcount(x & z) odd, hadamard.walsh_rows builds.  A
+layer's phase is that row's signs times i^y.
 
 One kernel, _pauli_sums, builds every Pauli sum as one row per distinct flip:
 the dense path scatters the rows into a 2^n x 2^n matrix, the vector path
@@ -202,9 +203,9 @@ def random_hamiltonian(n: int, seed: int, kind: str = "zz",
 
 def _phase(z: int, y: int, parity: np.ndarray, shift: int = 0) -> np.ndarray:
     """phase[x ^ shift] over x for the word P|x> = phase[x] |x ^ flip> with
-    masks z and y and `parity` the bool row walsh_rows(z, n) < 0, each entry
-    one of +/-1.0 times the scalar i^y.  (x ^ shift) & z has the parity of
-    x & z flipped by that of shift & z, so no index is permuted."""
+    masks z and y and `parity` the bool row walsh_rows(z, n, parity=True),
+    each entry one of +/-1.0 times the scalar i^y.  (x ^ shift) & z has the
+    parity of x & z flipped by that of shift & z, so no index is permuted."""
     plus, minus = _SIGN * _I_POWERS[y % 4]
     if (shift & z).bit_count() & 1:
         plus, minus = minus, plus
@@ -212,14 +213,14 @@ def _phase(z: int, y: int, parity: np.ndarray, shift: int = 0) -> np.ndarray:
 
 
 def _layers(p: PulseSchedule) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """(flip, z, y, parity row) of each gate layer of p in order, its layers
-    decoded once and their Walsh rows read a block at a time."""
-    flips, z, y = word_masks(decode_rows(p.layers, p.qubits, GATES)[0])
+    """(flip, z, y, parity row) of each gate layer of p in order, read from its
+    codes, their parity rows built a block at a time."""
+    flips, z, y = word_masks(p.codes)
     rows = max(1, _TABLE >> p.qubits)
     for start in range(0, len(flips), rows):
         block = slice(start, start + rows)
         yield from zip(flips[block].tolist(), z[block].tolist(), y[block].tolist(),
-                       walsh_rows(z[block], p.qubits) < 0)
+                       walsh_rows(z[block], p.qubits, parity=True))
 
 
 def word_monomial(word: str) -> tuple[int, np.ndarray]:
@@ -229,7 +230,7 @@ def word_monomial(word: str) -> tuple[int, np.ndarray]:
     if not valid:
         raise ValueError(f"bad Pauli word {word!r}")
     flip, z, y = word_masks(codes)
-    return int(flip[0]), _phase(int(z[0]), int(y[0]), walsh_rows(z[0], len(word)) < 0)
+    return int(flip[0]), _phase(int(z[0]), int(y[0]), walsh_rows(z[0], len(word), parity=True))
 
 
 def _pauli_sums(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +254,7 @@ def _pauli_sums(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, len(flips), rows):
         block = slice(start, start + rows)
         w = weights[block, None]
-        table = np.where(walsh_rows(z[block], low) < 0, -w, w)
+        table = np.where(walsh_rows(z[block], low, parity=True), -w, w)
         for chunk in range(chunks.shape[1]):
             for k, zh, row in zip(group[block].tolist(), high[block], table):
                 if (chunk & zh).bit_count() & 1:
@@ -313,8 +314,8 @@ def run_schedule(p: PulseSchedule, h: PauliHamiltonian) -> np.ndarray:
     idx = np.arange(dim)
     layers = _layers(p)
     u = np.eye(dim, dtype=np.complex128)
-    for step in p.steps:
-        if step is None:
+    for free in p.free.tolist():
+        if free:
             u = u_free @ u
         else:
             flip, z, y, parity = next(layers)
@@ -335,8 +336,8 @@ def run_schedule_diagonal(p: PulseSchedule, h: PauliHamiltonian) -> tuple[int, n
     idx = np.arange(d.size)
     layers = _layers(p)
     flip, u = 0, np.ones_like(d)
-    for step in p.steps:
-        if step is None:
+    for free in p.free.tolist():
+        if free:
             u *= d[idx ^ flip]
             continue
         layer_flip, z, y, parity = next(layers)

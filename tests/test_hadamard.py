@@ -127,6 +127,9 @@ class TestWalshRows:
             assert rows.dtype == np.int8 and rows.shape == np.shape(k) + (1 << r,)
             assert rows.flags.writeable
             assert np.array_equal(rows, entries[k])
+            parity = walsh_rows(k, r, parity=True)
+            assert parity.dtype == np.bool_ and parity.shape == rows.shape
+            assert np.array_equal(parity, entries[k] < 0)
 
     def test_bits_above_r_are_ignored(self):
         k = np.array([5, 5 + 8, 5 + 64])

@@ -231,10 +231,11 @@ def test_layer_check_names_the_first_bad_layer(qubits, steps):
 
 
 def test_compile_and_write_hold_one_copy_of_the_schedule():
-    """compile_general frees the n x m gate codes once they are merged, and
-    write_schedule writes the steps a line at a time, so compiling and writing
-    a general scheme peaks near three n x m byte arrays (the merged codes,
-    their text and the layer strings), not five."""
+    """compile_general merges the n x m gate codes in the array of their
+    transpose and frees them, the schedule keeps the merged codes and no
+    text, and write_schedule formats them a block at a time, so compiling
+    and writing a general scheme peaks near two n x m byte arrays (the gate
+    codes and the schedule's codes)."""
     scheme = synth(TaskSpec("decouple", "general"), 1365)
     n, m = scheme.qubits, scheme.intervals
     assert m == 4096
@@ -246,4 +247,4 @@ def test_compile_and_write_hold_one_copy_of_the_schedule():
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-    assert peak <= 3.5 * n * m + (1 << 20)
+    assert peak <= 2 * n * m + (1 << 20), f"peak {peak} B"

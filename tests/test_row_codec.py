@@ -24,10 +24,13 @@ from test_layer_codes import outcome
 
 from decoupler import hadamard
 from decoupler.ghm import ELEMENT_CHARS, compose_sylvester, gh_for_lambda
-from decoupler.hadamard import decode_rows, format_rows, parse_rows, write_matrix
-from decoupler.schemes import GATES, TaskSpec, check_scheme, read_scheme, synth, write_scheme
+from decoupler.hadamard import (decode_rows, format_rows, paley, parse_rows, parse_signs,
+                                read_matrix, write_matrix)
+from decoupler.schemes import (GATES, TaskSpec, check_scheme, read_scheme, sign_blocks, synth,
+                              write_scheme)
 
 ALPHABETS = ["+-", GATES, ELEMENT_CHARS]
+H12_CODES = (paley(11, 1).entries < 0).astype(np.int8)
 BLOCK_BYTES = st.sampled_from([1, 5, 16, 1 << 16])
 
 
@@ -149,6 +152,92 @@ def test_parse_rows_equals_the_single_pass_reader(case, n, end, tail, block):
     assert got == outcome(single_pass_parse, text, n, m, alphabet)
 
 
+FAULTS = ("none", "crlf", "padded", "short", "bad letter", "no final newline", "ends early")
+
+
+@st.composite
+def canonical_with_one_fault(draw):
+    """(text, n, m, alphabet, fault): n rows of m letters, each ended by a
+    newline, with at most one fault at any row: a CRLF row, a row padded
+    with whitespace, a short row, a letter outside the alphabet, no newline
+    after the last row, or a stream that ends before row n; then the next
+    header, another row or the end of the stream."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    n, m = draw(st.integers(1, 14)), draw(st.integers(0, 7))
+    letters = st.lists(st.sampled_from(alphabet), min_size=m, max_size=m)
+    rows = ["".join(draw(letters)) + "\n" for _ in range(n)]
+    fault, at = draw(st.sampled_from(FAULTS)), draw(st.integers(0, n - 1))
+    if fault == "crlf":
+        rows[at] = rows[at][:-1] + "\r\n"
+    elif fault == "padded":
+        rows[at] = draw(st.sampled_from([" ", "\t", ""])) + rows[at][:-1] + " \n"
+    elif fault == "short":
+        rows[at] = rows[at][1:] if m else ""
+    elif fault == "bad letter" and m:
+        j = draw(st.integers(0, m - 1))
+        rows[at] = rows[at][:j] + draw(st.sampled_from("x?\u00e9 \r")) + rows[at][j + 1:]
+    elif fault == "ends early":
+        rows = rows[:at]
+    tail = draw(st.sampled_from(["", "rows 1 2\n", alphabet[0] * m + "\n", "+"]))
+    text = "".join(rows) + tail
+    if fault == "no final newline":
+        text = "".join(rows)[:-1]
+    return text, n, m, alphabet, fault
+
+
+def single_pass_signs(stream, n, m, alphabet, what):
+    """parse_signs as it was: the single-pass codes over '+'/'-' as the
+    signs 1 - 2 code."""
+    return (1 - 2 * single_pass_parse(stream, n, m, "+-", what)).astype(np.int8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(canonical_with_one_fault(), st.sampled_from([1, 5, 16, 64, 1 << 16]))
+@example(("++\n-+\r\n+-\n", 3, 2, "+-", "crlf"), 6)
+@example(("++\n-\n+-\nrows 1 2\n", 3, 2, "+-", "short"), 9)
+@example(("IXYZ\nZZII", 2, 4, GATES, "no final newline"), 1 << 16)
+def test_canonical_blocks_with_one_fault_read_as_the_single_pass_reader(case, block):
+    # every block a canonical block is read by bytes; the block that holds
+    # the fault, and only it, line by line: the codes, the next line after
+    # the rows and every message are the single-pass reader's
+    text, n, m, alphabet, _ = case
+    with blocks_of(block):
+        got = outcome(parse_rows, text, n, m, alphabet)
+        signs = outcome(lambda s, n, m, a, what: parse_signs(s, n, m, what), text, n, m, "+-")
+    assert got == outcome(single_pass_parse, text, n, m, alphabet)
+    assert signs == outcome(single_pass_signs, text, n, m, "+-")
+
+
+class BlockStream(io.StringIO):
+    """A stream read by blocks only: iterating it raises, and so does a
+    readline of any line but a header."""
+
+    def __iter__(self):
+        raise AssertionError("stream iterated by lines")
+
+    __next__ = __iter__
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        if not line.startswith(("scheme ", "rows ", "order ")):
+            raise AssertionError(f"readline of {line!r}")
+        return line
+
+
+@pytest.mark.parametrize("block", [16, 1 << 10, 1 << 16])
+def test_a_canonical_file_is_read_by_blocks_after_each_header(block):
+    task = TaskSpec("decouple", "general")
+    scheme = synth(task, 40)
+    buf = io.StringIO()
+    write_scheme(scheme, task, buf)
+    with blocks_of(block):
+        got, _ = read_scheme(BlockStream(buf.getvalue()))
+        h = read_matrix(BlockStream(f"order 12\n{reference_rows(H12_CODES, '+-')}"))
+    for a, b in zip(sign_blocks(got), sign_blocks(scheme)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(h.entries, 1 - 2 * H12_CODES)
+
+
 @pytest.mark.parametrize("n, m, text, shown", [
     (10 ** 12, 2, "++\n-+\n", ""),      # more rows than the stream holds
     (1, 10 ** 12, "+-\n", "+-"),         # longer rows than the stream holds
@@ -162,6 +251,15 @@ def test_a_header_claiming_too_much_allocates_at_most_the_first_reserve(n, m, te
         with pytest.raises(ValueError, match="^" + re.escape(f"bad matrix row '{shown}'") + "$"):
             parse_rows(io.StringIO(text), n, m, "+-", "matrix")
     assert traced_peak(read) <= hadamard._RESERVE_BYTES + (1 << 20)
+
+
+def test_a_file_claiming_longer_rows_than_it_holds_names_its_first_row(tmp_path):
+    # a block is read in pieces of at most _RESERVE_BYTES characters: one file
+    # read of the claimed 10^12 + 1 would allocate them all, or raise MemoryError
+    path = tmp_path / "rows.txt"
+    path.write_text("++\n+-\n")
+    with open(path) as fh, pytest.raises(ValueError, match="^bad matrix row '\\+\\+'$"):
+        parse_signs(fh, 2, 10 ** 12, "matrix")
 
 
 # ---------------------------------------------------------------------------
