@@ -9,18 +9,18 @@ they came from; and `format_rows` / `decode_rows`, the one row codec.
 
 The codec works on one block of about 64 KiB of text at a time, so what it
 holds beyond its input and output is one block.  Encoding fills one text
-buffer, each block of codes mapped to its letters by `bytes.translate`;
-`write_signs` writes a +/-1 matrix a block at a time, each letter 44 - sign
-('+' is byte 43, '-' byte 45), so no sign mask or text as large as the
-matrix exists.  A reader takes each block of n rows of m letters with one
-read of n (m + 1) characters.  A canonical block, a newline after every m
-letters (the last row of the stream may lack it), is decoded over its
-bytes straight into its rows of one int8 array, allocated as the rows
-arrive: signs as 44 - letter, other alphabets by a `bytes.translate` table.
-Any other block (CRLF or padded rows, a short or missing row) is read line
-by line and stripped, as a line reader would, and so is a canonical block
-with a bad letter, so that the first bad row is named.  Only a short row
-makes the one read take text past the block, and it is always an error.
+buffer: a two-letter alphabet by the multiply-add a + (b - a)·code, a wider
+one by a `bytes.translate` table over one block of codes; `write_signs`
+writes a +/-1 matrix a block at a time, so no sign mask or text as large as
+the matrix exists.  A reader takes each block of n rows of m letters with
+one read of n (m + 1) characters.  A canonical block, a newline after every
+m letters (the last row of the stream may lack it), is decoded over its
+bytes by a `bytes.translate` table straight into its rows of one int8
+array, allocated as the rows arrive.  Any other block (CRLF or padded rows,
+a short or missing row) is read line by line and stripped, as a line reader
+would, and so is a canonical block with a bad letter, so that the first bad
+row is named.  Only a short row makes the one read take text past the
+block, at most one more block, and it is always an error.
 """
 
 from __future__ import annotations
@@ -387,8 +387,6 @@ def catalog_gaps(limit: int, cap: int = DEFAULT_SIZE_CAP) -> list[tuple[int, int
 _BLOCK_BYTES = 1 << 16
 # A reader allocates codes for at most this many bytes of rows before it has read them.
 _RESERVE_BYTES = 1 << 22
-# '+' and '-' are the bytes 43 and 45, so the letter of a sign s is 44 - s
-_SIGN_LETTER = 44
 
 
 def _block_rows(m: int) -> int:
@@ -396,41 +394,39 @@ def _block_rows(m: int) -> int:
     return max(1, _BLOCK_BYTES // (m + 1))
 
 
-def format_rows(codes, alphabet: str, prefix: str = "", suffix: str = "") -> str:
+def format_rows(codes, alphabet: str, prefix: str = "") -> str:
     """The row codec of every text format: row i of a 2-d array of codes
     0..len(alphabet)-1 becomes a line whose character j is alphabet[codes[i, j]],
-    between `prefix` and `suffix`; any other code raises IndexError."""
+    after `prefix`; any other code raises IndexError."""
     codes = np.asarray(codes)
     codes = codes.view(np.uint8) if codes.dtype.itemsize == 1 else codes.astype(np.uint8)
     top = codes.max(initial=0)
     if top >= len(alphabet):
         raise IndexError(f"code {top} is outside the alphabet {alphabet!r}")
     n, m = codes.shape
-    head, tail = prefix.encode("ascii"), (suffix + "\n").encode("ascii")
-    text = np.empty((n, len(head) + m + len(tail)), dtype=np.uint8)
-    text[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
-    text[:, len(head) + m:] = np.frombuffer(tail, dtype=np.uint8)
-    letters = alphabet.encode("ascii").ljust(256, b"\0")  # a bytes.translate table
+    head = np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
+    text = np.empty((n, len(head) + m + 1), dtype=np.uint8)
+    text[:, :len(head)] = head
+    text[:, -1] = ord("\n")
+    letters = alphabet.encode("ascii")
     step = _block_rows(text.shape[1] - 1)
     for start in range(0, n, step):
-        block = codes[start:start + step]
-        text[start:start + step, len(head):len(head) + m] = np.frombuffer(
-            block.tobytes().translate(letters), dtype=np.uint8).reshape(block.shape)
+        block, out = codes[start:start + step], text[start:start + step, len(head):-1]
+        if len(letters) == 2:  # letter a + (b - a) code, in uint8 arithmetic
+            np.multiply(block, (letters[1] - letters[0]) % 256, out=out)
+            out += letters[0]
+        else:  # a bytes.translate table, faster than np.take's intp copy of the codes
+            out[:] = np.frombuffer(block.tobytes().translate(letters.ljust(256, b"\0")),
+                                   dtype=np.uint8).reshape(block.shape)
     return str(text.reshape(-1).data, "ascii")
 
 
 def write_signs(entries: np.ndarray, stream: IO[str]) -> None:
     """Write the rows of a +/-1 array as lines of '+'/'-', one codec block at
-    a time, each letter 44 - sign: no text as large as the array is held."""
-    n, m = entries.shape
-    step = _block_rows(m)
-    text = np.empty((min(n, step), m + 1), dtype=np.uint8)
-    text[:, m] = ord("\n")
-    for start in range(0, n, step):
-        block = entries[start:start + step]
-        out = text[:len(block)]
-        np.subtract(_SIGN_LETTER, block, out=out[:, :m], casting="unsafe")
-        stream.write(str(out.reshape(-1).data, "ascii"))
+    a time: no mask or text as large as the array is ever held."""
+    step = _block_rows(entries.shape[1])
+    for start in range(0, len(entries), step):
+        stream.write(format_rows(entries[start:start + step] < 0, "+-"))
 
 
 @lru_cache(maxsize=None)
@@ -467,53 +463,51 @@ def decode_rows(lines: list[str], m: int, alphabet: str) -> tuple[np.ndarray, in
 
 
 def _read(stream: IO[str], size: int) -> str:
-    """stream.read(size) in reads of at most _RESERVE_BYTES characters: a file
-    read allocates what it is asked for, however little the file holds, and a
-    header may claim rows longer than the file."""
-    parts = []
-    while size > 0 and (part := stream.read(min(size, _RESERVE_BYTES))):
-        parts.append(part)
-        size -= len(part)
+    """stream.read(size) in pieces of _BLOCK_BYTES characters, stopped after
+    the first piece that holds a newline: a file read allocates what it is
+    asked for, however little the file holds.  Only a block of one row takes
+    more than one piece, and a newline before its end ends a short row, an
+    error, so a header claiming rows longer than the file reads one more
+    piece past the first line, not the rest of the file."""
+    parts = [stream.read(min(size, _BLOCK_BYTES))]
+    size -= len(parts[-1])
+    while size > 0 and parts[-1] and "\n" not in parts[-1]:
+        parts.append(stream.read(min(size, _BLOCK_BYTES)))
+        size -= len(parts[-1])
     return "".join(parts)
 
 
-def _canonical(text: str, rows: int, m: int) -> tuple[bytes, np.ndarray] | None:
-    """(bytes, rows x m letters) of a canonical block, `rows` lines of m
-    characters each ended by a newline (the last line of the stream may lack
-    it), read as one string of rows (m + 1) characters or up to the end of
-    the stream; None for any other text."""
-    raw = text.encode("ascii", "replace")  # one byte a character
-    if m and len(raw) == rows * (m + 1) - 1:  # a short read: the stream has ended
-        raw += b"\n"
-    if len(raw) != rows * (m + 1):
+def _canonical(text: str, rows: int, m: int) -> bytes | None:
+    """The bytes of a canonical block, `rows` lines of m characters each
+    ended by a newline (the last line of the stream may lack it), read as
+    one string of rows (m + 1) characters or up to the end of the stream;
+    None for any other text."""
+    if m and len(text) == rows * (m + 1) - 1:  # a short read: the stream has ended
+        text += "\n"
+    if len(text) != rows * (m + 1):
         return None
-    block = np.frombuffer(raw, dtype=np.uint8).reshape(rows, m + 1)
-    return (raw, block[:, :m]) if (block[:, m] == ord("\n")).all() else None
+    raw = text.encode("ascii", "replace")  # one byte a character
+    newlines = np.frombuffer(raw, dtype=np.uint8)[m::m + 1]
+    return raw if (newlines == ord("\n")).all() else None
 
 
 def _lines(text: str, stream: IO[str], rows: int) -> list[str]:
     """The next `rows` lines of the stream, stripped, where `text` is what one
-    read of the block returned: its last line completed by readline, then
-    one readline a line up to `rows` or the end of the stream.  More lines
-    than `rows` are read only when one of the first is short, an error."""
+    read of the block returned: a row it cut completed by readline, then one
+    readline a line up to `rows` or the end of the stream.  Text past the
+    block is read only after a short row, an error, and is dropped."""
     lines = text.split("\n")
-    if lines[-1]:
-        lines[-1] += stream.readline()
-    else:
-        lines.pop()
+    cut = lines.pop()
+    if cut and len(lines) < rows:
+        lines.append(cut + stream.readline())
     while len(lines) < rows and (line := stream.readline()):
         lines.append(line)
     return [line.strip() for line in lines[:rows]]
 
 
-def _decoded(out: np.ndarray, raw: bytes, letters: np.ndarray, alphabet: str,
-             signs: bool) -> bool:
-    """Decode a canonical block (`_canonical`) into out: a sign as 44 - letter
-    (1 for '+', -1 for '-'), else a code by the alphabet's table.  True when
-    every letter was valid."""
-    if signs:
-        np.subtract(_SIGN_LETTER, letters, out=out.view(np.uint8))
-        return all_signs(out)
+def _decoded(out: np.ndarray, raw: bytes, alphabet: str) -> bool:
+    """Decode a canonical block (`_canonical`) into out by the alphabet's
+    table.  True when every letter was in the alphabet."""
     codes = np.frombuffer(raw.translate(_decoder(alphabet)), dtype=np.int8)
     out[:] = codes.reshape(len(out), -1)[:, :-1]
     return out.min(initial=0) >= 0
@@ -524,11 +518,13 @@ def _short(lines: list[str], m: int) -> int:
     return next((i for i, line in enumerate(lines) if len(line) != m), len(lines))
 
 
-def _parse(stream: IO[str], n: int, m: int, alphabet: str, what: str, signs: bool) -> np.ndarray:
-    """parse_rows, or with `signs` parse_signs: each block of rows is one
-    read of its rows (m + 1) characters.  A canonical block is decoded over
-    its bytes; any other block, and one with a bad letter, line by line as
-    the lines are stripped, so that the first bad row is named."""
+def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.ndarray:
+    """Read n >= 1 lines of m letters from alphabet as a writable n x m int8
+    code array.  The first line of the wrong length or with a letter outside
+    the alphabet raises ValueError("bad <what> row '...'").  Each block of
+    rows is one read of its rows (m + 1) characters: a canonical block is
+    decoded over its bytes; any other block, and one with a bad letter, line
+    by line as the lines are stripped, so that the first bad row is named."""
     if n < 1 or m < 0:
         raise ValueError(f"bad {what} shape {n} x {m}")
     step = _block_rows(m)
@@ -538,8 +534,8 @@ def _parse(stream: IO[str], n: int, m: int, alphabet: str, what: str, signs: boo
         # a missing row, named '', ends the block, however large n claims it to be
         want = min(step, n - done)
         text = _read(stream, want * (m + 1))
-        block = _canonical(text, want, m)
-        lines = None if block else _lines(text, stream, want)
+        raw = _canonical(text, want, m)
+        lines = _lines(text, stream, want) if raw is None else None
         short = _short(lines, m) if lines is not None else want
         if done + short > len(codes):
             # room for the rows read, _RESERVE_BYTES at first, then twice as
@@ -550,41 +546,31 @@ def _parse(stream: IO[str], n: int, m: int, alphabet: str, what: str, signs: boo
                 codes.resize((rows, m), refcheck=False)
             else:
                 codes = np.empty((rows, m), dtype=np.int8)
-        if lines is None and not _decoded(codes[done:done + want], *block, alphabet, signs):
+        if lines is None and not _decoded(codes[done:done + want], raw, alphabet):
             lines = _lines(text, stream, want)
             short = _short(lines, m)
         if lines is not None:
-            out = codes[done:done + short]
-            first = _decode_into(out, lines, alphabet)
+            first = _decode_into(codes[done:done + short], lines, alphabet)
             if first < want:
                 raise ValueError(f"bad {what} row {lines[first] if first < len(lines) else ''!r}")
-            if signs:  # code c is the sign 1 - 2c
-                out *= -2
-                out += 1
         done += want
     return codes
 
 
-def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.ndarray:
-    """Read n >= 1 lines of m letters from alphabet as a writable n x m int8
-    code array.  The first line of the wrong length or with a letter outside
-    the alphabet raises ValueError("bad <what> row '...'")."""
-    return _parse(stream, n, m, alphabet, what, signs=False)
-
-
 def parse_signs(stream: IO[str], n: int, m: int, what: str) -> np.ndarray:
-    """`parse_rows` of n lines of m '+'/'-' as their read-only +/-1 signs."""
-    return frozen(_parse(stream, n, m, "+-", what, signs=True))
+    """`parse_rows` of n lines of m '+'/'-' as their read-only +/-1 signs,
+    mapped in place (code c is the sign 1 - 2c)."""
+    signs = parse_rows(stream, n, m, "+-", what)
+    signs *= -2
+    signs += 1
+    return frozen(signs)
 
 
 def expect_end(stream: IO[str], what: str) -> None:
-    """The rest of a file after its last block, read a codec block at a time:
-    blank lines only, else a ValueError naming the first other line."""
-    while text := stream.read(_BLOCK_BYTES):
-        if text.strip():
-            start = len(text) - len(text.lstrip())  # that line, completed past the block
-            line, newline, _ = text[text.rfind("\n", 0, start) + 1:].partition("\n")
-            line += "" if newline else stream.readline()
+    """The rest of a file after its last block: blank lines only, else a
+    ValueError naming the first other line."""
+    for line in stream:
+        if line.strip():
             raise ValueError(f"{what} file has content after its last row: {line.strip()!r}")
 
 

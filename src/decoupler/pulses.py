@@ -17,7 +17,8 @@ use.  `simplify`, `gate_count`, the simulator and the writer read the codes.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
@@ -28,51 +29,40 @@ from .schemes import GATES, Scheme, SignMatrix, gate_codes, header_fields, merge
 Step = str | None
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class PulseSchedule:
-    """Gate layers and free evolutions of `tau` each on `qubits` qubits, built
-    from its steps; `codes` holds the layers' gate codes, `free` is True at
-    each interval.  Immutable, and equal to a schedule of the same steps."""
+    """Gate layers and free evolutions of `tau` each on `qubits` qubits:
+    `codes` holds the layers' gate codes, one read-only uint8 row a layer,
+    and `free` is True at each interval.  Equal to a schedule of the same
+    steps."""
 
-    __slots__ = ("qubits", "tau", "codes", "free", "_steps")
+    qubits: int
+    tau: float
+    codes: np.ndarray
+    free: np.ndarray
 
-    def __init__(self, qubits: int, tau: float, steps: Iterable[Step]):
-        steps = tuple(steps)
+    def __init__(self, qubits: int, tau: float, steps: Iterable[Step] = (), *,
+                 codes: np.ndarray | None = None, free: np.ndarray | None = None):
+        """The schedule of `steps`, its layers decoded once; or, given `codes`
+        and `free`, the one whose layers are the rows of the uint8 gate codes,
+        in order at the steps where `free` is False (both kept read-only)."""
         _check_tau(tau)
-        layers = [s for s in steps if s is not None]
-        codes, first = decode_rows(layers, qubits, GATES)
-        if first < len(layers):
-            raise ValueError(f"bad gate layer {layers[first]!r}")
-        self._set(qubits, tau, codes.view(np.uint8),
-                  np.array([s is None for s in steps], dtype=bool), steps)
-
-    @classmethod
-    def of_codes(cls, qubits: int, tau: float, codes: np.ndarray,
-                 free: np.ndarray) -> PulseSchedule:
-        """The schedule whose layers are the rows of the uint8 gate codes, in
-        order at the steps where `free` is False; both arrays are kept, made
-        read-only."""
-        _check_tau(tau)
-        p = object.__new__(cls)
-        p._set(qubits, tau, codes, free, None)
-        return p
-
-    def _set(self, qubits, tau, codes, free, steps) -> None:
-        for name, value in zip(self.__slots__, (qubits, tau, frozen(codes), frozen(free), steps)):
+        if codes is None:
+            steps = tuple(steps)
+            layers = [s for s in steps if s is not None]
+            codes, first = decode_rows(layers, qubits, GATES)
+            if first < len(layers):
+                raise ValueError(f"bad gate layer {layers[first]!r}")
+            codes, free = codes.view(np.uint8), np.array([s is None for s in steps], dtype=bool)
+            object.__setattr__(self, "steps", steps)
+        for name, value in (("qubits", qubits), ("tau", tau), ("codes", frozen(codes)),
+                            ("free", frozen(free))):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return PulseSchedule.of_codes, (self.qubits, self.tau, self.codes, self.free)
-
-    @property
+    @cached_property
     def steps(self) -> tuple[Step, ...]:
-        if self._steps is None:
-            layers = iter(format_rows(self.codes, GATES).splitlines())
-            object.__setattr__(self, "_steps", tuple(
-                None if free else next(layers) for free in self.free.tolist()))
-        return self._steps
+        layers = iter(format_rows(self.codes, GATES).splitlines())
+        return tuple(None if free else next(layers) for free in self.free.tolist())
 
     @property
     def layers(self) -> list[str]:
@@ -117,14 +107,14 @@ def compile_general(scheme: Scheme, tau: float = 1.0, merged: bool = True) -> Pu
     layers = np.empty((scheme.intervals, 2, scheme.qubits), dtype=np.uint8)
     layers[:] = codes.T[:, None]
     free = np.tile([False, True, False], scheme.intervals)
-    return PulseSchedule.of_codes(scheme.qubits, tau, layers.reshape(-1, scheme.qubits), free)
+    return PulseSchedule(scheme.qubits, tau, codes=layers.reshape(-1, scheme.qubits), free=free)
 
 
 def _alternating(qubits: int, tau: float, layers: np.ndarray) -> PulseSchedule:
     """Layer 0, an interval, layer 1, ..., layer m: rows of an (m+1) x n code array."""
     free = np.zeros(2 * len(layers) - 1, dtype=bool)
     free[1::2] = True
-    return PulseSchedule.of_codes(qubits, tau, layers.view(np.uint8), free)
+    return PulseSchedule(qubits, tau, codes=layers.view(np.uint8), free=free)
 
 
 def simplify(p: PulseSchedule) -> PulseSchedule:
@@ -147,20 +137,9 @@ def gate_count(p: PulseSchedule) -> int:
 
 def write_schedule(p: PulseSchedule, stream: IO[str]) -> None:
     """The header, then the steps a codec block of text at a time, never all
-    of it, formatted from the codes.  An alternating schedule (layer,
-    interval, ..., layer) is written as records of a G line and its F line;
-    any other a block of steps at a time, its G lines split and joined with
-    its F lines."""
+    of it: a block's G lines formatted from its codes, joined with its F lines."""
     free = f"F {p.tau!r}\n"
     stream.write(f"pulses n={p.qubits} m={p.total_intervals} tau={p.tau!r}\n")
-    count = len(p.codes)
-    if count and len(p.free) == 2 * count - 1 and p.free[1::2].all():
-        block = _block_rows(p.qubits + 2 + len(free))
-        for i in range(0, count - 1, block):
-            stream.write(format_rows(p.codes[i:min(i + block, count - 1)], GATES, "G ",
-                                     "\n" + free[:-1]))
-        stream.write(format_rows(p.codes[-1:], GATES, "G "))
-        return
     block, done = _block_rows(p.qubits + 2), 0  # a "G <layer>" line has n + 3 characters
     for i in range(0, len(p.free), block):
         kinds = p.free[i:i + block].tolist()

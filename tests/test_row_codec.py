@@ -209,17 +209,12 @@ def test_canonical_blocks_with_one_fault_read_as_the_single_pass_reader(case, bl
 
 
 class BlockStream(io.StringIO):
-    """A stream read by blocks only: iterating it raises, and so does a
-    readline of any line but a header."""
-
-    def __iter__(self):
-        raise AssertionError("stream iterated by lines")
-
-    __next__ = __iter__
+    """A stream read by blocks only: a readline, and so a line of iteration,
+    raises but for a header or at the end of the stream."""
 
     def readline(self, size=-1):
         line = super().readline(size)
-        if not line.startswith(("scheme ", "rows ", "order ")):
+        if line and not line.startswith(("scheme ", "rows ", "order ")):
             raise AssertionError(f"readline of {line!r}")
         return line
 
@@ -253,13 +248,25 @@ def test_a_header_claiming_too_much_allocates_at_most_the_first_reserve(n, m, te
     assert traced_peak(read) <= hadamard._RESERVE_BYTES + (1 << 20)
 
 
-def test_a_file_claiming_longer_rows_than_it_holds_names_its_first_row(tmp_path):
-    # a block is read in pieces of at most _RESERVE_BYTES characters: one file
-    # read of the claimed 10^12 + 1 would allocate them all, or raise MemoryError
+@pytest.mark.parametrize("text", [
+    "++\n+-\n" * (1 << 21),              # 12 MiB of short rows
+    "++\n" + "+-" * (1 << 22) + "\n",     # a short row, then an 8 MiB line
+], ids=["short rows", "a long line"])
+def test_a_file_claiming_longer_rows_than_it_holds_reads_one_block_past_its_first_row(
+        tmp_path, text):
+    # a block is read in pieces of _BLOCK_BYTES characters up to the first
+    # that holds a newline, and a line that piece cuts past the block is not
+    # completed: one file read of the claimed 10^12 + 1 characters would
+    # allocate them all (or raise MemoryError), and reading on to the claimed
+    # size, or to the end of the next line, would take in the whole file
     path = tmp_path / "rows.txt"
-    path.write_text("++\n+-\n")
-    with open(path) as fh, pytest.raises(ValueError, match="^bad matrix row '\\+\\+'$"):
-        parse_signs(fh, 2, 10 ** 12, "matrix")
+    path.write_text(text)
+    assert path.stat().st_size > 2 * hadamard._RESERVE_BYTES
+
+    def read():
+        with open(path) as fh, pytest.raises(ValueError, match="^bad matrix row '\\+\\+'$"):
+            parse_signs(fh, 2, 10 ** 12, "matrix")
+    assert traced_peak(read) <= hadamard._RESERVE_BYTES + (1 << 20)
 
 
 # ---------------------------------------------------------------------------
