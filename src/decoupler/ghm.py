@@ -234,19 +234,21 @@ def compose(
         k = int(bad[0])
         raise ValueError(f"rows {schur_rows[3*k:3*k+3]} are not a Schur-set")
 
-    # row (i, b, t) is kron(base row 3i+t, coordinate t of gamma row b) and
-    # leftover row (q, b) is kron(leftover q, coordinate 0 of gamma row b):
-    # one broadcast each, written straight into the composed matrix
+    # row (i, b, t) is kron(base row 3i+t, coordinate t of gamma row b), leftover
+    # row (q, b) kron(leftover q, coordinate 0 of gamma row b), and kron(x, y) =
+    # repeat(x, L) * tile(y, m): one multiply each, its inner loop over m L
+    # contiguous entries.  Its one large temporary, the repeated base rows
+    # (3 n m L <= big^2 / L entries), lives only for that multiply.
     L = 4 * lam
-    eps = level(gamma).reshape(L, 3, L)  # [b, t, c]
+    eps = np.tile(level(gamma).reshape(L, 3, L), (1, 1, m))  # [b, t, j L + c]
+    base = np.repeat(base, L, axis=2)
     rows = np.empty((big, big), dtype=np.int8)
-    np.multiply(base[:, None, :, :, None], eps[:, :, None, :],
-                out=rows[:3 * n * L].reshape(n, L, 3, m, L))
-    left = h.entries[list(leftover_rows)]
-    np.multiply(left[:, None, :, None], eps[:, 0, None, :],
-                out=rows[3 * n * L:].reshape(len(left), L, m, L))
+    np.multiply(base[:, None], eps, out=rows[:3 * n * L].reshape(n, L, 3, m * L))
+    del base
+    np.multiply(np.repeat(h.entries[list(leftover_rows)], L, axis=1)[:, None], eps[:, 0],
+                out=rows[3 * n * L:].reshape(len(leftover_rows), L, m * L))
     index_map = [(3 * i + t, 3 * b + t) for i in range(n) for b in range(L) for t in range(3)]
-    index_map += [(3 * n + q, 3 * b) for q in range(len(left)) for b in range(L)]
+    index_map += [(3 * n + q, 3 * b) for q in range(len(leftover_rows)) for b in range(L)]
 
     hprime = HadamardMatrix(
         frozen(rows), provenance=f"composed({h.provenance},gh(4,{lam}))")

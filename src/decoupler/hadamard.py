@@ -5,28 +5,29 @@ exact float32 Gram by which all orthogonality is tested, with `upper_pairs`
 its one scan; `canonical_indices`, which names rows by their index in the
 canonical matrix of their order instead, Sylvester rows by `walsh_indices`
 (`walsh_rows` undone) with no matrix, other rows by a lookup in the matrix
-they came from; and `format_rows` / `decode_rows`, the one row codec.
+they came from; and the one row codec, `write_signs` / `parse_signs` for
+'+'/'-' rows and `format_rows` / `decode_rows` / `parse_rows` for letters.
 
 The codec works on one block of about 64 KiB of text at a time, so what it
-holds beyond its input and output is one block.  Encoding fills one text
-buffer: a two-letter alphabet by the multiply-add a + (b - a)·code, a wider
-one by a `bytes.translate` table over one block of codes; `write_signs`
-writes a +/-1 matrix a block at a time, so no sign mask or text as large as
-the matrix exists.  A reader takes each block of n rows of m letters with
-one read of n (m + 1) characters.  A canonical block, a newline after every
-m letters (the last row of the stream may lack it), is decoded over its
-bytes by a `bytes.translate` table straight into its rows of one int8
-array, allocated as the rows arrive.  Any other block (CRLF or padded rows,
-a short or missing row) is read line by line and stripped, as a line reader
-would, and so is a canonical block with a bad letter, so that the first bad
-row is named.  Only a short row makes the one read take text past the
-block, at most one more block, and it is always an error.
+holds beyond its input and output is one block.  Sign rows are written and
+read as 44 - x: letter = 44 - sign into one text buffer, with no sign mask,
+and sign = 44 - byte straight into the reader's int8 rows, accepted only
+where `all_signs` holds.  The other alphabets (IXYZ, exyz) go through a
+`bytes.translate` table both ways.  A reader takes each block of n rows of
+m letters with one read of n (m + 1) characters.  A canonical block, a
+newline after every m letters (the last row of the stream may lack it), is
+decoded over its bytes into its rows of one int8 array, allocated as the
+rows arrive.  Any other block (CRLF or padded rows, a short or missing row)
+is read line by line and stripped, as a line reader would, and so is a
+canonical block with a bad letter, so that the first bad row is named.
+Only a short row makes the one read take text past the block, at most one
+more block, and it is always an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import IO
 
 import numpy as np
@@ -395,7 +396,7 @@ def _block_rows(m: int) -> int:
 
 
 def format_rows(codes, alphabet: str, prefix: str = "") -> str:
-    """The row codec of every text format: row i of a 2-d array of codes
+    """The row codec of every letter format: row i of a 2-d array of codes
     0..len(alphabet)-1 becomes a line whose character j is alphabet[codes[i, j]],
     after `prefix`; any other code raises IndexError."""
     codes = np.asarray(codes)
@@ -405,51 +406,66 @@ def format_rows(codes, alphabet: str, prefix: str = "") -> str:
         raise IndexError(f"code {top} is outside the alphabet {alphabet!r}")
     n, m = codes.shape
     head = np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
-    text = np.empty((n, len(head) + m + 1), dtype=np.uint8)
+    text = np.full((n, len(head) + m + 1), ord("\n"), dtype=np.uint8)
     text[:, :len(head)] = head
-    text[:, -1] = ord("\n")
-    letters = alphabet.encode("ascii")
+    table = alphabet.encode("ascii").ljust(256, b"\0")
     step = _block_rows(text.shape[1] - 1)
-    for start in range(0, n, step):
-        block, out = codes[start:start + step], text[start:start + step, len(head):-1]
-        if len(letters) == 2:  # letter a + (b - a) code, in uint8 arithmetic
-            np.multiply(block, (letters[1] - letters[0]) % 256, out=out)
-            out += letters[0]
-        else:  # a bytes.translate table, faster than np.take's intp copy of the codes
-            out[:] = np.frombuffer(block.tobytes().translate(letters.ljust(256, b"\0")),
-                                   dtype=np.uint8).reshape(block.shape)
+    for start in range(0, n, step):  # bytes.translate: no intp copy of the codes, as in np.take
+        block = codes[start:start + step]
+        text[start:start + step, len(head):-1] = np.frombuffer(
+            block.tobytes().translate(table), dtype=np.uint8).reshape(block.shape)
     return str(text.reshape(-1).data, "ascii")
 
 
 def write_signs(entries: np.ndarray, stream: IO[str]) -> None:
-    """Write the rows of a +/-1 array as lines of '+'/'-', one codec block at
-    a time: no mask or text as large as the array is ever held."""
+    """Write the rows of a +/-1 integer array as lines of '+'/'-', letter =
+    44 - sign, a codec block at a time through one text buffer: no mask or
+    text as large as the array is ever held.  Other entries raise ValueError."""
     step = _block_rows(entries.shape[1])
+    text = np.full((min(step, len(entries)), entries.shape[1] + 1), ord("\n"), dtype=np.int8)
     for start in range(0, len(entries), step):
-        stream.write(format_rows(entries[start:start + step] < 0, "+-"))
+        block = entries[start:start + step]
+        if block.dtype.kind != "i" or not all_signs(block):
+            raise ValueError("sign entries must be +1/-1 integers")
+        np.subtract(44, block, out=text[:len(block), :-1])
+        stream.write(str(text[:len(block)].reshape(-1).data, "ascii"))
+
+
+def _translate(table: bytes, out: np.ndarray, raw: bytes, width: int) -> bool:
+    """Decode raw, rows of `width` bytes led by len(out[0]) letters, into out
+    by a bytes.translate table.  True when every letter was in the alphabet."""
+    codes = np.frombuffer(raw.translate(table), dtype=np.int8).reshape(len(out), width)
+    out[:] = codes[:, :out.shape[1]]
+    return out.min(initial=0) >= 0
+
+
+def _signs(out: np.ndarray, raw: bytes, width: int) -> bool:
+    """`_translate` of '+'/'-' straight to signs, 44 - byte in int8: only '+'
+    and '-' give +/-1 (',' gives 0, '*' 2), so True when all_signs holds."""
+    letters = np.frombuffer(raw, dtype=np.int8).reshape(len(out), width)[:, :out.shape[1]]
+    return all_signs(np.subtract(44, letters, out=out))
 
 
 @lru_cache(maxsize=None)
-def _decoder(alphabet: str) -> bytes:
-    """Byte -> int8 code table for bytes.translate (no index array); -1 marks other bytes."""
+def _decoder(alphabet: str):
+    """An alphabet's block decoder: `_translate` by its byte -> code table, -1 for other bytes."""
     table = np.full(256, -1, dtype=np.int8)
     table[np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)] = np.arange(len(alphabet))
-    return table.tobytes()
+    return partial(_translate, table.tobytes())
 
 
-def _decode_into(codes: np.ndarray, lines: list[str], alphabet: str) -> int:
-    """Decode lines[:len(codes)], each of m letters, into the C-contiguous
-    n x m int8 codes, one codec block at a time; -1 marks a letter outside the
-    alphabet.  The index of the first row holding one, else n."""
+def _decode_into(codes: np.ndarray, lines: list[str], decode) -> int:
+    """Decode lines[:len(codes)], each of m letters, into the n x m int8
+    codes by the block decoder `decode`, one codec block at a time.  The
+    index of the first row holding a letter it refuses, else n."""
     n, m = codes.shape
-    flat, table = codes.reshape(-1), _decoder(alphabet)
     step, first = _block_rows(m), n
     for start in range(0, n, step):
-        text = "".join(lines[start:min(start + step, n)]).encode("ascii", "replace")
-        block = flat[start * m:start * m + len(text)]
-        block[:] = np.frombuffer(text.translate(table), dtype=np.int8)
-        if first == n and block.min(initial=0) < 0:
-            first = start + int(np.argmax(block < 0)) // m
+        block = codes[start:start + step]
+        raw = "".join(lines[start:start + len(block)]).encode("ascii", "replace")
+        if not decode(block, raw, m) and first == n:
+            first = start + next(i for i in range(len(block))
+                                 if not decode(block[i:i + 1], raw[i * m:(i + 1) * m], m))
     return first
 
 
@@ -457,9 +473,8 @@ def decode_rows(lines: list[str], m: int, alphabet: str) -> tuple[np.ndarray, in
     """`format_rows` undone: the writable int8 codes of the lines before the
     first of another length than m, and the index of the first that is not m
     letters of the alphabet (len(lines) if none)."""
-    short = next((i for i, line in enumerate(lines) if len(line) != m), len(lines))
-    codes = np.empty((short, m), dtype=np.int8)
-    return codes, _decode_into(codes, lines, alphabet)
+    codes = np.empty((_short(lines, m), m), dtype=np.int8)
+    return codes, _decode_into(codes, lines, _decoder(alphabet))
 
 
 def _read(stream: IO[str], size: int) -> str:
@@ -505,26 +520,18 @@ def _lines(text: str, stream: IO[str], rows: int) -> list[str]:
     return [line.strip() for line in lines[:rows]]
 
 
-def _decoded(out: np.ndarray, raw: bytes, alphabet: str) -> bool:
-    """Decode a canonical block (`_canonical`) into out by the alphabet's
-    table.  True when every letter was in the alphabet."""
-    codes = np.frombuffer(raw.translate(_decoder(alphabet)), dtype=np.int8)
-    out[:] = codes.reshape(len(out), -1)[:, :-1]
-    return out.min(initial=0) >= 0
-
-
 def _short(lines: list[str], m: int) -> int:
     """The index of the first line of another length than m, else len(lines)."""
     return next((i for i, line in enumerate(lines) if len(line) != m), len(lines))
 
 
-def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.ndarray:
-    """Read n >= 1 lines of m letters from alphabet as a writable n x m int8
-    code array.  The first line of the wrong length or with a letter outside
-    the alphabet raises ValueError("bad <what> row '...'").  Each block of
-    rows is one read of its rows (m + 1) characters: a canonical block is
-    decoded over its bytes; any other block, and one with a bad letter, line
-    by line as the lines are stripped, so that the first bad row is named."""
+def _parse(stream: IO[str], n: int, m: int, what: str, decode) -> np.ndarray:
+    """The one reader: n >= 1 lines of m letters as a writable n x m int8
+    array, decoded by the block decoder `decode`.  The first line of the
+    wrong length or with a letter `decode` refuses raises ValueError("bad
+    <what> row '...'").  Each block of rows is one read of its rows (m + 1)
+    characters: a canonical block is decoded over its bytes; any other, and
+    one with a bad letter, line by line, so that the first bad row is named."""
     if n < 1 or m < 0:
         raise ValueError(f"bad {what} shape {n} x {m}")
     step = _block_rows(m)
@@ -546,24 +553,25 @@ def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.
                 codes.resize((rows, m), refcheck=False)
             else:
                 codes = np.empty((rows, m), dtype=np.int8)
-        if lines is None and not _decoded(codes[done:done + want], raw, alphabet):
+        if lines is None and not decode(codes[done:done + want], raw, m + 1):
             lines = _lines(text, stream, want)
             short = _short(lines, m)
         if lines is not None:
-            first = _decode_into(codes[done:done + short], lines, alphabet)
+            first = _decode_into(codes[done:done + short], lines, decode)
             if first < want:
                 raise ValueError(f"bad {what} row {lines[first] if first < len(lines) else ''!r}")
         done += want
     return codes
 
 
+def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.ndarray:
+    """`_parse` of n lines of m letters from alphabet as their int8 codes."""
+    return _parse(stream, n, m, what, _decoder(alphabet))
+
+
 def parse_signs(stream: IO[str], n: int, m: int, what: str) -> np.ndarray:
-    """`parse_rows` of n lines of m '+'/'-' as their read-only +/-1 signs,
-    mapped in place (code c is the sign 1 - 2c)."""
-    signs = parse_rows(stream, n, m, "+-", what)
-    signs *= -2
-    signs += 1
-    return frozen(signs)
+    """`_parse` of n lines of m '+'/'-' as their read-only +/-1 signs."""
+    return frozen(_parse(stream, n, m, what, _signs))
 
 
 def expect_end(stream: IO[str], what: str) -> None:

@@ -1,6 +1,6 @@
 """GH(4,2) is a literal equal to what gh_search(2) finds, gh_for_lambda keeps
 one cache entry per (lambda, cap), and the broadcast compose builds exactly
-the matrix the per-row Kronecker definition gives."""
+the matrix the per-row Kronecker definition gives, holding little beside it."""
 
 import itertools
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_row_codec import traced_peak
 
 from decoupler import ghm
 from decoupler.ghm import compose, compose_sylvester, gh_for_lambda, gh_search, level, verify_gh
@@ -128,3 +129,14 @@ def test_compose_of_a_base_with_no_triples():
     h = HadamardMatrix(np.array([[1, 1], [1, -1]]), provenance="h2")
     result = compose(h, [], [0, 1], gh_for_lambda(2))
     assert_matches_kron(result, h, [], [0, 1], gh_for_lambda(2), None)
+
+
+def test_compose_holds_its_output_and_one_repeated_copy_of_the_base_rows():
+    # beside the big x big output: the repeated base rows, 3 n m L <= big^2 / L
+    # entries, the one large temporary; the m x m sylvester(8) that
+    # compose_sylvester builds; the tiled gamma rows, 3 L big entries
+    gamma = gh_for_lambda(2)
+    L, m = gamma.order, 256
+    big = L * m
+    peak = traced_peak(lambda: compose_sylvester(8, gamma))
+    assert peak <= big * big * (1 + 1 / L) + m * m + 3 * L * big + (64 << 10), f"peak {peak} B"

@@ -1,10 +1,11 @@
 """The row codec against its definition and against the decoder it replaced.
 
 `format_rows` must write alphabet[c] for every code c, whatever the dtype
-and memory layout of the codes, and refuse a code outside the alphabet.
-`decode_rows` and `parse_rows` work one block of rows at a time; the
-single-pass decoder they replaced is kept here as the oracle for the codes,
-the first bad row and every error message.  Each test also runs with blocks
+and memory layout of the codes, and refuse a code outside the alphabet;
+`write_signs` must write '+'/'-' for every +/-1 integer array and refuse
+any other entry.  `decode_rows`, `parse_rows` and `parse_signs` work one
+block of rows at a time; the single-pass decoder they replaced is kept here
+as the oracle for the codes, the first bad row and every error message.  Each test also runs with blocks
 of a few bytes, so that small inputs cross every block boundary and every
 growth of a reader's array.  Last, the memory of the text boundary: a
 writer holds one block, a reader its output and one block."""
@@ -25,7 +26,7 @@ from test_layer_codes import outcome
 from decoupler import hadamard
 from decoupler.ghm import ELEMENT_CHARS, compose_sylvester, gh_for_lambda
 from decoupler.hadamard import (decode_rows, format_rows, paley, parse_rows, parse_signs,
-                                read_matrix, write_matrix)
+                                read_matrix, write_matrix, write_signs)
 from decoupler.schemes import (GATES, TaskSpec, check_scheme, read_scheme, sign_blocks, synth,
                               write_scheme)
 
@@ -66,22 +67,38 @@ def single_pass_parse(stream, n, m, alphabet, what):
     return codes
 
 
+def laid_out(draw, dtype, values):
+    """An array of n >= 1 rows and m >= 0 columns of the values, C-ordered,
+    F-ordered, a transposed view or a strided view."""
+    n, m = draw(st.integers(1, 9)), draw(st.integers(0, 9))
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
+    if layout == "transposed":
+        return draw(arrays(dtype, (m, n), elements=values)).T
+    if layout == "strided":
+        return draw(arrays(dtype, (n, 2 * m), elements=values))[:, ::2]
+    codes = draw(arrays(dtype, (n, m), elements=values))
+    return np.asfortranarray(codes) if layout == "F" else codes
+
+
+def single_pass_signs(stream, n, m, alphabet, what):
+    """parse_signs as it was: the single-pass codes over '+'/'-' as the
+    signs 1 - 2 code."""
+    return (1 - 2 * single_pass_parse(stream, n, m, "+-", what)).astype(np.int8)
+
+
+def read_signs(stream, n, m, alphabet, what):
+    """parse_signs in the signature of the other readers."""
+    return parse_signs(stream, n, m, what)
+
+
 @st.composite
 def code_arrays(draw):
     """(alphabet, codes): bool, int8 or uint8 codes in the alphabet (or in
-    "-+", whose second letter comes first in ASCII), n >= 1 rows, m >= 0
-    columns, C-ordered, F-ordered, a transposed view or a strided view."""
+    "-+", whose second letter comes first in ASCII), in any layout."""
     alphabet = draw(st.sampled_from(ALPHABETS + ["-+"]))
     dtype = draw(st.sampled_from([np.bool_, np.int8, np.uint8]))
-    n, m = draw(st.integers(1, 9)), draw(st.integers(0, 9))
     values = st.booleans() if dtype is np.bool_ else st.integers(0, len(alphabet) - 1)
-    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
-    if layout == "transposed":
-        return alphabet, draw(arrays(dtype, (m, n), elements=values)).T
-    if layout == "strided":
-        return alphabet, draw(arrays(dtype, (n, 2 * m), elements=values))[:, ::2]
-    codes = draw(arrays(dtype, (n, m), elements=values))
-    return alphabet, np.asfortranarray(codes) if layout == "F" else codes
+    return alphabet, laid_out(draw, dtype, values)
 
 
 @settings(max_examples=300, deadline=None)
@@ -100,6 +117,39 @@ def test_format_rows_is_its_definition_and_decodes_back(case, block):
         assert np.array_equal(got, codes)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.int8, np.int16, np.int64]), st.data(), BLOCK_BYTES)
+def test_write_signs_and_write_matrix_are_their_definition(dtype, data, block):
+    # letter 44 - sign, whatever the integer dtype and memory layout
+    signs = laid_out(data.draw, dtype, st.sampled_from([1, -1]))
+    want = reference_rows(signs < 0, "+-")
+    with blocks_of(block):
+        signs_text, matrix_text = io.StringIO(), io.StringIO()
+        write_signs(signs, signs_text)
+        write_matrix(signs, matrix_text)
+    assert signs_text.getvalue() == want
+    assert matrix_text.getvalue() == f"order {len(signs)}\n" + want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([np.int8, np.int64]), st.sampled_from([0, 2, -2, 43, 127]), st.data(),
+       BLOCK_BYTES)
+def test_writing_an_entry_other_than_a_sign_raises(dtype, bad, data, block):
+    # once written as '+' (it is not < 0); now refused in any row of any block
+    n, m = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    signs = np.ones((n, m), dtype=dtype)
+    signs[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))] = bad
+    with blocks_of(block), pytest.raises(ValueError, match="must be \\+1/-1"):
+        write_matrix(signs, io.StringIO())
+
+
+@pytest.mark.parametrize("signs", [np.ones((2, 2)), np.ones((2, 2), dtype=bool)],
+                         ids=["float", "bool"])
+def test_writing_signs_of_another_dtype_than_integers_raises(signs):
+    with pytest.raises(ValueError, match="must be \\+1/-1 integers"):
+        write_signs(signs, io.StringIO())
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(ALPHABETS), st.sampled_from([np.int8, np.uint8]), st.data())
 def test_codes_outside_the_alphabet_raise(alphabet, dtype, data):
@@ -112,13 +162,18 @@ def test_codes_outside_the_alphabet_raise(alphabet, dtype, data):
         format_rows(codes, alphabet)
 
 
+# letters outside every alphabet: ',', '*' and '.', which 44 - byte maps to
+# 0, 2 and -2; characters of code 128..255, and one beyond
+OUTSIDE = "x?,*.\x80\xff\u00e9\u20ac"
+
+
 @st.composite
 def fuzzed_lines(draw):
     """(lines, m, alphabet): rows of short, right and long length, some
     with letters outside the alphabet, non-ASCII among them."""
     alphabet = draw(st.sampled_from(ALPHABETS))
     m = draw(st.integers(0, 5))
-    letters = st.sampled_from(alphabet * 4 + "x?é\t ")
+    letters = st.sampled_from(alphabet * 4 + OUTSIDE + "\t ")
     lines = []
     for _ in range(draw(st.integers(0, 12))):
         width = max(0, m + draw(st.sampled_from([0] * 6 + [-1, 1])))
@@ -149,7 +204,19 @@ def test_parse_rows_equals_the_single_pass_reader(case, n, end, tail, block):
     text = "".join(line + end for line in lines) + tail
     with blocks_of(block):
         got = outcome(parse_rows, text, n, m, alphabet)
+        signs = outcome(read_signs, text, n, m, "+-")
     assert got == outcome(single_pass_parse, text, n, m, alphabet)
+    assert signs == outcome(single_pass_signs, text, n, m, "+-")
+
+
+def test_every_character_up_to_255_in_a_sign_row_reads_as_the_single_pass_reader():
+    # only '+' and '-' are signs: 44 - byte maps no other byte to +/-1
+    for letter in map(chr, range(256)):
+        for text in (f"+-\n-{letter}\n", f"+{letter}-\n+--\n"):
+            for block in (1, 3, 1 << 16):
+                with blocks_of(block):
+                    signs = outcome(read_signs, text, 2, len(text) // 2 - 1, "+-")
+                assert signs == outcome(single_pass_signs, text, 2, len(text) // 2 - 1, "+-")
 
 
 FAULTS = ("none", "crlf", "padded", "short", "bad letter", "no final newline", "ends early")
@@ -175,7 +242,7 @@ def canonical_with_one_fault(draw):
         rows[at] = rows[at][1:] if m else ""
     elif fault == "bad letter" and m:
         j = draw(st.integers(0, m - 1))
-        rows[at] = rows[at][:j] + draw(st.sampled_from("x?\u00e9 \r")) + rows[at][j + 1:]
+        rows[at] = rows[at][:j] + draw(st.sampled_from(OUTSIDE + " \r")) + rows[at][j + 1:]
     elif fault == "ends early":
         rows = rows[:at]
     tail = draw(st.sampled_from(["", "rows 1 2\n", alphabet[0] * m + "\n", "+"]))
@@ -185,10 +252,6 @@ def canonical_with_one_fault(draw):
     return text, n, m, alphabet, fault
 
 
-def single_pass_signs(stream, n, m, alphabet, what):
-    """parse_signs as it was: the single-pass codes over '+'/'-' as the
-    signs 1 - 2 code."""
-    return (1 - 2 * single_pass_parse(stream, n, m, "+-", what)).astype(np.int8)
 
 
 @settings(max_examples=500, deadline=None)
@@ -196,6 +259,9 @@ def single_pass_signs(stream, n, m, alphabet, what):
 @example(("++\n-+\r\n+-\n", 3, 2, "+-", "crlf"), 6)
 @example(("++\n-\n+-\nrows 1 2\n", 3, 2, "+-", "short"), 9)
 @example(("IXYZ\nZZII", 2, 4, GATES, "no final newline"), 1 << 16)
+@example(("++\n+-\n-,\n", 3, 2, "+-", "bad letter"), 6)
+@example(("+-\n*+\n--\n", 3, 2, "+-", "bad letter"), 1 << 16)
+@example(("+-.\n", 1, 3, "+-", "bad letter"), 1)
 def test_canonical_blocks_with_one_fault_read_as_the_single_pass_reader(case, block):
     # every block a canonical block is read by bytes; the block that holds
     # the fault, and only it, line by line: the codes, the next line after
