@@ -16,10 +16,12 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
-from .hadamard import (DEFAULT_SIZE_CAP, _recipe, best_order, exceeds_cap, recipe_str,
-                       write_matrix)
-from .ghm import compose_sylvester, gh_for_lambda
+from .hadamard import (DEFAULT_SIZE_CAP, _block_rows, _recipe, best_order, exceeds_cap,
+                       recipe_str, write_signs)
+from .ghm import gh_for_lambda, sylvester_composition
 from .schemes import _candidates, check_scheme, parse_task, read_scheme, synth, write_scheme
 from .pulses import compile_general, write_schedule
 from .schur import partition_sylvester, write_partition
@@ -178,10 +180,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "compose":
-        result = compose_sylvester(args.r, gh_for_lambda(args.lam), cap=args.cap)
-        write_matrix(result.hprime, sys.stdout)
-        print(f"triples={len(result.triples)} leftover="
-              f"{result.hprime.order - 3 * len(result.triples)}", file=sys.stderr)
+        # every refusal comes from sylvester_composition, before the first
+        # byte; the matrix is then built and written a codec block of rows
+        # at a time, never whole
+        comp = sylvester_composition(args.r, gh_for_lambda(args.lam), cap=args.cap)
+        sys.stdout.write(f"order {comp.order}\n")
+        step = _block_rows(comp.order)
+        for start in range(0, comp.order, step):
+            write_signs(comp.rows(np.arange(start, min(start + step, comp.order))), sys.stdout)
+        triples = len(comp.triples)
+        print(f"triples={triples} leftover={comp.order - 3 * triples}", file=sys.stderr)
         return 0
 
     if args.command == "synth":

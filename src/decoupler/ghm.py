@@ -16,9 +16,9 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
-from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, ValidityReport, decode_rows,
-                       exceeds_cap, expect_end, format_rows, gram, frozen, is_normalized,
-                       parse_rows, read_only, sylvester, upper_pairs)
+from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, ValidityReport, _block_rows,
+                       decode_rows, exceeds_cap, expect_end, format_rows, gram, frozen,
+                       is_normalized, parse_rows, read_only, sylvester, upper_pairs)
 from .schur import five_rows, partition_sylvester
 
 # sign of coordinate t for element g: rows e, x, y, z
@@ -194,21 +194,82 @@ class CompositionResult:
     index_map: tuple[tuple[int, int], ...]  # hprime row -> (base row pos, leveled gh row)
 
 
-def compose(
+@dataclass(frozen=True)
+class Composition:
+    """A checked composition whose rows are built on demand by `rows`: row k
+    of the composed matrix is kron(row base_rows[pos[k]] of h, row g[k] of
+    level(gamma)), with pos and g the two halves of `CompositionResult`'s
+    index_map.  It holds h, pos, g and the tiled leveled gamma rows, 3 L
+    order entries (L = 4 lam), never the order x order matrix."""
+
+    h: HadamardMatrix
+    lam: int
+    n_base_triples: int
+    base_rows: np.ndarray  # the row of h at each base position: schur_rows, then leftover_rows
+    pos: np.ndarray        # the base position of each composed row
+    g: np.ndarray          # the leveled gamma row of each composed row
+    eps: np.ndarray        # level(gamma) tiled m times: eps[g] = tile(level(gamma)[g], m)
+    f_rows: tuple[int, int, int, int, int] | None
+    provenance: str
+
+    @property
+    def order(self) -> int:
+        return len(self.pos)
+
+    @property
+    def triples(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple((3 * k, 3 * k + 1, 3 * k + 2)
+                     for k in range(4 * self.lam * self.n_base_triples))
+
+    def rows(self, k) -> np.ndarray:
+        """Rows k of the composed matrix as a new int8 array of shape
+        k.shape + (order,), the one composition kernel.  Entry jL + c of
+        kron(x, y) is repeat(x, L) times tile(y, m) there, so each codec
+        block of rows is one multiply whose inner loop runs over order
+        contiguous entries; a block's repeated base rows and gathered gamma
+        rows are its only temporaries."""
+        k = np.asarray(k, dtype=np.intp)
+        flat = k.reshape(-1)
+        out = np.empty((len(flat), self.order), dtype=np.int8)
+        step = _block_rows(self.order)
+        for start in range(0, len(flat), step):
+            block = flat[start:start + step]
+            np.multiply(_repeat(self.h.entries[self.base_rows[self.pos[block]]], 4 * self.lam),
+                        self.eps[self.g[block]], out=out[start:start + len(block)])
+        return out.reshape(k.shape + (self.order,))
+
+
+def _repeat(x: np.ndarray, L: int) -> np.ndarray:
+    """np.repeat(x, L, axis=1) of int8 rows.  numpy repeats a byte L times
+    slowly for L < 16, so for L = 4 and 8 each byte is instead spread over
+    a word of L bytes by one multiply of its zero-extended value by 0x01..01."""
+    if L not in (4, 8):
+        return np.repeat(x, L, axis=1)
+    word = np.dtype(f"u{L}")
+    ones = word.type(int.from_bytes(b"\x01" * L, "little"))
+    return (x.view(np.uint8).astype(word) * ones).view(np.int8)
+
+
+def composition(
     h: HadamardMatrix,
     schur_rows: Sequence[int],
     leftover_rows: Sequence[int],
     gamma: GhMatrix,
     five: Sequence[int] | None = None,
     cap: int = DEFAULT_SIZE_CAP,
-) -> CompositionResult:
-    """Compose a normalized Hadamard matrix with a normalized GH(4, lam).
+) -> Composition:
+    """Check and lay out the composition of a normalized Hadamard matrix with
+    a normalized GH(4, lam), building none of its rows.
 
     schur_rows lists 3n row indices of h, three consecutive indices per
-    Schur-set; leftover_rows lists the remaining rows.  The result is a
+    Schur-set; leftover_rows lists the remaining rows.  The composition is a
     Hadamard matrix of order 4*lam*m whose first 3n*4lam rows split into
     4lam*n Schur triples (consecutive threes) and which inherits the
     five-row feature as f_i x (all +1) when `five` gives base row indices.
+    Composed row (i, b, t), the 3 L i + 3 b + t-th, is kron(base row 3i+t,
+    coordinate t of gamma row b), and leftover row (q, b), the
+    3 n L + L q + b-th, kron(leftover q, coordinate 0 of gamma row b).
+    Every refusal is raised here, before any row is built.
     """
     m = h.order
     lam = gamma.lam
@@ -229,59 +290,72 @@ def compose(
         raise ValueError(f"gamma is not a GH(4,{lam}): rows {bad_pairs[0]} "
                          "fail the quotient count")
     base = h.entries[list(schur_rows)].reshape(n, 3, m)
-    bad = np.flatnonzero(np.any(base.prod(axis=1) != 1, axis=1))
+    # rows a, b, c of +/-1 multiply to all + exactly when a * b = c
+    bad = np.flatnonzero(np.any(base[:, 0] * base[:, 1] != base[:, 2], axis=1))
+    del base
     if bad.size:
         k = int(bad[0])
         raise ValueError(f"rows {schur_rows[3*k:3*k+3]} are not a Schur-set")
 
-    # row (i, b, t) is kron(base row 3i+t, coordinate t of gamma row b), leftover
-    # row (q, b) kron(leftover q, coordinate 0 of gamma row b), and kron(x, y) =
-    # repeat(x, L) * tile(y, m): one multiply each, its inner loop over m L
-    # contiguous entries.  Its one large temporary, the repeated base rows
-    # (3 n m L <= big^2 / L entries), lives only for that multiply.
-    L = 4 * lam
-    eps = np.tile(level(gamma).reshape(L, 3, L), (1, 1, m))  # [b, t, j L + c]
-    base = np.repeat(base, L, axis=2)
-    rows = np.empty((big, big), dtype=np.int8)
-    np.multiply(base[:, None], eps, out=rows[:3 * n * L].reshape(n, L, 3, m * L))
-    del base
-    np.multiply(np.repeat(h.entries[list(leftover_rows)], L, axis=1)[:, None], eps[:, 0],
-                out=rows[3 * n * L:].reshape(len(leftover_rows), L, m * L))
-    index_map = [(3 * i + t, 3 * b + t) for i in range(n) for b in range(L) for t in range(3)]
-    index_map += [(3 * n + q, 3 * b) for q in range(len(leftover_rows)) for b in range(L)]
-
-    hprime = HadamardMatrix(
-        frozen(rows), provenance=f"composed({h.provenance},gh(4,{lam}))")
-    triples = tuple((3 * k, 3 * k + 1, 3 * k + 2) for k in range(n * L))
-
+    L, schur = 4 * lam, 3 * n * 4 * lam
+    k = np.arange(big)
+    pos = np.where(k < schur, 3 * (k // (3 * L)) + k % 3, 3 * n + (k - schur) // L)
+    g = np.where(k < schur, 3 * (k // 3 % L) + k % 3, 3 * ((k - schur) % L))
     f_indices = None
     if five is not None:
         # f x (all +1) is the row of base position p and leveled row 3*0 + t,
         # coordinate t of gamma's all-identity row 0
         position = {r: p for p, r in enumerate([*schur_rows, *leftover_rows])}
-        f_indices = tuple(index_map.index((p, p % 3 if p < 3 * n else 0))
+        f_indices = tuple(3 * L * (p // 3) + p % 3 if p < 3 * n else schur + L * (p - 3 * n)
                           for p in (position[r] for r in five))
+    return Composition(
+        h=h, lam=lam, n_base_triples=n,
+        base_rows=np.array([*schur_rows, *leftover_rows], dtype=np.intp), pos=pos, g=g,
+        eps=np.tile(level(gamma), (1, m)), f_rows=f_indices,
+        provenance=f"composed({h.provenance},gh(4,{lam}))")
 
+
+def _built(c: Composition) -> CompositionResult:
+    """The composition with its matrix built over all rows."""
     return CompositionResult(
-        hprime=hprime,
-        triples=triples,
-        f_rows=f_indices,
-        n_base_triples=n,
-        base_order=m,
-        lam=lam,
-        index_map=tuple(index_map),
+        hprime=HadamardMatrix(frozen(c.rows(np.arange(c.order))), provenance=c.provenance),
+        triples=c.triples,
+        f_rows=c.f_rows,
+        n_base_triples=c.n_base_triples,
+        base_order=c.h.order,
+        lam=c.lam,
+        index_map=tuple(zip(c.pos.tolist(), c.g.tolist())),
     )
 
 
-def compose_sylvester(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> CompositionResult:
-    """Compose sylvester(r) (all its Schur triples) with gamma."""
+def compose(
+    h: HadamardMatrix,
+    schur_rows: Sequence[int],
+    leftover_rows: Sequence[int],
+    gamma: GhMatrix,
+    five: Sequence[int] | None = None,
+    cap: int = DEFAULT_SIZE_CAP,
+) -> CompositionResult:
+    """Compose a normalized Hadamard matrix with a normalized GH(4, lam):
+    `composition`'s checks and layout, with the matrix hprime built from its
+    rows kernel over all rows."""
+    return _built(composition(h, schur_rows, leftover_rows, gamma, five, cap))
+
+
+def sylvester_composition(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> Composition:
+    """`composition` of sylvester(r), all its Schur triples, with gamma."""
     if exceeds_cap(r, cap // (4 * gamma.lam)):  # 4 lam 2^r > cap
         raise SizeCapExceeded(f"composed order 4*{gamma.lam}*2^{r} exceeds cap {cap}")
     p = partition_sylvester(r)
     schur_rows = [i for t in p.triples for i in t]
     leftover = list(p.remainder)
     five = five_rows(r).indices if r >= 3 else None
-    return compose(sylvester(r, cap), schur_rows, leftover, gamma, five=five, cap=cap)
+    return composition(sylvester(r, cap), schur_rows, leftover, gamma, five=five, cap=cap)
+
+
+def compose_sylvester(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> CompositionResult:
+    """Compose sylvester(r) (all its Schur triples) with gamma."""
+    return _built(sylvester_composition(r, gamma, cap))
 
 
 def interval_bound(r: int, t: int) -> tuple[int, int]:

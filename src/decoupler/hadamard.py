@@ -1,12 +1,13 @@
 """Hadamard matrix constructions and the recipe of each constructible order,
 plus the kernels every sign matrix goes through: `walsh_rows`, which builds
-every Sylvester row (sylvester(r) and the simulator's sign rows); `gram`, the
-exact float32 Gram by which all orthogonality is tested, with `upper_pairs`
-its one scan; `canonical_indices`, which names rows by their index in the
-canonical matrix of their order instead, Sylvester rows by `walsh_indices`
-(`walsh_rows` undone) with no matrix, other rows by a lookup in the matrix
-they came from; and the one row codec, `write_signs` / `parse_signs` for
-'+'/'-' rows and `format_rows` / `decode_rows` / `parse_rows` for letters.
+every Sylvester row (sylvester(r), the rows a general scheme takes and the
+simulator's sign rows); `gram`, the exact float32 Gram by which all
+orthogonality is tested, with `upper_pairs` its one scan;
+`canonical_indices`, which names rows by their index in the canonical matrix
+of their order instead, Sylvester rows by `walsh_indices` (`walsh_rows`
+undone) with no matrix, other rows by a lookup in the matrix they came from;
+and the one row codec, `write_signs` / `parse_signs` for '+'/'-' rows and
+`format_rows` / `decode_rows` / `parse_rows` for letters.
 
 The codec works on one block of about 64 KiB of text at a time, so what it
 holds beyond its input and output is one block.  Sign rows are written and
@@ -156,19 +157,32 @@ def walsh_indices(rows, dropped_first: bool = False) -> np.ndarray | None:
     return (rows[:, powers - off] < 0) @ powers
 
 
+# Rows 0..63 of sylvester(6) as walsh_rows' bytes: the parity of
+# popcount(k & j), and the signs' bytes, 0x01 for +1 and 0xFF for -1.
+_NARROW_BITS = 6
+_NARROW_PARITY = np.bitwise_xor.reduce(
+    [np.arange(64, dtype=np.uint8)[:, None] >> b & np.arange(64, dtype=np.uint8) >> b & 1
+     for b in range(_NARROW_BITS)])
+_NARROW = {True: _NARROW_PARITY, False: _NARROW_PARITY * np.uint8(0xFE) ^ np.uint8(1)}
+
+
 def walsh_rows(k, r: int, parity: bool = False) -> np.ndarray:
     """Rows k of sylvester(r), bits of k from r up ignored, as a new +/-1 int8
     array of shape k.shape + (2^r,), or with `parity` as the bool array of
     their signs < 0, popcount(k & j) odd: `walsh_indices`' recurrence run
-    forward, x[0] = 1 and x[2^b:2^(b+1)] = x[:2^b] * (-1)^(bit b of k), each
-    level one XOR of the bytes (0x01 for +1, 0xFF for -1; 0 and 1 for the
-    parity) with 0xFE (1) where bit b is set."""
+    forward, x[2^b:2^(b+1)] = x[:2^b] * (-1)^(bit b of k), each level one XOR
+    of the bytes (0x01 for +1, 0xFF for -1; 0 and 1 for the parity) with 0xFE
+    (1) where bit b is set.  The first 2^min(r, 6) entries of each row are
+    copied from one table of sylvester(6), so that no level is narrower than
+    64 entries a row, where numpy's per-row overhead would dominate."""
     k = np.asarray(k, dtype=np.int64)
     x = np.empty(k.shape + (1 << r,), dtype=np.uint8)
-    x[..., 0] = 0 if parity else 1
-    masks = (k[..., None] >> np.arange(r) & 1).astype(np.uint8) * np.uint8(1 if parity else 0xFE)
-    for b in range(r):
-        np.bitwise_xor(x[..., :1 << b], masks[..., b, None], out=x[..., 1 << b:2 << b])
+    s = min(r, _NARROW_BITS)
+    x[..., :1 << s] = _NARROW[parity][k & 63, :1 << s]
+    masks = ((k[..., None] >> np.arange(s, r) & 1).astype(np.uint8)
+             * np.uint8(1 if parity else 0xFE))
+    for b in range(s, r):
+        np.bitwise_xor(x[..., :1 << b], masks[..., b - s, None], out=x[..., 1 << b:2 << b])
     return x.view(bool if parity else np.int8)
 
 

@@ -4,29 +4,30 @@ pair coupling and time reversal.
 A zz-framework scheme is one n x m sign matrix; a general-framework scheme is
 three sign matrices S_x, S_y, S_z tied by the entry-wise product
 S_x * S_y = S_z.  Each is one gather of construction rows (`_gather`), which
-`check` reads back by one index lookup for every block.  A zz scheme S is the
-triple (1, S, S), so both are checked and lowered by one path, from the
-blocks a scheme stores (`sign_blocks`); the embedding is never built, since
-1 * S = S cannot fail.  A certified check traces at most 2 n m bytes for a
-general triple and 34 MiB for a zz S at n = 4090 (m = 4092), the peak of
-its index lookup: gate codes are built and counted in place.  Each sign
-column names one conjugating gate, coded 0..3 for I/X/Y/Z; the phaseless
-product of two gates is the XOR of their codes.  Qubit indices in the
-public API are 0-based.
+builds only the rows it takes and which `check` reads back by one index
+lookup for every block.  A zz scheme S is the triple (1, S, S), so both are
+checked and lowered by one path, from the blocks a scheme stores
+(`sign_blocks`); the embedding is never built, since 1 * S = S cannot fail.
+A certified check traces at most 2 n m bytes for a general triple and 34 MiB
+for a zz S at n = 4090 (m = 4092), the peak of its index lookup: gate codes
+are built and counted in place.  Each sign column names one conjugating
+gate, coded 0..3 for I/X/Y/Z; the phaseless product of two gates is the XOR
+of their codes.  Qubit indices in the public API are 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO
+from functools import partial
+from typing import IO, Callable
 
 import numpy as np
 
 from .errors import SizeCapExceeded
 from .hadamard import (DEFAULT_SIZE_CAP, _block_rows, all_signs, best_matrix, canonical_indices,
                        expect_end, frozen, gram, parse_signs, read_only, sylvester, upper_pairs,
-                       write_signs)
-from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
+                       walsh_rows, write_signs)
+from .ghm import constructible_lambdas, gh_for_lambda, sylvester_composition
 from .schur import five_rows, partition_sylvester
 
 LABELS = ("x", "y", "z")
@@ -148,18 +149,38 @@ class SchemeReport:
 # ---------------------------------------------------------------------------
 # synthesis: every scheme is rows[idx] for an n x k array idx of row indices
 # into one construction, qubit q taking rows idx[q]: its one row (zz, k = 1)
-# or its (S_x, S_y, S_z) rows (general, k = 3)
+# or its (S_x, S_y, S_z) rows (general, k = 3).  A general construction is a
+# `_Rows`, which builds the rows it is asked for and no other.
 
-def _gather(rows: np.ndarray, idx: np.ndarray, reverse: bool = False) -> Scheme:
-    """The scheme rows[idx]; for reversal, without the construction's first
-    column, which must be all + on the rows taken."""
+@dataclass(frozen=True)
+class _Rows:
+    """The rows of an order x order sign matrix, built on demand: rows[k] is
+    build(k), a new int8 array of shape k.shape + (order,)."""
+
+    build: Callable[[np.ndarray], np.ndarray]
+    order: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.order, self.order
+
+    def __getitem__(self, k) -> np.ndarray:
+        return self.build(k)
+
+
+def _gather(rows, idx: np.ndarray, reverse: bool = False) -> Scheme:
+    """The scheme rows[idx], for the construction `rows`: `best_matrix`'s
+    entries (zz), or a `_Rows` that builds those 3 n m entries and no other
+    row of the construction (general).  For reversal, without the
+    construction's first column, which must be all + on the rows taken."""
+    blocks = frozen(rows[idx.T])
     if reverse:
-        if not np.all(rows[idx, 0] == 1):
+        if not np.all(blocks[..., 0] == 1):
             raise AssertionError("construction must yield an all-+ first column")
-        if rows.shape[1] < 2:
+        if blocks.shape[-1] < 2:
             raise ValueError(f"reversal scheme for n={len(idx)} would have no interval")
-        rows = rows[:, 1:]
-    blocks = [SignMatrix(b) for b in frozen(rows[idx.T])]
+        blocks = blocks[..., 1:]
+    blocks = [SignMatrix(b) for b in blocks]
     return blocks[0] if len(blocks) == 1 else SignTriple(*blocks)
 
 
@@ -254,13 +275,16 @@ def _candidates(cap: int) -> list[_Candidate]:
 
 
 def _construction_rows(cand: _Candidate, cap: int):
-    """(rows, T x 3 index triples, five-row indices or None) for a candidate."""
+    """(rows, T x 3 index triples, five-row indices or None) for a
+    candidate, its rows a `_Rows` that has built none: Sylvester rows k are
+    walsh_rows(k, r), composed rows k the composition's `rows` kernel."""
     if cand.kind == "sylvester":
         five = five_rows(cand.r).indices if cand.r >= 3 else None
-        rows, triples = sylvester(cand.r, cap).entries, partition_sylvester(cand.r).triples
+        rows = _Rows(partial(walsh_rows, r=cand.r), cand.intervals)
+        triples = partition_sylvester(cand.r).triples
     else:
-        comp = compose_sylvester(cand.r, gh_for_lambda(cand.lam), cap=cap)
-        rows, triples, five = comp.hprime.entries, comp.triples, comp.f_rows
+        comp = sylvester_composition(cand.r, gh_for_lambda(cand.lam), cap=cap)
+        rows, triples, five = _Rows(comp.rows, comp.order), comp.triples, comp.f_rows
     return rows, np.array(triples, dtype=np.intp), five
 
 

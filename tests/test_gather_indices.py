@@ -1,11 +1,13 @@
 """Every synthesized scheme is rows[idx] of one construction, and `check`
 reads back the index form that synthesis gathered.
 
-Each synthesizer hands `_gather` the construction's rows, an n x k array idx
-of row indices (k = 1 for zz, 3 for general) and whether the first column is
-dropped (reversal).  `canonical_indices` of the stored blocks must then be the
-canonical index of each gathered row: idx itself for Sylvester, Paley and
-Kronecker constructions, whose rows are the canonical matrix's, and
+Each synthesizer hands `_gather` the construction's rows (a matrix, or a
+`_Rows` that builds only the rows it is asked for), an n x k array idx of
+row indices (k = 1 for zz, 3 for general) and whether the first column is
+dropped (reversal); the test builds every row of the construction itself.
+`canonical_indices` of the stored blocks must then be the canonical index of
+each gathered row: idx itself for Sylvester, Paley and Kronecker
+constructions, whose rows are the canonical matrix's, and
 `walsh_indices(rows)[idx]` for the composed construction, whose Walsh rows
 come in another order.
 """
@@ -38,6 +40,7 @@ def test_check_reads_back_the_gathered_indices(monkeypatch, name, cap):
             continue
         (rows, idx, reverse), = calls
         assert reverse == (task.kind == "reverse")
+        rows = rows[np.arange(rows.shape[0])]  # every row of the construction
         canon = canonical_indices([rows])[0]  # the canonical index of each construction row
         if not np.array_equal(canon, np.arange(len(rows))):
             assert np.array_equal(canon, walsh_indices(rows)), key
