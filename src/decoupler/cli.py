@@ -188,7 +188,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         step = _block_rows(comp.order)
         for start in range(0, comp.order, step):
             write_signs(comp.rows(np.arange(start, min(start + step, comp.order))), sys.stdout)
-        triples = len(comp.triples)
+        triples = 4 * comp.lam * comp.n_base_triples  # len(comp.triples), not built
         print(f"triples={triples} leftover={comp.order - 3 * triples}", file=sys.stderr)
         return 0
 

@@ -229,14 +229,14 @@ class Composition:
         contiguous entries; a block's repeated base rows and gathered gamma
         rows are its only temporaries."""
         k = np.asarray(k, dtype=np.intp)
-        flat = k.reshape(-1)
-        out = np.empty((len(flat), self.order), dtype=np.int8)
-        step = _block_rows(self.order)
+        flat, order, L = k.reshape(-1), self.order, 4 * self.lam
+        out = np.empty((len(flat), order), dtype=np.int8)
+        step = _block_rows(order)
         for start in range(0, len(flat), step):
             block = flat[start:start + step]
-            np.multiply(_repeat(self.h.entries[self.base_rows[self.pos[block]]], 4 * self.lam),
+            np.multiply(_repeat(self.h.entries[self.base_rows[self.pos[block]]], L),
                         self.eps[self.g[block]], out=out[start:start + len(block)])
-        return out.reshape(k.shape + (self.order,))
+        return out.reshape(k.shape + (order,))
 
 
 def _repeat(x: np.ndarray, L: int) -> np.ndarray:
