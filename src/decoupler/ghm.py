@@ -194,23 +194,71 @@ class CompositionResult:
     index_map: tuple[tuple[int, int], ...]  # hprime row -> (base row pos, leveled gh row)
 
 
-@dataclass(frozen=True)
 class Composition:
-    """A checked composition whose rows are built on demand by `rows`: row k
-    of the composed matrix is kron(row base_rows[pos[k]] of h, row g[k] of
-    level(gamma)), with pos and g the two halves of `CompositionResult`'s
-    index_map.  It holds h, pos, g and the tiled leveled gamma rows, 3 L
-    order entries (L = 4 lam), never the order x order matrix."""
+    """The composition of a normalized Hadamard matrix h with a normalized
+    GH(4, lam), checked and laid out with none of its rows built; `rows`
+    builds the rows asked for.
 
-    h: HadamardMatrix
-    lam: int
-    n_base_triples: int
-    base_rows: np.ndarray  # the row of h at each base position: schur_rows, then leftover_rows
-    pos: np.ndarray        # the base position of each composed row
-    g: np.ndarray          # the leveled gamma row of each composed row
-    eps: np.ndarray        # level(gamma) tiled m times: eps[g] = tile(level(gamma)[g], m)
-    f_rows: tuple[int, int, int, int, int] | None
-    provenance: str
+    schur_rows lists 3n row indices of h, three consecutive indices per
+    Schur-set; leftover_rows lists the remaining rows.  The composition is a
+    Hadamard matrix of order 4*lam*m whose first 3n*4lam rows split into
+    4lam*n Schur triples (consecutive threes) and which inherits the
+    five-row feature as f_i x (all +1) when `five` gives base row indices.
+    Composed row k is kron(base row pos[k], row g[k] of level(gamma)), with
+    pos and g the two halves of `CompositionResult`'s index_map: row
+    (i, b, t), the 3 L i + 3 b + t-th (L = 4 lam), takes base row 3i+t and
+    coordinate t of gamma row b, and leftover row (q, b), the
+    3 n L + L q + b-th, leftover q and coordinate 0 of gamma row b.  Every
+    refusal is raised by the constructor.  The value holds h, pos, g and
+    level(gamma) tiled m times (3 L order entries), never the order x order
+    matrix.
+    """
+
+    def __init__(self, h: HadamardMatrix, schur_rows: Sequence[int],
+                 leftover_rows: Sequence[int], gamma: GhMatrix,
+                 five: Sequence[int] | None = None, cap: int = DEFAULT_SIZE_CAP):
+        m = h.order
+        lam = gamma.lam
+        big = 4 * lam * m
+        if big > cap:
+            raise SizeCapExceeded(f"composed order {big} exceeds cap {cap}")
+        if len(schur_rows) % 3 != 0:
+            raise ValueError("schur_rows length must be a multiple of 3")
+        n = len(schur_rows) // 3
+        if sorted(list(schur_rows) + list(leftover_rows)) != list(range(m)):
+            raise ValueError("schur_rows + leftover_rows must cover all rows once")
+        if not is_normalized(h):
+            raise ValueError("base Hadamard matrix must be normalized")
+        if not gamma.normalized:
+            raise ValueError("gamma must be normalized")
+        bad_pairs = verify_gh(gamma).offending_pairs
+        if bad_pairs:
+            raise ValueError(f"gamma is not a GH(4,{lam}): rows {bad_pairs[0]} "
+                             "fail the quotient count")
+        base = h.entries[list(schur_rows)].reshape(n, 3, m)
+        # rows a, b, c of +/-1 multiply to all + exactly when a * b = c
+        bad = np.flatnonzero(np.any(base[:, 0] * base[:, 1] != base[:, 2], axis=1))
+        del base
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"rows {schur_rows[3*k:3*k+3]} are not a Schur-set")
+
+        L, schur = 4 * lam, 3 * n * 4 * lam
+        k = np.arange(big)
+        self.h, self.lam, self.n_base_triples = h, lam, n
+        # the row of h at each base position: schur_rows, then leftover_rows
+        self.base_rows = np.array([*schur_rows, *leftover_rows], dtype=np.intp)
+        self.pos = np.where(k < schur, 3 * (k // (3 * L)) + k % 3, 3 * n + (k - schur) // L)
+        self.g = np.where(k < schur, 3 * (k // 3 % L) + k % 3, 3 * ((k - schur) % L))
+        self.eps = np.tile(level(gamma), (1, m))  # eps[g] = tile(level(gamma)[g], m)
+        self.f_rows = None
+        if five is not None:
+            # f x (all +1) is the row of base position p and leveled row 3*0 + t,
+            # coordinate t of gamma's all-identity row 0
+            position = {r: p for p, r in enumerate([*schur_rows, *leftover_rows])}
+            self.f_rows = tuple(3 * L * (p // 3) + p % 3 if p < 3 * n else schur + L * (p - 3 * n)
+                                for p in (position[r] for r in five))
+        self.provenance = f"composed({h.provenance},gh(4,{lam}))"
 
     @property
     def order(self) -> int:
@@ -250,71 +298,6 @@ def _repeat(x: np.ndarray, L: int) -> np.ndarray:
     return (x.view(np.uint8).astype(word) * ones).view(np.int8)
 
 
-def composition(
-    h: HadamardMatrix,
-    schur_rows: Sequence[int],
-    leftover_rows: Sequence[int],
-    gamma: GhMatrix,
-    five: Sequence[int] | None = None,
-    cap: int = DEFAULT_SIZE_CAP,
-) -> Composition:
-    """Check and lay out the composition of a normalized Hadamard matrix with
-    a normalized GH(4, lam), building none of its rows.
-
-    schur_rows lists 3n row indices of h, three consecutive indices per
-    Schur-set; leftover_rows lists the remaining rows.  The composition is a
-    Hadamard matrix of order 4*lam*m whose first 3n*4lam rows split into
-    4lam*n Schur triples (consecutive threes) and which inherits the
-    five-row feature as f_i x (all +1) when `five` gives base row indices.
-    Composed row (i, b, t), the 3 L i + 3 b + t-th, is kron(base row 3i+t,
-    coordinate t of gamma row b), and leftover row (q, b), the
-    3 n L + L q + b-th, kron(leftover q, coordinate 0 of gamma row b).
-    Every refusal is raised here, before any row is built.
-    """
-    m = h.order
-    lam = gamma.lam
-    big = 4 * lam * m
-    if big > cap:
-        raise SizeCapExceeded(f"composed order {big} exceeds cap {cap}")
-    if len(schur_rows) % 3 != 0:
-        raise ValueError("schur_rows length must be a multiple of 3")
-    n = len(schur_rows) // 3
-    if sorted(list(schur_rows) + list(leftover_rows)) != list(range(m)):
-        raise ValueError("schur_rows + leftover_rows must cover all rows once")
-    if not is_normalized(h):
-        raise ValueError("base Hadamard matrix must be normalized")
-    if not gamma.normalized:
-        raise ValueError("gamma must be normalized")
-    bad_pairs = verify_gh(gamma).offending_pairs
-    if bad_pairs:
-        raise ValueError(f"gamma is not a GH(4,{lam}): rows {bad_pairs[0]} "
-                         "fail the quotient count")
-    base = h.entries[list(schur_rows)].reshape(n, 3, m)
-    # rows a, b, c of +/-1 multiply to all + exactly when a * b = c
-    bad = np.flatnonzero(np.any(base[:, 0] * base[:, 1] != base[:, 2], axis=1))
-    del base
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(f"rows {schur_rows[3*k:3*k+3]} are not a Schur-set")
-
-    L, schur = 4 * lam, 3 * n * 4 * lam
-    k = np.arange(big)
-    pos = np.where(k < schur, 3 * (k // (3 * L)) + k % 3, 3 * n + (k - schur) // L)
-    g = np.where(k < schur, 3 * (k // 3 % L) + k % 3, 3 * ((k - schur) % L))
-    f_indices = None
-    if five is not None:
-        # f x (all +1) is the row of base position p and leveled row 3*0 + t,
-        # coordinate t of gamma's all-identity row 0
-        position = {r: p for p, r in enumerate([*schur_rows, *leftover_rows])}
-        f_indices = tuple(3 * L * (p // 3) + p % 3 if p < 3 * n else schur + L * (p - 3 * n)
-                          for p in (position[r] for r in five))
-    return Composition(
-        h=h, lam=lam, n_base_triples=n,
-        base_rows=np.array([*schur_rows, *leftover_rows], dtype=np.intp), pos=pos, g=g,
-        eps=np.tile(level(gamma), (1, m)), f_rows=f_indices,
-        provenance=f"composed({h.provenance},gh(4,{lam}))")
-
-
 def _built(c: Composition) -> CompositionResult:
     """The composition with its matrix built over all rows."""
     return CompositionResult(
@@ -337,20 +320,20 @@ def compose(
     cap: int = DEFAULT_SIZE_CAP,
 ) -> CompositionResult:
     """Compose a normalized Hadamard matrix with a normalized GH(4, lam):
-    `composition`'s checks and layout, with the matrix hprime built from its
+    `Composition`'s checks and layout, with the matrix hprime built from its
     rows kernel over all rows."""
-    return _built(composition(h, schur_rows, leftover_rows, gamma, five, cap))
+    return _built(Composition(h, schur_rows, leftover_rows, gamma, five, cap))
 
 
 def sylvester_composition(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> Composition:
-    """`composition` of sylvester(r), all its Schur triples, with gamma."""
+    """The `Composition` of sylvester(r), all its Schur triples, with gamma."""
     if exceeds_cap(r, cap // (4 * gamma.lam)):  # 4 lam 2^r > cap
         raise SizeCapExceeded(f"composed order 4*{gamma.lam}*2^{r} exceeds cap {cap}")
     p = partition_sylvester(r)
     schur_rows = [i for t in p.triples for i in t]
     leftover = list(p.remainder)
     five = five_rows(r).indices if r >= 3 else None
-    return composition(sylvester(r, cap), schur_rows, leftover, gamma, five=five, cap=cap)
+    return Composition(sylvester(r, cap), schur_rows, leftover, gamma, five=five, cap=cap)
 
 
 def compose_sylvester(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> CompositionResult:

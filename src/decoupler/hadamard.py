@@ -158,11 +158,13 @@ def walsh_indices(rows, dropped_first: bool = False) -> np.ndarray | None:
 
 
 # Rows 0..63 of sylvester(6) as walsh_rows' bytes: the parity of
-# popcount(k & j), and the signs' bytes, 0x01 for +1 and 0xFF for -1.
+# popcount(k & j), folded from its six bits, and the signs' bytes, 0x01 for
+# +1 and 0xFF for -1.
 _NARROW_BITS = 6
-_NARROW_PARITY = np.bitwise_xor.reduce(
-    [np.arange(64, dtype=np.uint8)[:, None] >> b & np.arange(64, dtype=np.uint8) >> b & 1
-     for b in range(_NARROW_BITS)])
+_NARROW_PARITY = np.arange(64, dtype=np.uint8)[:, None] & np.arange(64, dtype=np.uint8)
+_NARROW_PARITY ^= _NARROW_PARITY >> 4
+_NARROW_PARITY ^= _NARROW_PARITY >> 2
+_NARROW_PARITY = (_NARROW_PARITY ^ _NARROW_PARITY >> 1) & 1
 _NARROW = {True: _NARROW_PARITY, False: _NARROW_PARITY * np.uint8(0xFE) ^ np.uint8(1)}
 
 

@@ -152,17 +152,12 @@ class SchemeReport:
 # or its (S_x, S_y, S_z) rows (general, k = 3).  A general construction is a
 # `_Rows`, which builds the rows it is asked for and no other.
 
-@dataclass(frozen=True)
 class _Rows:
     """The rows of an order x order sign matrix, built on demand: rows[k] is
     build(k), a new int8 array of shape k.shape + (order,)."""
 
-    build: Callable[[np.ndarray], np.ndarray]
-    order: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.order, self.order
+    def __init__(self, build: Callable[[np.ndarray], np.ndarray], order: int):
+        self.build, self.shape = build, (order, order)
 
     def __getitem__(self, k) -> np.ndarray:
         return self.build(k)

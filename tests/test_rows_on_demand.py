@@ -19,7 +19,7 @@ from test_row_codec import traced_peak
 
 from decoupler import cli, schemes
 from decoupler.errors import SizeCapExceeded
-from decoupler.ghm import compose_sylvester, composition, gh_for_lambda
+from decoupler.ghm import Composition, compose_sylvester, gh_for_lambda
 from decoupler.hadamard import sylvester, walsh_rows
 from decoupler.schemes import TaskSpec, sign_blocks, synth
 from decoupler.schur import five_rows, partition_sylvester
@@ -36,7 +36,7 @@ def test_composition_rows_equal_the_kron_definition(r, lam, data):
     gamma = gh_for_lambda(lam)
     entries, index_map, oracle_triples, f_rows = kron_compose(
         sylvester(r), schur_rows, leftover, gamma, five)
-    comp = composition(sylvester(r), schur_rows, leftover, gamma, five=five)
+    comp = Composition(sylvester(r), schur_rows, leftover, gamma, five=five)
     big = len(entries)
     # any rows, repeated or not, in any order, across codec blocks
     k = np.array(data.draw(st.lists(st.integers(0, big - 1), max_size=3 * big)), dtype=np.intp)
@@ -74,10 +74,10 @@ def _materialized(rows) -> np.ndarray:
     if not isinstance(rows, schemes._Rows):  # sylvester(0) of a two-qubit pair
         return rows
     if getattr(rows.build, "func", None) is walsh_rows:
-        return sylvester(rows.build.keywords["r"], cap=rows.order).entries
+        return sylvester(rows.build.keywords["r"], cap=rows.shape[0]).entries
     comp = rows.build.__self__
     r = comp.h.order.bit_length() - 1
-    return compose_sylvester(r, gh_for_lambda(comp.lam), cap=rows.order).hprime.entries
+    return compose_sylvester(r, gh_for_lambda(comp.lam), cap=rows.shape[0]).hprime.entries
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,7 +98,7 @@ def test_general_schemes_are_the_rows_idx_of_their_construction(kind, n, cap):
 def test_the_composed_construction_is_gathered_from_its_kernel():
     # general selection at n = 19 is the one composed pick (m = 64)
     scheme, rows, idx, _ = _recorded_gather("select", 19, 4096)
-    assert getattr(rows.build, "func", None) is not walsh_rows and rows.order == 64
+    assert getattr(rows.build, "func", None) is not walsh_rows and rows.shape == (64, 64)
     assert np.array_equal(np.stack(sign_blocks(scheme)), _materialized(rows)[idx.T])
 
 
