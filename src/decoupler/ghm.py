@@ -243,7 +243,8 @@ class Composition:
             k = int(bad[0])
             raise ValueError(f"rows {schur_rows[3*k:3*k+3]} are not a Schur-set")
 
-        L, schur = 4 * lam, 3 * n * 4 * lam
+        L = 4 * lam
+        schur = 3 * n * L  # the rows of Schur triples come first
         k = np.arange(big)
         self.h, self.lam, self.n_base_triples = h, lam, n
         # the row of h at each base position: schur_rows, then leftover_rows
