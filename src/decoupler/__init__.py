@@ -14,7 +14,7 @@ from .hadamard import (
 )
 from .schur import FiveRows, SchurPartition, five_rows, partition_sylvester, rows_of
 from .ghm import (
-    CompositionResult,
+    Composition,
     GhMatrix,
     compose,
     compose_sylvester,

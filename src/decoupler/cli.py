@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
 from .hadamard import (DEFAULT_SIZE_CAP, _block_rows, _recipe, best_order, exceeds_cap,
                        recipe_str, write_signs)
-from .ghm import gh_for_lambda, sylvester_composition
+from .ghm import compose_sylvester, gh_for_lambda
 from .schemes import _candidates, check_scheme, parse_task, read_scheme, synth, write_scheme
 from .pulses import compile_general, write_schedule
 from .schur import partition_sylvester, write_partition
@@ -180,10 +180,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "compose":
-        # every refusal comes from sylvester_composition, before the first
+        # every refusal comes from compose_sylvester, before the first
         # byte; the matrix is then built and written a codec block of rows
         # at a time, never whole
-        comp = sylvester_composition(args.r, gh_for_lambda(args.lam), cap=args.cap)
+        comp = compose_sylvester(args.r, gh_for_lambda(args.lam), cap=args.cap)
         sys.stdout.write(f"order {comp.order}\n")
         step = _block_rows(comp.order)
         for start in range(0, comp.order, step):

@@ -10,7 +10,7 @@ entry-wise product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import IO, Sequence
 
 import numpy as np
@@ -183,35 +183,24 @@ def level(g: GhMatrix) -> np.ndarray:
     return TRIPLE_SIGNS[g.entries].transpose(0, 2, 1).reshape(3 * g.order, g.order)
 
 
-@dataclass(frozen=True)
-class CompositionResult:
-    hprime: HadamardMatrix
-    triples: tuple[tuple[int, int, int], ...]   # row-index triples of hprime
-    f_rows: tuple[int, int, int, int, int] | None  # indices of f1..f5 in hprime
-    n_base_triples: int
-    base_order: int
-    lam: int
-    index_map: tuple[tuple[int, int], ...]  # hprime row -> (base row pos, leveled gh row)
-
-
 class Composition:
     """The composition of a normalized Hadamard matrix h with a normalized
-    GH(4, lam), checked and laid out with none of its rows built; `rows`
-    builds the rows asked for.
+    GH(4, lam): a Hadamard matrix of order 4*lam*m, checked and laid out
+    with none of its rows built.  `rows` builds the rows asked for, and
+    `hprime` the whole matrix, once, on first use.
 
     schur_rows lists 3n row indices of h, three consecutive indices per
-    Schur-set; leftover_rows lists the remaining rows.  The composition is a
-    Hadamard matrix of order 4*lam*m whose first 3n*4lam rows split into
-    4lam*n Schur triples (consecutive threes) and which inherits the
-    five-row feature as f_i x (all +1) when `five` gives base row indices.
-    Composed row k is kron(base row pos[k], row g[k] of level(gamma)), with
-    pos and g the two halves of `CompositionResult`'s index_map: row
-    (i, b, t), the 3 L i + 3 b + t-th (L = 4 lam), takes base row 3i+t and
-    coordinate t of gamma row b, and leftover row (q, b), the
+    Schur-set; leftover_rows lists the remaining rows.  The first 3n*4lam
+    composed rows split into 4lam*n Schur triples (consecutive threes), and
+    the composition inherits the five-row feature as f_i x (all +1) when
+    `five` gives base row indices.  Composed row k is kron(base row pos[k],
+    row g[k] of level(gamma)), with pos and g the two halves of `index_map`:
+    row (i, b, t), the 3 L i + 3 b + t-th (L = 4 lam), takes base row 3i+t
+    and coordinate t of gamma row b, and leftover row (q, b), the
     3 n L + L q + b-th, leftover q and coordinate 0 of gamma row b.  Every
-    refusal is raised by the constructor.  The value holds h, pos, g and
-    level(gamma) tiled m times (3 L order entries), never the order x order
-    matrix.
+    refusal is raised by the constructor.  The layout holds h and the
+    read-only arrays base_rows, pos, g and level(gamma) tiled m times
+    (3 L order entries), never the order x order matrix.
     """
 
     def __init__(self, h: HadamardMatrix, schur_rows: Sequence[int],
@@ -227,6 +216,9 @@ class Composition:
         n = len(schur_rows) // 3
         if sorted(list(schur_rows) + list(leftover_rows)) != list(range(m)):
             raise ValueError("schur_rows + leftover_rows must cover all rows once")
+        outside = [f for f in (() if five is None else five) if not 0 <= f < m]
+        if outside:
+            raise ValueError(f"five row {outside[0]} is not a row of the order-{m} base")
         if not is_normalized(h):
             raise ValueError("base Hadamard matrix must be normalized")
         if not gamma.normalized:
@@ -248,17 +240,17 @@ class Composition:
         k = np.arange(big)
         self.h, self.lam, self.n_base_triples = h, lam, n
         # the row of h at each base position: schur_rows, then leftover_rows
-        self.base_rows = np.array([*schur_rows, *leftover_rows], dtype=np.intp)
-        self.pos = np.where(k < schur, 3 * (k // (3 * L)) + k % 3, 3 * n + (k - schur) // L)
-        self.g = np.where(k < schur, 3 * (k // 3 % L) + k % 3, 3 * ((k - schur) % L))
-        self.eps = np.tile(level(gamma), (1, m))  # eps[g] = tile(level(gamma)[g], m)
+        self.base_rows = frozen(np.array([*schur_rows, *leftover_rows], dtype=np.intp))
+        self.pos = frozen(np.where(k < schur, 3 * (k // (3 * L)) + k % 3,
+                                   3 * n + (k - schur) // L))
+        self.g = frozen(np.where(k < schur, 3 * (k // 3 % L) + k % 3, 3 * ((k - schur) % L)))
+        self.eps = frozen(np.tile(level(gamma), (1, m)))  # eps[g] = tile(level(gamma)[g], m)
         self.f_rows = None
         if five is not None:
-            # f x (all +1) is the row of base position p and leveled row 3*0 + t,
-            # coordinate t of gamma's all-identity row 0
-            position = {r: p for p, r in enumerate([*schur_rows, *leftover_rows])}
-            self.f_rows = tuple(3 * L * (p // 3) + p % 3 if p < 3 * n else schur + L * (p - 3 * n)
-                                for p in (position[r] for r in five))
+            # f x (all +1) is the composed row of base row f and leveled row
+            # t < 3, coordinate t of gamma's all-identity row 0
+            base_row = np.where(self.g < 3, self.base_rows[self.pos], -1)
+            self.f_rows = tuple(int(np.flatnonzero(base_row == f)[0]) for f in five)
         self.provenance = f"composed({h.provenance},gh(4,{lam}))"
 
     @property
@@ -266,9 +258,25 @@ class Composition:
         return len(self.pos)
 
     @property
+    def base_order(self) -> int:
+        return self.h.order
+
+    @property
+    def index_map(self) -> tuple[tuple[int, int], ...]:
+        """Composed row -> (base row position, leveled GH row)."""
+        return tuple(zip(self.pos.tolist(), self.g.tolist()))
+
+    @property
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         return tuple((3 * k, 3 * k + 1, 3 * k + 2)
                      for k in range(4 * self.lam * self.n_base_triples))
+
+    @cached_property
+    def hprime(self) -> HadamardMatrix:
+        """The composed matrix, built by `rows` over all rows on first use:
+        the one place the whole matrix is built."""
+        return HadamardMatrix(frozen(self.rows(np.arange(self.order))),
+                              provenance=self.provenance)
 
     def rows(self, k) -> np.ndarray:
         """Rows k of the composed matrix as a new int8 array of shape
@@ -299,19 +307,6 @@ def _repeat(x: np.ndarray, L: int) -> np.ndarray:
     return (x.view(np.uint8).astype(word) * ones).view(np.int8)
 
 
-def _built(c: Composition) -> CompositionResult:
-    """The composition with its matrix built over all rows."""
-    return CompositionResult(
-        hprime=HadamardMatrix(frozen(c.rows(np.arange(c.order))), provenance=c.provenance),
-        triples=c.triples,
-        f_rows=c.f_rows,
-        n_base_triples=c.n_base_triples,
-        base_order=c.h.order,
-        lam=c.lam,
-        index_map=tuple(zip(c.pos.tolist(), c.g.tolist())),
-    )
-
-
 def compose(
     h: HadamardMatrix,
     schur_rows: Sequence[int],
@@ -319,15 +314,15 @@ def compose(
     gamma: GhMatrix,
     five: Sequence[int] | None = None,
     cap: int = DEFAULT_SIZE_CAP,
-) -> CompositionResult:
+) -> Composition:
     """Compose a normalized Hadamard matrix with a normalized GH(4, lam):
-    `Composition`'s checks and layout, with the matrix hprime built from its
-    rows kernel over all rows."""
-    return _built(Composition(h, schur_rows, leftover_rows, gamma, five, cap))
+    the checked `Composition`, none of its rows built."""
+    return Composition(h, schur_rows, leftover_rows, gamma, five, cap)
 
 
-def sylvester_composition(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> Composition:
-    """The `Composition` of sylvester(r), all its Schur triples, with gamma."""
+def compose_sylvester(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> Composition:
+    """The `Composition` of sylvester(r), all its Schur triples, with gamma;
+    an order past the cap is refused before the partition is built."""
     if exceeds_cap(r, cap // (4 * gamma.lam)):  # 4 lam 2^r > cap
         raise SizeCapExceeded(f"composed order 4*{gamma.lam}*2^{r} exceeds cap {cap}")
     p = partition_sylvester(r)
@@ -335,11 +330,6 @@ def sylvester_composition(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) 
     leftover = list(p.remainder)
     five = five_rows(r).indices if r >= 3 else None
     return Composition(sylvester(r, cap), schur_rows, leftover, gamma, five=five, cap=cap)
-
-
-def compose_sylvester(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> CompositionResult:
-    """Compose sylvester(r) (all its Schur triples) with gamma."""
-    return _built(sylvester_composition(r, gamma, cap))
 
 
 def interval_bound(r: int, t: int) -> tuple[int, int]:

@@ -27,7 +27,7 @@ from .errors import SizeCapExceeded
 from .hadamard import (DEFAULT_SIZE_CAP, _block_rows, all_signs, best_matrix, canonical_indices,
                        expect_end, frozen, gram, parse_signs, read_only, sylvester, upper_pairs,
                        walsh_rows, write_signs)
-from .ghm import constructible_lambdas, gh_for_lambda, sylvester_composition
+from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
 from .schur import five_rows, partition_sylvester
 
 LABELS = ("x", "y", "z")
@@ -179,13 +179,19 @@ def _gather(rows, idx: np.ndarray, reverse: bool = False) -> Scheme:
     return blocks[0] if len(blocks) == 1 else SignTriple(*blocks)
 
 
-def _zz_scheme(count: int, pos: np.ndarray, zero_sums: bool, cap: int,
-               reverse: bool = False) -> SignMatrix:
-    """Qubit q takes row pos[q] of `count` pairwise-orthogonal rows of a
-    normalized Hadamard matrix: rows 1.. (zero row sums) when zero_sums,
-    rows 0.. otherwise."""
-    rows = best_matrix(count + zero_sums, cap).entries
-    return _gather(rows, pos[:, None] + int(zero_sums), reverse)
+def _zz_scheme(n: int, zero_sums: bool, cap: int, reverse: bool = False,
+               pair: tuple[int, int] | None = None) -> SignMatrix:
+    """The n qubits take pairwise-orthogonal rows of a normalized Hadamard
+    matrix in order: rows 1.. (zero row sums) when zero_sums, rows 0..
+    otherwise.  With pair (i, j), qubit j takes qubit i's row instead of one
+    of its own.  The matrix is built, or refused, before the n positions."""
+    rows = best_matrix(n - (pair is not None) + zero_sums, cap).entries
+    pos = np.arange(int(zero_sums), n + zero_sums)
+    if pair is not None:
+        i, j = pair
+        pos[j + 1:] -= 1
+        pos[j] = pos[i]
+    return _gather(rows, pos[:, None], reverse)
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -210,23 +216,21 @@ def synth_decouple_zz(n: int, remove_local_terms: bool = True,
     """n orthogonal rows; m = best constructible order holding them."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _zz_scheme(n, np.arange(n), remove_local_terms, cap)
+    return _zz_scheme(n, remove_local_terms, cap)
 
 
 def synth_select_zz(n: int, i: int, j: int, remove_local_terms: bool = True,
                     cap: int = DEFAULT_SIZE_CAP) -> SignMatrix:
     """All rows orthogonal except rows i and j, which are identical."""
     _check_pair(n, i, j)
-    pos = np.arange(n) - (np.arange(n) > j)  # every qubit but j, in order
-    pos[j] = pos[i]
-    return _zz_scheme(n - 1, pos, remove_local_terms, cap)
+    return _zz_scheme(n, remove_local_terms, cap, pair=(i, j))
 
 
 def synth_reverse_zz(n: int, remove_local_terms: bool = True,
                      cap: int = DEFAULT_SIZE_CAP) -> SignMatrix:
     """Drop the first (all +) column of a decoupling matrix: every row pair
     then has inner product -1, and with zero-sum rows every row sum is -1."""
-    return _zz_scheme(n, np.arange(n), remove_local_terms, cap, reverse=True)
+    return _zz_scheme(n, remove_local_terms, cap, reverse=True)
 
 
 # general-framework constructions: Sylvester or composed, with their Schur
@@ -278,7 +282,7 @@ def _construction_rows(cand: _Candidate, cap: int):
         rows = _Rows(partial(walsh_rows, r=cand.r), cand.intervals)
         triples = partition_sylvester(cand.r).triples
     else:
-        comp = sylvester_composition(cand.r, gh_for_lambda(cand.lam), cap=cap)
+        comp = compose_sylvester(cand.r, gh_for_lambda(cand.lam), cap=cap)
         rows, triples, five = _Rows(comp.rows, comp.order), comp.triples, comp.f_rows
     return rows, np.array(triples, dtype=np.intp), five
 
@@ -663,5 +667,9 @@ def read_scheme(stream: IO[str]) -> tuple[Scheme, TaskSpec]:
     scheme = SignTriple(*blocks) if len(blocks) == 3 else blocks[0]
     if scheme.qubits != int(fields["n"]) or scheme.intervals != int(fields["m"]):
         raise ValueError("scheme header does not match matrix block shape")
+    # a scheme with no interval runs for no time and so realizes no task on
+    # a qubit pair; one qubit has no pair, so its scheme is still read
+    if scheme.intervals < 1 and scheme.qubits > 1:
+        raise ValueError("scheme has no interval")
     _check_task_pair(task, scheme.qubits)
     return scheme, task

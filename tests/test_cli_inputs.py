@@ -486,3 +486,45 @@ def test_analyze_zz_past_the_cap_is_refused_without_a_scan(capsys, cap):
     assert time.perf_counter() - start < 0.5
     assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
     assert f"got {cap + 1}, above the cap" in err and f"1..{cap} " not in err
+
+
+NO_INTERVAL_SCHEMES = {
+    "zz-select": "scheme zz n=2 m=0 task=select:1,2 local=1\nrows 2 0\n\n\n",
+    "general-decouple": ("scheme general n=3 m=0 task=decouple local=1\n"
+                         + "rows 3 0\n\n\n\n" * 3),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "compile", "verify"])
+@pytest.mark.parametrize("text", NO_INTERVAL_SCHEMES.values(), ids=NO_INTERVAL_SCHEMES.keys())
+def test_a_scheme_of_a_pair_with_no_interval_is_refused(tmp_path, capsys, text, command):
+    path = tmp_path / "scheme.txt"
+    path.write_text(text)
+    argv = [command, str(path)] + (["--ham", "random:1"] if command == "verify" else [])
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: scheme has no interval\n"
+
+
+HAMILTONIAN = "0.5 XX\n-0.25 YZ\n0.125 ZI\n"
+
+
+@pytest.mark.parametrize("spaced", [
+    "\n0.5 XX\n\n-0.25 YZ\n   \n\t\n0.125 ZI\n\n",
+    "  \n0.5 XX\n \t \n-0.25 YZ\n0.125 ZI\n   ",
+], ids=["blank", "whitespace"])
+def test_blank_lines_in_a_hamiltonian_file_are_skipped(tmp_path, capsys, spaced):
+    from decoupler.simulate import read_hamiltonian
+
+    assert read_hamiltonian(io.StringIO(spaced)) == read_hamiltonian(io.StringIO(HAMILTONIAN))
+    scheme = tmp_path / "scheme.txt"
+    assert main(["synth", "--task", "decouple", "--framework", "general", "--n", "2",
+                 "--out", str(scheme)]) == 0
+    outputs = []
+    for name, text in (("plain.txt", HAMILTONIAN), ("spaced.txt", spaced)):
+        (tmp_path / name).write_text(text)
+        capsys.readouterr()
+        assert main(["verify", str(scheme), "--ham", str(tmp_path / name)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]

@@ -1,6 +1,8 @@
 """Every argument guard of the library raises the error it names, before any
 work: one table of (call, error, message) cases, one per guard."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from decoupler.errors import SizeCapExceeded
 from decoupler.ghm import GhMatrix, compose, gh4_base
 from decoupler.hadamard import HadamardMatrix, build_hadamard, normalize, paley, sylvester
 from decoupler.pulses import PulseSchedule
-from decoupler.schemes import SignMatrix, SignTriple
+from decoupler.schemes import (SignMatrix, SignTriple, synth_decouple_zz, synth_reverse_zz,
+                               synth_select_zz)
 from decoupler.simulate import PauliHamiltonian, random_hamiltonian, run_schedule_diagonal
 
 ZZ_2 = PauliHamiltonian(2, ((0.5, "ZZ"),))
@@ -48,6 +51,9 @@ GUARDS = {
     "compose-schur-rows-not-triples": (lambda: compose(normalize(sylvester(2)), [1, 2],
                                                        [0, 3], gh4_base()),
                                        ValueError, "multiple of 3"),
+    "compose-five-outside-h": (lambda: compose(sylvester(3), [1, 4, 5], [2, 3, 6, 7, 0],
+                                               gh4_base(), five=(2, 3, 6, 7, 99)),
+                               ValueError, "five row 99 is not a row of the order-8 base"),
     "hamiltonian-kind": (lambda: random_hamiltonian(2, 0, kind="xy"),
                          ValueError, "unknown kind 'xy'"),
     "diagonal-run-qubits": (lambda: run_schedule_diagonal(PulseSchedule(3, 1.0, ()), ZZ_2),
@@ -65,3 +71,18 @@ GUARDS = {
 def test_guard_raises(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("synth", [
+    lambda n: synth_decouple_zz(n), lambda n: synth_reverse_zz(n),
+    lambda n: synth_select_zz(n, 0, n - 1)], ids=["decouple", "reverse", "select"])
+def test_zz_synth_past_the_cap_is_refused_before_its_positions(synth):
+    # no array of n positions (8 MB here) is built before the refusal
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="no constructible order"):
+            synth(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, f"peak {peak} B"

@@ -6,8 +6,8 @@ import io
 import numpy as np
 import pytest
 
-from decoupler.ghm import (GhMatrix, compose, compose_sylvester, gh4_base, gh_for_lambda,
-                           gh_kron, gh_search, read_gh, write_gh)
+from decoupler.ghm import (Composition, GhMatrix, compose, compose_sylvester, gh4_base,
+                           gh_for_lambda, gh_kron, gh_search, read_gh, write_gh)
 from decoupler.hadamard import (HadamardMatrix, best_matrix, kron_product, normalize, paley,
                                 read_matrix, sylvester, write_matrix)
 from decoupler.schemes import SignMatrix, TaskSpec, read_scheme, synth, write_scheme
@@ -98,3 +98,15 @@ def test_compose_refuses_a_corrupted_gh():
     p = partition_sylvester(2)
     with pytest.raises(ValueError, match="GH"):
         compose(sylvester(2), [i for t in p.triples for i in t], list(p.remainder), bad)
+
+
+@pytest.mark.parametrize("name", ["base_rows", "pos", "g", "eps"])
+def test_the_composition_layout_cannot_be_written(name):
+    comp = Composition(sylvester(3), [1, 4, 5], [2, 3, 6, 7, 0], gh4_base())
+    array = getattr(comp, name)
+    before, rows = array.copy(), comp.rows(np.arange(comp.order))
+    assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = array[-1]
+    np.testing.assert_array_equal(array, before)
+    np.testing.assert_array_equal(comp.rows(np.arange(comp.order)), rows)
