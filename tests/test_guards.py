@@ -74,8 +74,8 @@ def test_guard_raises(call, error, message):
 
 
 @pytest.mark.parametrize("synth", [
-    lambda n: synth_decouple_zz(n), lambda n: synth_reverse_zz(n),
-    lambda n: synth_select_zz(n, 0, n - 1)], ids=["decouple", "reverse", "select"])
+    synth_decouple_zz, synth_reverse_zz, lambda n: synth_select_zz(n, 0, n - 1)],
+    ids=["decouple", "reverse", "select"])
 def test_zz_synth_past_the_cap_is_refused_before_its_positions(synth):
     # no array of n positions (8 MB here) is built before the refusal
     tracemalloc.start()
