@@ -16,12 +16,10 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
-from .hadamard import (DEFAULT_SIZE_CAP, _block_rows, _recipe, best_order, exceeds_cap,
-                       recipe_str, write_signs)
-from .ghm import compose_sylvester, gh_for_lambda
+from .errors import SizeCapExceeded
+from .hadamard import (DEFAULT_SIZE_CAP, _recipe, best_order, exceeds_cap, recipe_str,
+                       write_matrix)
+from .ghm import check_composed_order, compose_sylvester, gh_for_lambda
 from .schemes import _candidates, check_scheme, parse_task, read_scheme, synth, write_scheme
 from .pulses import compile_general, write_schedule
 from .schur import partition_sylvester, write_partition
@@ -160,8 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-    except (ValueError, SizeCapExceeded, SearchBudgetExceeded, DesignNotFound,
-            OSError, MemoryError) as exc:
+    except (ValueError, SizeCapExceeded, OSError, MemoryError) as exc:
         with contextlib.suppress(BrokenPipeError):  # stderr closed too: still 2
             print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -180,14 +177,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "compose":
-        # every refusal comes from compose_sylvester, before the first
-        # byte; the matrix is then built and written a codec block of rows
-        # at a time, never whole
+        # every refusal comes before the first byte, an order past the cap
+        # before GH(4, lambda) is built; the matrix is never built whole
+        check_composed_order(args.r, args.lam, args.cap)
         comp = compose_sylvester(args.r, gh_for_lambda(args.lam), cap=args.cap)
-        sys.stdout.write(f"order {comp.order}\n")
-        step = _block_rows(comp.order)
-        for start in range(0, comp.order, step):
-            write_signs(comp.rows(np.arange(start, min(start + step, comp.order))), sys.stdout)
+        write_matrix(comp, sys.stdout)
         triples = 4 * comp.lam * comp.n_base_triples  # len(comp.triples), not built
         print(f"triples={triples} leftover={comp.order - 3 * triples}", file=sys.stderr)
         return 0

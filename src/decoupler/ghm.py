@@ -194,7 +194,7 @@ class Composition:
     composed rows split into 4lam*n Schur triples (consecutive threes), and
     the composition inherits the five-row feature as f_i x (all +1) when
     `five` gives base row indices.  Composed row k is kron(base row pos[k],
-    row g[k] of level(gamma)), with pos and g the two halves of `index_map`:
+    row g[k] of level(gamma)), base rows schur_rows then leftover_rows:
     row (i, b, t), the 3 L i + 3 b + t-th (L = 4 lam), takes base row 3i+t
     and coordinate t of gamma row b, and leftover row (q, b), the
     3 n L + L q + b-th, leftover q and coordinate 0 of gamma row b.  Every
@@ -258,15 +258,6 @@ class Composition:
         return len(self.pos)
 
     @property
-    def base_order(self) -> int:
-        return self.h.order
-
-    @property
-    def index_map(self) -> tuple[tuple[int, int], ...]:
-        """Composed row -> (base row position, leveled GH row)."""
-        return tuple(zip(self.pos.tolist(), self.g.tolist()))
-
-    @property
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         return tuple((3 * k, 3 * k + 1, 3 * k + 2)
                      for k in range(4 * self.lam * self.n_base_triples))
@@ -320,11 +311,17 @@ def compose(
     return Composition(h, schur_rows, leftover_rows, gamma, five, cap)
 
 
+def check_composed_order(r: int, lam: int, cap: int = DEFAULT_SIZE_CAP) -> None:
+    """Refuse sylvester(r) composed with GH(4, lam) past the cap, before either
+    factor is built; lam < 1 is left to `gh_for_lambda`."""
+    if lam >= 1 and exceeds_cap(r, cap // (4 * lam)):  # 4 lam 2^r > cap
+        raise SizeCapExceeded(f"composed order 4*{lam}*2^{r} exceeds cap {cap}")
+
+
 def compose_sylvester(r: int, gamma: GhMatrix, cap: int = DEFAULT_SIZE_CAP) -> Composition:
     """The `Composition` of sylvester(r), all its Schur triples, with gamma;
     an order past the cap is refused before the partition is built."""
-    if exceeds_cap(r, cap // (4 * gamma.lam)):  # 4 lam 2^r > cap
-        raise SizeCapExceeded(f"composed order 4*{gamma.lam}*2^{r} exceeds cap {cap}")
+    check_composed_order(r, gamma.lam, cap)
     p = partition_sylvester(r)
     schur_rows = [i for t in p.triples for i in t]
     leftover = list(p.remainder)

@@ -94,7 +94,7 @@ class HadamardMatrix:
     def order(self) -> int:
         return self.entries.shape[0]
 
-    def row(self, i: int) -> np.ndarray:
+    def row(self, i) -> np.ndarray:  # rows i, a new array, for an index array i
         return self.entries[i]
 
 
@@ -598,10 +598,18 @@ def expect_end(stream: IO[str], what: str) -> None:
             raise ValueError(f"{what} file has content after its last row: {line.strip()!r}")
 
 
-def write_matrix(h: HadamardMatrix | np.ndarray, stream: IO[str]) -> None:
-    e = h.entries if isinstance(h, HadamardMatrix) else np.asarray(h)
-    stream.write(f"order {e.shape[0]}\n")
-    write_signs(e, stream)
+def write_matrix(h, stream: IO[str]) -> None:
+    """Write "order n" and the n sign rows of an array, a HadamardMatrix or a
+    matrix with `order` and `rows(k)` (a `Composition`), which are built a
+    codec block of rows at a time, never whole."""
+    if not hasattr(h, "rows"):
+        e = h.entries if isinstance(h, HadamardMatrix) else np.asarray(h)
+        stream.write(f"order {e.shape[0]}\n")
+        return write_signs(e, stream)
+    stream.write(f"order {h.order}\n")
+    step = _block_rows(h.order)
+    for start in range(0, h.order, step):
+        write_signs(h.rows(np.arange(start, min(start + step, h.order))), stream)
 
 
 def read_matrix(stream: IO[str]) -> HadamardMatrix:

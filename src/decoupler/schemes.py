@@ -72,9 +72,6 @@ class SignTriple:
     def intervals(self) -> int:
         return self.sx.intervals
 
-    def matrix(self, label: str) -> SignMatrix:
-        return {"x": self.sx, "y": self.sy, "z": self.sz}[label]
-
 
 Scheme = SignMatrix | SignTriple
 
@@ -147,28 +144,18 @@ class SchemeReport:
 
 
 # ---------------------------------------------------------------------------
-# synthesis: every scheme is rows[idx] for an n x k array idx of row indices
+# synthesis: every scheme is rows(idx) for an n x k array idx of row indices
 # into one construction, qubit q taking rows idx[q]: its one row (zz, k = 1)
-# or its (S_x, S_y, S_z) rows (general, k = 3).  A general construction is a
-# `_Rows`, which builds the rows it is asked for and no other.
+# or its (S_x, S_y, S_z) rows (general, k = 3).  `rows` is the function that
+# builds a construction's rows k, and no other row: `HadamardMatrix.row`,
+# `walsh_rows` or `Composition.rows`.
 
-class _Rows:
-    """The rows of an order x order sign matrix, built on demand: rows[k] is
-    build(k), a new int8 array of shape k.shape + (order,)."""
-
-    def __init__(self, build: Callable[[np.ndarray], np.ndarray], order: int):
-        self.build, self.shape = build, (order, order)
-
-    def __getitem__(self, k) -> np.ndarray:
-        return self.build(k)
-
-
-def _gather(rows, idx: np.ndarray, reverse: bool = False) -> Scheme:
-    """The scheme rows[idx], for the construction `rows`: `best_matrix`'s
-    entries (zz), or a `_Rows` that builds those 3 n m entries and no other
-    row of the construction (general).  For reversal, without the
-    construction's first column, which must be all + on the rows taken."""
-    blocks = frozen(rows[idx.T])
+def _gather(rows: Callable, idx: np.ndarray, reverse: bool = False) -> Scheme:
+    """The scheme rows(idx) of the construction whose rows k are rows(k),
+    which builds those n k m entries and no other row.  For reversal,
+    without the construction's first column, which must be all + on the
+    rows taken."""
+    blocks = frozen(rows(idx.T))
     if reverse:
         if not np.all(blocks[..., 0] == 1):
             raise AssertionError("construction must yield an all-+ first column")
@@ -185,7 +172,7 @@ def _zz_scheme(n: int, zero_sums: bool, cap: int, reverse: bool = False,
     matrix in order: rows 1.. (zero row sums) when zero_sums, rows 0..
     otherwise.  With pair (i, j), qubit j takes qubit i's row instead of one
     of its own.  The matrix is built, or refused, before the n positions."""
-    rows = best_matrix(n - (pair is not None) + zero_sums, cap).entries
+    rows = best_matrix(n - (pair is not None) + zero_sums, cap).row
     pos = np.arange(int(zero_sums), n + zero_sums)
     if pair is not None:
         i, j = pair
@@ -275,15 +262,15 @@ def _candidates(cap: int) -> list[_Candidate]:
 
 def _construction_rows(cand: _Candidate, cap: int):
     """(rows, T x 3 index triples, five-row indices or None) for a
-    candidate, its rows a `_Rows` that has built none: Sylvester rows k are
+    candidate, with none of its rows built: Sylvester rows k are
     walsh_rows(k, r), composed rows k the composition's `rows` kernel."""
     if cand.kind == "sylvester":
         five = five_rows(cand.r).indices if cand.r >= 3 else None
-        rows = _Rows(partial(walsh_rows, r=cand.r), cand.intervals)
+        rows = partial(walsh_rows, r=cand.r)
         triples = partition_sylvester(cand.r).triples
     else:
         comp = compose_sylvester(cand.r, gh_for_lambda(cand.lam), cap=cap)
-        rows, triples, five = _Rows(comp.rows, comp.order), comp.triples, comp.f_rows
+        rows, triples, five = comp.rows, comp.triples, comp.f_rows
     return rows, np.array(triples, dtype=np.intp), five
 
 
@@ -307,7 +294,7 @@ def _schur_rows(need: int, cap: int, five: bool = False):
     raise SizeCapExceeded(f"no construction with {need} Schur triples under cap {cap}")
 
 
-def _decoupling(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _decoupling(n: int, cap: int) -> tuple[Callable, np.ndarray]:
     """(rows, idx) of the decoupling scheme: one Schur triple per qubit."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -353,7 +340,7 @@ def synth_select_pair(n: int, i: int, j: int, cap: int = DEFAULT_SIZE_CAP) -> Si
     decoupled as usual (n = 2 leaves the one interval of sylvester(0))."""
     _check_pair(n, i, j)
     if n == 2:
-        rows, free = sylvester(0).entries, np.empty((0, 3), dtype=np.intp)
+        rows, free = sylvester(0).row, np.empty((0, 3), dtype=np.intp)
     else:
         rows, free = _decoupling(n - 2, cap)
     idx = np.zeros((n, 3), dtype=np.intp)
@@ -667,9 +654,8 @@ def read_scheme(stream: IO[str]) -> tuple[Scheme, TaskSpec]:
     scheme = SignTriple(*blocks) if len(blocks) == 3 else blocks[0]
     if scheme.qubits != int(fields["n"]) or scheme.intervals != int(fields["m"]):
         raise ValueError("scheme header does not match matrix block shape")
-    # a scheme with no interval runs for no time and so realizes no task on
-    # a qubit pair; one qubit has no pair, so its scheme is still read
-    if scheme.intervals < 1 and scheme.qubits > 1:
+    # a scheme with no interval runs for no time and so realizes no task
+    if scheme.intervals < 1:
         raise ValueError("scheme has no interval")
     _check_task_pair(task, scheme.qubits)
     return scheme, task

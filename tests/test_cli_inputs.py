@@ -101,7 +101,7 @@ def test_reverse_without_interval_exits_2(tmp_path, capsys):
 def test_verify_zero_interval_scheme_exits_2(tmp_path, capsys):
     path = tmp_path / "scheme.txt"
     path.write_text("scheme zz n=1 m=0 task=reverse local=0\nrows 1 0\n\n")
-    assert run_cli(capsys, ["check", str(path)])[0] == 0
+    assert run_cli(capsys, ["check", str(path)])[0] == 2
     code, err = run_cli(capsys, ["verify", str(path), "--ham", "random:1"])
     assert code == 2
     assert "no interval" in err and "Traceback" not in err
@@ -492,6 +492,7 @@ NO_INTERVAL_SCHEMES = {
     "zz-select": "scheme zz n=2 m=0 task=select:1,2 local=1\nrows 2 0\n\n\n",
     "general-decouple": ("scheme general n=3 m=0 task=decouple local=1\n"
                          + "rows 3 0\n\n\n\n" * 3),
+    "zz-reverse-one-qubit": "scheme zz n=1 m=0 task=reverse local=0\nrows 1 0\n\n",
 }
 
 

@@ -80,11 +80,11 @@ def assert_matches_kron(result, h, schur_rows, leftover_rows, gamma, five):
                                                         gamma, five)
     assert result.hprime.entries.dtype == np.int8
     assert np.array_equal(result.hprime.entries, entries)
-    assert result.index_map == index_map
+    assert tuple(zip(result.pos.tolist(), result.g.tolist())) == index_map
     assert result.triples == triples
     assert result.f_rows == f_rows
     assert result.hprime.provenance == f"composed({h.provenance},gh(4,{gamma.lam}))"
-    assert (result.n_base_triples, result.base_order, result.lam) == (
+    assert (result.n_base_triples, result.h.order, result.lam) == (
         len(schur_rows) // 3, h.order, gamma.lam)
 
 

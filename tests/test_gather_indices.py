@@ -1,10 +1,11 @@
-"""Every synthesized scheme is rows[idx] of one construction, and `check`
+"""Every synthesized scheme is rows(idx) of one construction, and `check`
 reads back the index form that synthesis gathered.
 
-Each synthesizer hands `_gather` the construction's rows (a matrix, or a
-`_Rows` that builds only the rows it is asked for), an n x k array idx of
-row indices (k = 1 for zz, 3 for general) and whether the first column is
-dropped (reversal); the test builds every row of the construction itself.
+Each synthesizer hands `_gather` the function that builds the
+construction's rows k and no other (`HadamardMatrix.row`, `walsh_rows` or
+`Composition.rows`), an n x k array idx of row indices (k = 1 for zz, 3 for
+general) and whether the first column is dropped (reversal); the test builds
+every row of the construction itself.
 `canonical_indices` of the stored blocks must then be the canonical index of
 each gathered row: idx itself for Sylvester, Paley and Kronecker
 constructions, whose rows are the canonical matrix's, and
@@ -18,6 +19,7 @@ import pytest
 from decoupler import schemes
 from decoupler.hadamard import canonical_indices, walsh_indices
 from decoupler.schemes import sign_blocks
+from test_rows_on_demand import construction_order
 from test_synth_golden import GOLDEN, _cases
 
 
@@ -40,7 +42,7 @@ def test_check_reads_back_the_gathered_indices(monkeypatch, name, cap):
             continue
         (rows, idx, reverse), = calls
         assert reverse == (task.kind == "reverse")
-        rows = rows[np.arange(rows.shape[0])]  # every row of the construction
+        rows = rows(np.arange(construction_order(rows)))  # every row of the construction
         canon = canonical_indices([rows])[0]  # the canonical index of each construction row
         if not np.array_equal(canon, np.arange(len(rows))):
             assert np.array_equal(canon, walsh_indices(rows)), key

@@ -193,7 +193,7 @@ class TestCompose:
         rows = result.hprime.entries
         for _ in range(50):
             a, b = rng.integers(0, rows.shape[0], size=2)
-            ia, ib = result.index_map[a][0], result.index_map[b][0]
+            ia, ib = result.pos[a], result.pos[b]
             if ia != ib:
                 assert int(base.row(order[ia]) @ base.row(order[ib])) == 0
                 assert int(rows[a].astype(int) @ rows[b].astype(int)) == 0

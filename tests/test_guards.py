@@ -64,6 +64,10 @@ GUARDS = {
                                   ValueError, "not Z-diagonal"),
     "analyze-framework": (lambda: analyze_rows(3, "xy"),
                           ValueError, "unknown framework 'xy'"),
+    **{f"hamiltonian-coefficient-{name}": (
+        lambda c=c: PauliHamiltonian(2, ((c, "ZZ"),)),
+        TypeError, "coefficients must be real numbers")
+       for name, c in (("complex", 1j), ("text", "1.0"), ("none", None))},
 }
 
 

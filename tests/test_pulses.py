@@ -212,6 +212,16 @@ def test_compile_merge_consistency(n, m, seed):
     assert raw.total_intervals == merged.total_intervals == m
 
 
+def test_a_schedule_has_the_repr_of_its_steps_and_equals_no_other_type():
+    steps = ("XI", None, "IZ")
+    p = PulseSchedule(2, 0.5, steps)
+    of_codes = PulseSchedule(2, 0.5, codes=np.array([[1, 0], [0, 3]], dtype=np.uint8),
+                             free=np.array([False, True, False]))
+    want = "PulseSchedule(qubits=2, tau=0.5, steps=('XI', None, 'IZ'))"
+    assert repr(p) == repr(of_codes) == want
+    assert (p == 3) is False and (p != 3) is True
+
+
 def _first_bad_layer(qubits, steps):
     """The letter-by-letter reference for PulseSchedule's layer check."""
     return next((s for s in steps if s is not None

@@ -7,7 +7,9 @@ command holds the whole construction matrix.  A refused `compose` writes
 nothing."""
 
 import contextlib
+import io
 import os
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,7 @@ from test_row_codec import traced_peak
 from decoupler import cli, schemes
 from decoupler.errors import SizeCapExceeded
 from decoupler.ghm import Composition, compose_sylvester, gh_for_lambda
-from decoupler.hadamard import sylvester, walsh_rows
+from decoupler.hadamard import HadamardMatrix, sylvester, walsh_rows, write_matrix
 from decoupler.schemes import TaskSpec, sign_blocks, synth
 from decoupler.schur import five_rows, partition_sylvester
 
@@ -68,16 +70,24 @@ def _recorded_gather(kind, n, cap):
     return scheme, rows, idx, reverse
 
 
+def construction_order(rows) -> int:
+    """The order of the construction whose rows k `_gather` takes as rows(k):
+    walsh_rows with its r, or a bound HadamardMatrix.row or Composition.rows."""
+    return 1 << rows.keywords["r"] if isinstance(rows, partial) else rows.__self__.order
+
+
 def _materialized(rows) -> np.ndarray:
     """The whole matrix of a construction, built as it was before rows were
     built on demand: sylvester(r), or compose_sylvester's hprime."""
-    if not isinstance(rows, schemes._Rows):  # sylvester(0) of a two-qubit pair
-        return rows
-    if getattr(rows.build, "func", None) is walsh_rows:
-        return sylvester(rows.build.keywords["r"], cap=rows.shape[0]).entries
-    comp = rows.build.__self__
+    order = construction_order(rows)
+    if isinstance(rows, partial):
+        assert rows.func is walsh_rows
+        return sylvester(rows.keywords["r"], cap=order).entries
+    if isinstance(rows.__self__, HadamardMatrix):  # sylvester(0) of a two-qubit pair
+        return rows.__self__.entries
+    comp = rows.__self__
     r = comp.h.order.bit_length() - 1
-    return compose_sylvester(r, gh_for_lambda(comp.lam), cap=rows.shape[0]).hprime.entries
+    return compose_sylvester(r, gh_for_lambda(comp.lam), cap=order).hprime.entries
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,7 +100,7 @@ def test_general_schemes_are_the_rows_idx_of_their_construction(kind, n, cap):
         return
     assert reverse == (kind == "reverse")
     matrix = _materialized(rows)
-    assert matrix.shape == rows.shape
+    assert matrix.shape == (construction_order(rows),) * 2
     expected = matrix[idx.T][..., int(reverse):]
     assert np.array_equal(np.stack(sign_blocks(scheme)), expected)
 
@@ -98,7 +108,8 @@ def test_general_schemes_are_the_rows_idx_of_their_construction(kind, n, cap):
 def test_the_composed_construction_is_gathered_from_its_kernel():
     # general selection at n = 19 is the one composed pick (m = 64)
     scheme, rows, idx, _ = _recorded_gather("select", 19, 4096)
-    assert getattr(rows.build, "func", None) is not walsh_rows and rows.shape == (64, 64)
+    assert isinstance(getattr(rows, "__self__", None), Composition)
+    assert construction_order(rows) == 64
     assert np.array_equal(np.stack(sign_blocks(scheme)), _materialized(rows)[idx.T])
 
 
@@ -119,6 +130,38 @@ def test_compose_command_streams_its_matrix():
     run()  # the parser and the GH(4,2) cache are built once per process
     peak = traced_peak(run)
     assert peak <= 2 << 20, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("r,lam", [(r, lam) for r in range(2, 7) for lam in (1, 2)])
+def test_a_composition_writes_the_bytes_of_its_matrix(r, lam):
+    comp = compose_sylvester(r, gh_for_lambda(lam))
+    of_rows, of_matrix = io.StringIO(), io.StringIO()
+    write_matrix(comp, of_rows)
+    write_matrix(comp.hprime, of_matrix)
+    assert of_rows.getvalue() == of_matrix.getvalue()
+
+
+def test_writing_a_composition_never_builds_its_matrix():
+    # order 4096: a codec block of rows at a time, never hprime's 16 MiB
+    comp = compose_sylvester(9, gh_for_lambda(2))
+    with open(os.devnull, "w") as devnull:
+        peak = traced_peak(lambda: write_matrix(comp, devnull))
+    assert peak <= 2 << 20, f"peak {peak} B"
+    assert "hprime" not in vars(comp)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cap", "65536", "compose", "--r", "12", "--lambda", "1024"],
+    ["--cap", "65536", "compose", "--r", "3", "--lambda", "4096"],
+])
+def test_compose_past_the_cap_is_refused_before_its_gh_factor(capsys, argv):
+    cli._build_parser()  # built once per process, not part of the refusal
+    codes = []
+    peak = traced_peak(lambda: codes.append(cli.main(argv)))
+    out, err = capsys.readouterr()
+    assert codes == [2] and out == ""
+    assert "exceeds cap 65536" in err and "Traceback" not in err
+    assert peak <= 1 << 20, f"peak {peak} B"
 
 
 @pytest.mark.parametrize("argv,message", [

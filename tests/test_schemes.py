@@ -42,7 +42,7 @@ def stacked(triple: SignTriple) -> np.ndarray:
     rows = []
     for q in range(triple.qubits):
         for label in "xyz":
-            rows.append(triple.matrix(label).entries[q])
+            rows.append(getattr(triple, "s" + label).entries[q])
     return np.stack(rows)
 
 
@@ -151,17 +151,17 @@ class TestDecoupleGeneral:
         from decoupler.schemes import _Candidate, _construction_rows
 
         rows, triples, five = _construction_rows(_Candidate(16, "composed", 2, 1), 4096)
-        assert rows.shape == (16, 16)
+        assert rows.__self__.order == 16
         assert len(triples) == 4 and five is None  # base r=2 has no five rows
         n = 3
-        stacked_rows = np.stack([rows[i] for t in triples[:n] for i in t])
+        stacked_rows = np.stack([rows(i) for t in triples[:n] for i in t])
         assert np.array_equal(gram(stacked_rows),
                               16 * np.eye(3 * n, dtype=np.int64))
         for a, b, c in triples[:n]:
-            assert np.all(rows[a] * rows[b] == rows[c])
+            assert np.all(rows(a) * rows(b) == rows(c))
         rows, triples, five = _construction_rows(_Candidate(32, "composed", 3, 1), 4096)
-        assert rows.shape == (32, 32) and len(triples) == 4
-        f = [rows[i] for i in five]
+        assert rows.__self__.order == 32 and len(triples) == 4
+        f = [rows(i) for i in five]
         assert np.array_equal(f[0] * f[1], f[4])
         assert np.array_equal(f[2] * f[3], f[4])
 
@@ -215,7 +215,7 @@ class TestSelectPair:
     def test_three_qubits(self):
         t = synth_select_pair(3, 0, 1)
         for label in "xyz":
-            e = t.matrix(label).entries
+            e = getattr(t, "s" + label).entries
             assert np.all(e[0] == 1) and np.all(e[1] == 1)
             assert e[2].sum() == 0
         task = TaskSpec("select_pair", "general", qubits=(0, 1))
@@ -385,8 +385,8 @@ class TestSchemeFormat:
             assert np.array_equal(back.entries, scheme.entries)
         else:
             for label in "xyz":
-                assert np.array_equal(back.matrix(label).entries,
-                                      scheme.matrix(label).entries)
+                assert np.array_equal(getattr(back, "s" + label).entries,
+                                      getattr(scheme, "s" + label).entries)
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

@@ -212,8 +212,8 @@ def test_select_n19_uses_the_composed_construction(cap):
     free = [t for t in np.asarray(triples).tolist() if not set(t) & set(five)]
     for q, t in zip(range(1, 18), free):
         for label, row in zip("xyz", t):
-            assert np.array_equal(scheme.matrix(label).entries[q], rows[row])
-    assert np.array_equal(scheme.sx.entries[0], rows[five[4]])
+            assert np.array_equal(getattr(scheme, "s" + label).entries[q], rows(row))
+    assert np.array_equal(scheme.sx.entries[0], rows(five[4]))
 
 
 # zz ignores --sylvester-only, and at these caps a Sylvester matrix is the

@@ -109,6 +109,6 @@ def test_corrupted_report_lines(task, n, cells, expected):
     if isinstance(scheme, SignMatrix):
         scheme = _flip(scheme.entries, cells["s"])
     else:
-        scheme = SignTriple(*(_flip(scheme.matrix(l).entries, cells.get(l, []))
+        scheme = SignTriple(*(_flip(getattr(scheme, "s" + l).entries, cells.get(l, []))
                               for l in "xyz"))
     assert check_scheme(scheme, task).lines() == expected
