@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DesignNotFound, SearchBudgetExceeded, SizeCapExceeded
 from .hadamard import (DEFAULT_SIZE_CAP, HadamardMatrix, ValidityReport, _block_rows,
-                       decode_rows, exceeds_cap, expect_end, format_rows, gram, frozen,
-                       is_normalized, parse_rows, read_only, sylvester, upper_pairs)
+                       decode_rows, exceeds_cap, gram, frozen, is_normalized, read_only,
+                       sylvester, upper_pairs)
 from .schur import five_rows, partition_sylvester
 
 # sign of coordinate t for element g: rows e, x, y, z
@@ -341,20 +341,3 @@ def interval_bound(r: int, t: int) -> tuple[int, int]:
         raise ValueError("t must be >= 0")
     return ((2 ** r - 20) * 3 ** t, 2 ** r * 3 ** (t + 1))
 
-
-# ---------------------------------------------------------------------------
-# GH text format: header "gh 4 <lambda>", rows of chars e/x/y/z.
-
-def write_gh(g: GhMatrix, stream: IO[str]) -> None:
-    stream.write(f"gh 4 {g.lam}\n")
-    stream.write(format_rows(g.entries, ELEMENT_CHARS))
-
-
-def read_gh(stream: IO[str]) -> GhMatrix:
-    header = stream.readline().split()
-    if len(header) != 3 or header[0] != "gh" or header[1] != "4":
-        raise ValueError("gh file must start with 'gh 4 <lambda>'")
-    lam = int(header[2])
-    rows = parse_rows(stream, 4 * lam, 4 * lam, ELEMENT_CHARS, "gh")
-    expect_end(stream, "gh")
-    return GhMatrix(rows, lam=lam)

@@ -7,15 +7,16 @@ orthogonality is tested, with `upper_pairs` its one scan;
 of their order instead, Sylvester rows by `walsh_indices` (`walsh_rows`
 undone) with no matrix, other rows by a lookup in the matrix they came from;
 and the one row codec, `write_signs` / `parse_signs` for '+'/'-' rows and
-`format_rows` / `decode_rows` / `parse_rows` for letters.
+`format_rows` / `decode_rows` for letters.  `parse_signs` is the one reader
+of rows from a file; `decode_rows` decodes letters already held in memory.
 
 The codec works on one block of about 64 KiB of text at a time, so what it
 holds beyond its input and output is one block.  Sign rows are written and
 read as 44 - x: letter = 44 - sign into one text buffer, with no sign mask,
 and sign = 44 - byte straight into the reader's int8 rows, accepted only
 where `all_signs` holds.  The other alphabets (IXYZ, exyz) go through a
-`bytes.translate` table both ways.  A reader takes each block of n rows of
-m letters with one read of n (m + 1) characters.  A canonical block, a
+`bytes.translate` table.  The reader takes each block of n rows of
+m signs with one read of n (m + 1) characters.  A canonical block, a
 newline after every m letters (the last row of the stream may lack it), is
 decoded over its bytes into its rows of one int8 array, allocated as the
 rows arrive.  Any other block (CRLF or padded rows, a short or missing row)
@@ -541,13 +542,13 @@ def _short(lines: list[str], m: int) -> int:
     return next((i for i, line in enumerate(lines) if len(line) != m), len(lines))
 
 
-def _parse(stream: IO[str], n: int, m: int, what: str, decode) -> np.ndarray:
-    """The one reader: n >= 1 lines of m letters as a writable n x m int8
-    array, decoded by the block decoder `decode`.  The first line of the
-    wrong length or with a letter `decode` refuses raises ValueError("bad
-    <what> row '...'").  Each block of rows is one read of its rows (m + 1)
-    characters: a canonical block is decoded over its bytes; any other, and
-    one with a bad letter, line by line, so that the first bad row is named."""
+def parse_signs(stream: IO[str], n: int, m: int, what: str) -> np.ndarray:
+    """The one file-row reader: n >= 1 lines of m '+'/'-' as a read-only
+    n x m int8 array of their +/-1 signs.  The first line of the wrong
+    length or with another letter raises ValueError("bad <what> row '...'").
+    Each block of rows is one read of its rows (m + 1) characters: a
+    canonical block is decoded over its bytes; any other, and one with a bad
+    letter, line by line, so that the first bad row is named."""
     if n < 1 or m < 0:
         raise ValueError(f"bad {what} shape {n} x {m}")
     step = _block_rows(m)
@@ -569,25 +570,15 @@ def _parse(stream: IO[str], n: int, m: int, what: str, decode) -> np.ndarray:
                 codes.resize((rows, m), refcheck=False)
             else:
                 codes = np.empty((rows, m), dtype=np.int8)
-        if lines is None and not decode(codes[done:done + want], raw, m + 1):
+        if lines is None and not _signs(codes[done:done + want], raw, m + 1):
             lines = _lines(text, stream, want)
             short = _short(lines, m)
         if lines is not None:
-            first = _decode_into(codes[done:done + short], lines, decode)
+            first = _decode_into(codes[done:done + short], lines, _signs)
             if first < want:
                 raise ValueError(f"bad {what} row {lines[first] if first < len(lines) else ''!r}")
         done += want
-    return codes
-
-
-def parse_rows(stream: IO[str], n: int, m: int, alphabet: str, what: str) -> np.ndarray:
-    """`_parse` of n lines of m letters from alphabet as their int8 codes."""
-    return _parse(stream, n, m, what, _decoder(alphabet))
-
-
-def parse_signs(stream: IO[str], n: int, m: int, what: str) -> np.ndarray:
-    """`_parse` of n lines of m '+'/'-' as their read-only +/-1 signs."""
-    return frozen(_parse(stream, n, m, what, _signs))
+    return frozen(codes)
 
 
 def expect_end(stream: IO[str], what: str) -> None:

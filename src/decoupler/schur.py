@@ -14,8 +14,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import SizeCapExceeded
-from .hadamard import DEFAULT_SIZE_CAP, HadamardMatrix, exceeds_cap, walsh_rows
+from .hadamard import HadamardMatrix
 
 Triple = tuple[int, int, int]
 
@@ -156,16 +155,11 @@ def rows_of(partition: SchurPartition, h: HadamardMatrix):
 
 @dataclass(frozen=True)
 class FiveRows:
-    """Rows f1..f5 of sylvester(r) with f1*f2 = f3*f4 = f5 entry-wise."""
+    """Rows f1..f5 of sylvester(r) with f1*f2 = f3*f4 = f5 entry-wise, by
+    index: `walsh_rows(indices, r)` builds them."""
 
     r: int
     indices: tuple[int, int, int, int, int]  # f1..f5
-
-    @property
-    def rows(self) -> np.ndarray:
-        if exceeds_cap(self.r, DEFAULT_SIZE_CAP):  # the bound sylvester(r) puts on r
-            raise SizeCapExceeded(f"sylvester order 2^{self.r} exceeds cap {DEFAULT_SIZE_CAP}")
-        return walsh_rows(self.indices, self.r)
 
 
 def five_rows(r: int) -> FiveRows:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from decoupler.cli import main
-from decoupler.ghm import gh_for_lambda, read_gh, write_gh
 from decoupler.hadamard import paley, read_matrix, write_matrix
 from decoupler.pulses import read_schedule
 from decoupler.schemes import _candidates
@@ -417,8 +416,7 @@ def test_trailing_blank_lines_and_crlf_read_the_same(tmp_path, capsys, framework
 
 @pytest.mark.parametrize("read,write,value,what", [
     (read_matrix, write_matrix, paley(11, 1), "matrix"),
-    (read_gh, write_gh, gh_for_lambda(2), "gh"),
-], ids=["matrix", "gh"])
+], ids=["matrix"])
 def test_reader_refuses_content_after_its_last_row(read, write, value, what):
     buf = io.StringIO()
     write(value, buf)

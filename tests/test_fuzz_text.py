@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoupler.cli import main
-from decoupler.ghm import gh_for_lambda, read_gh, write_gh
 from decoupler.hadamard import paley, read_matrix, write_matrix
 from decoupler.pulses import compile_general, read_schedule, write_schedule
 from decoupler.schemes import TaskSpec, synth, write_scheme
@@ -47,7 +46,6 @@ READERS = {
     "schedule": (read_schedule, _text(write_schedule, compile_general(
         synth(TaskSpec("decouple", "general"), 2), 0.25))),
     "matrix": (read_matrix, _text(write_matrix, paley(11, 1))),
-    "gh": (read_gh, _text(write_gh, gh_for_lambda(2))),
     "partition": (read_partition, _text(write_partition, partition_sylvester(5))),
 }
 EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete", "line", "flip"]),

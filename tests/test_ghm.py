@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -16,9 +14,7 @@ from decoupler.ghm import (
     gh_search,
     interval_bound,
     level,
-    read_gh,
     verify_gh,
-    write_gh,
 )
 from decoupler.hadamard import ValidityReport, is_hadamard, normalize, sylvester
 from decoupler.schur import five_rows, partition_sylvester
@@ -268,23 +264,3 @@ class TestIntervalBound:
             interval_bound(4, 0)
         with pytest.raises(ValueError):
             interval_bound(5, -1)
-
-
-class TestGhFormat:
-    @pytest.mark.parametrize("make", [gh4_base, lambda: gh_for_lambda(2)])
-    def test_round_trip(self, make):
-        g = make()
-        buf = io.StringIO()
-        write_gh(g, buf)
-        buf.seek(0)
-        back = read_gh(buf)
-        assert back.lam == g.lam
-        assert np.array_equal(back.entries, g.entries)
-
-    def test_bad_header(self):
-        with pytest.raises(ValueError):
-            read_gh(io.StringIO("gh 3 1\n"))
-
-    def test_bad_row(self):
-        with pytest.raises(ValueError):
-            read_gh(io.StringIO("gh 4 1\neeee\nexyq\nexyz\nexyz\n"))

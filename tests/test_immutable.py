@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from decoupler.ghm import (Composition, GhMatrix, compose, compose_sylvester, gh4_base,
-                           gh_for_lambda, gh_kron, gh_search, read_gh, write_gh)
+                           gh_for_lambda, gh_kron, gh_search)
 from decoupler.hadamard import (HadamardMatrix, best_matrix, kron_product, normalize, paley,
                                 read_matrix, sylvester, write_matrix)
 from decoupler.schemes import SignMatrix, TaskSpec, read_scheme, synth, write_scheme
@@ -47,7 +47,6 @@ CONSTRUCTORS = {
     "gh_for_lambda_2": lambda: gh_for_lambda(2),
     "gh_kron": lambda: gh_kron(gh4_base(), gh4_base()),
     "gh_search": lambda: gh_search(1),
-    "read_gh": lambda: read_gh(_text(write_gh, gh4_base())),
 }
 
 

@@ -3,9 +3,10 @@
 `format_rows` must write alphabet[c] for every code c, whatever the dtype
 and memory layout of the codes, and refuse a code outside the alphabet;
 `write_signs` must write '+'/'-' for every +/-1 integer array and refuse
-any other entry.  `decode_rows`, `parse_rows` and `parse_signs` work one
-block of rows at a time; the single-pass decoder they replaced is kept here
-as the oracle for the codes, the first bad row and every error message.  Each test also runs with blocks
+any other entry.  `decode_rows`, which decodes letters held in memory, and
+`parse_signs`, the one reader of rows from a file, work one block of rows at
+a time; the single-pass decoder they replaced is kept here as the oracle for
+the codes, the first bad row and every error message.  Each test also runs with blocks
 of a few bytes, so that small inputs cross every block boundary and every
 growth of a reader's array.  Last, the memory of the text boundary: a
 writer holds one block, a reader its output and one block."""
@@ -21,12 +22,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from test_layer_codes import outcome
+from test_layer_codes import outcome, read_signs
 
 from decoupler import hadamard
 from decoupler.ghm import ELEMENT_CHARS, compose_sylvester, gh_for_lambda
-from decoupler.hadamard import (decode_rows, format_rows, paley, parse_rows, parse_signs,
-                                read_matrix, write_matrix, write_signs)
+from decoupler.hadamard import (decode_rows, format_rows, paley, parse_signs, read_matrix,
+                                write_matrix, write_signs)
 from decoupler.schemes import (GATES, TaskSpec, check_scheme, read_scheme, sign_blocks, synth,
                               write_scheme)
 
@@ -57,7 +58,7 @@ def single_pass_decode(lines, m, alphabet):
 
 
 def single_pass_parse(stream, n, m, alphabet, what):
-    """parse_rows as it was: all n lines read, then decoded at once."""
+    """The file-row reader as it was: all n lines read, then decoded at once."""
     if n < 1 or m < 0:
         raise ValueError(f"bad {what} shape {n} x {m}")
     lines = [line.strip() for line in itertools.islice(stream, n)]
@@ -86,11 +87,6 @@ def single_pass_signs(stream, n, m, alphabet, what):
     return (1 - 2 * single_pass_parse(stream, n, m, "+-", what)).astype(np.int8)
 
 
-def read_signs(stream, n, m, alphabet, what):
-    """parse_signs in the signature of the other readers."""
-    return parse_signs(stream, n, m, what)
-
-
 @st.composite
 def code_arrays(draw):
     """(alphabet, codes): bool, int8 or uint8 codes in the alphabet (or in
@@ -110,11 +106,9 @@ def test_format_rows_is_its_definition_and_decodes_back(case, block):
         text = format_rows(codes, alphabet)
         assert text == reference_rows(codes, alphabet)
         back, first = decode_rows(text.splitlines(), m, alphabet)
-        parsed = parse_rows(io.StringIO(text), n, m, alphabet, "test")
     assert first == n
-    for got in (back, parsed):
-        assert got.dtype == np.int8 and got.shape == (n, m) and got.flags.writeable
-        assert np.array_equal(got, codes)
+    assert back.dtype == np.int8 and back.shape == (n, m) and back.flags.writeable
+    assert np.array_equal(back, codes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -200,12 +194,10 @@ def test_decode_rows_equals_the_single_pass_decoder(case, block):
        st.sampled_from(["", "rows 1 2\n", "+"]), BLOCK_BYTES)
 @example((["", ""], 0, "+-"), 10 ** 6, "\n", "", 16)
 def test_parse_rows_equals_the_single_pass_reader(case, n, end, tail, block):
-    lines, m, alphabet = case
+    lines, m, _ = case
     text = "".join(line + end for line in lines) + tail
     with blocks_of(block):
-        got = outcome(parse_rows, text, n, m, alphabet)
         signs = outcome(read_signs, text, n, m, "+-")
-    assert got == outcome(single_pass_parse, text, n, m, alphabet)
     assert signs == outcome(single_pass_signs, text, n, m, "+-")
 
 
@@ -266,11 +258,9 @@ def test_canonical_blocks_with_one_fault_read_as_the_single_pass_reader(case, bl
     # every block a canonical block is read by bytes; the block that holds
     # the fault, and only it, line by line: the codes, the next line after
     # the rows and every message are the single-pass reader's
-    text, n, m, alphabet, _ = case
+    text, n, m, _, _ = case
     with blocks_of(block):
-        got = outcome(parse_rows, text, n, m, alphabet)
         signs = outcome(lambda s, n, m, a, what: parse_signs(s, n, m, what), text, n, m, "+-")
-    assert got == outcome(single_pass_parse, text, n, m, alphabet)
     assert signs == outcome(single_pass_signs, text, n, m, "+-")
 
 
@@ -310,7 +300,7 @@ def test_a_header_claiming_too_much_allocates_at_most_the_first_reserve(n, m, te
     # first reservation for rows not yet read
     def read():
         with pytest.raises(ValueError, match="^" + re.escape(f"bad matrix row '{shown}'") + "$"):
-            parse_rows(io.StringIO(text), n, m, "+-", "matrix")
+            parse_signs(io.StringIO(text), n, m, "matrix")
     assert traced_peak(read) <= hadamard._RESERVE_BYTES + (1 << 20)
 
 

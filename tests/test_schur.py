@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoupler.errors import SizeCapExceeded
-from decoupler.hadamard import sylvester
+from decoupler.hadamard import sylvester, walsh_rows
 from decoupler.schur import (
     five_rows,
     partition_sylvester,
@@ -179,7 +178,7 @@ class TestFiveRows:
 
     @pytest.mark.parametrize("r", range(3, 11))
     def test_product_identity(self, r):
-        rows = five_rows(r).rows
+        rows = walsh_rows(five_rows(r).indices, r)
         assert np.array_equal(rows[0] * rows[1], rows[4])
         assert np.array_equal(rows[2] * rows[3], rows[4])
         assert len({tuple(row) for row in rows}) == 5
@@ -187,11 +186,6 @@ class TestFiveRows:
     def test_r_below_three_rejected(self):
         with pytest.raises(ValueError):
             five_rows(2)
-
-    def test_rows_keep_the_sylvester_cap(self):
-        assert five_rows(12).rows.shape == (5, 4096)
-        with pytest.raises(SizeCapExceeded, match=r"2\^13 exceeds cap 4096"):
-            five_rows(13).rows
 
 
 class TestReportingAndFormat:

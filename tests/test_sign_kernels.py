@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from decoupler.ghm import GhMatrix, gh_for_lambda, verify_gh
-from decoupler.hadamard import (all_signs, format_rows, gram, is_hadamard, parse_rows,
-                                sylvester, write_matrix)
+from decoupler.hadamard import (all_signs, decode_rows, format_rows, gram, is_hadamard,
+                                parse_signs, sylvester, write_matrix)
 
 signs = st.sampled_from([-1, 1])
 
@@ -88,8 +88,10 @@ def test_verify_gh_pairs_equal_bincount_loop(lam, data):
     assert verify_gh(g).offending_pairs == _bincount_loop(g)
 
 
-# the four row formats: Hadamard matrices, scheme blocks, GH matrices, gate layers
-FORMATS = [("+-", "matrix"), ("+-", "sign-matrix"), ("exyz", "gh"), ("IXYZ", "gate layer")]
+# the four row formats: Hadamard matrices and scheme blocks, read from files
+# by parse_signs, and GH matrices and gate layers, decoded by decode_rows
+SIGN_FORMATS = [("+-", "matrix"), ("+-", "sign-matrix")]
+FORMATS = SIGN_FORMATS + [("exyz", "gh"), ("IXYZ", "gate layer")]
 
 
 def _reference_writer(codes, alphabet):
@@ -104,7 +106,8 @@ def test_format_parse_round_trip(alphabet, what, data):
                              elements=st.integers(0, len(alphabet) - 1)))
     text = format_rows(codes, alphabet)
     assert text == _reference_writer(codes, alphabet)
-    back = parse_rows(io.StringIO(text), *codes.shape, alphabet, what)
+    back, first = decode_rows(text.splitlines(), codes.shape[1], alphabet)
+    assert first == len(codes)
     assert back.dtype == np.int8 and np.array_equal(back, codes)
 
 
@@ -139,7 +142,7 @@ def test_all_signs_equals_the_abs_reference(e):
     assert all_signs(e) == bool(np.all(np.abs(e) == 1))
 
 
-@pytest.mark.parametrize("alphabet,what", FORMATS)
+@pytest.mark.parametrize("alphabet,what", SIGN_FORMATS)
 @pytest.mark.parametrize("lines,bad", [
     (["ab", "a", "ab"], "a"),        # short line
     (["ab", "aq", "ab"], "aq"),      # letter outside the alphabet
@@ -151,7 +154,7 @@ def test_parse_rows_rejects(alphabet, what, lines, bad):
     text = "".join("".join(letters.get(c, c) for c in line) + "\n" for line in lines)
     shown = "".join(letters.get(c, c) for c in bad)
     with pytest.raises(ValueError, match="^" + re.escape(f"bad {what} row '{shown}'") + "$"):
-        parse_rows(io.StringIO(text), 3, 2, alphabet, what)
+        parse_signs(io.StringIO(text), 3, 2, what)
 
 
 @pytest.mark.parametrize("r", range(11))
@@ -170,5 +173,5 @@ def test_parse_rows_stops_at_the_end_of_the_stream():
     # an m = 0 block reads "" at the end of the stream: not one more empty row
     # (n stays small enough that a reader without the stop only fails the test)
     with pytest.raises(ValueError, match="^bad matrix row ''$"):
-        parse_rows(io.StringIO("\n\n"), 10 ** 6, 0, "+-", "matrix")
-    assert parse_rows(io.StringIO("\n\n"), 2, 0, "+-", "matrix").shape == (2, 0)
+        parse_signs(io.StringIO("\n\n"), 10 ** 6, 0, "matrix")
+    assert parse_signs(io.StringIO("\n\n"), 2, 0, "matrix").shape == (2, 0)
