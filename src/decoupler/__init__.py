@@ -25,9 +25,8 @@ from .ghm import (
     verify_gh,
 )
 from .schemes import (
+    Scheme,
     SchemeReport,
-    SignMatrix,
-    SignTriple,
     TaskSpec,
     check_scheme,
     synth,

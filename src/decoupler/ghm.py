@@ -62,7 +62,7 @@ _GH_ROWS = {1: "eeee ezxy eyzx exyz",
 
 def _gh_literal(lam: int) -> GhMatrix:
     codes, _ = decode_rows(_GH_ROWS[lam].split(), 4 * lam, ELEMENT_CHARS)
-    return GhMatrix(codes, lam=lam)
+    return GhMatrix(frozen(codes.view(np.uint8)), lam=lam)
 
 
 def gh4_base() -> GhMatrix:

@@ -52,8 +52,14 @@ def recipe_str(recipe: Recipe) -> str:
 
 def read_only(entries, dtype) -> np.ndarray:
     """`entries` as a read-only array of `dtype`: the stored entries of every
-    value.  An array the caller could still write to is copied first."""
-    e = np.asarray(entries, dtype=dtype)
+    value.  An array the caller could still write to is copied first, and
+    entries that the cast to `dtype` would change (1.5, 257, nan, 1j) raise."""
+    e = given = np.asarray(entries)
+    if e.dtype != dtype:
+        with np.errstate(invalid="ignore"):  # nan and inf are refused below
+            e = np.real(given).astype(dtype)
+        if not np.array_equal(e, given):
+            raise ValueError(f"entries must be exact {np.dtype(dtype)} values")
     if e.flags.writeable and (e is entries or e.base is not None):
         e = e.copy()
     e.flags.writeable = False

@@ -24,7 +24,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .hadamard import _block_rows, decode_rows, format_rows, frozen
-from .schemes import GATES, Scheme, SignMatrix, gate_codes, header_fields, merged_codes
+from .schemes import GATES, Scheme, gate_codes, header_fields, merged_codes
 
 Step = str | None
 
@@ -92,7 +92,7 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be finite and > 0, got {tau!r}")
 
 
-def compile_zz(s: SignMatrix, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
+def compile_zz(s: Scheme, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
     """A '-' entry at (i, a) puts X on qubit i before and after interval a."""
     return compile_general(s, tau, merged)
 

@@ -1,13 +1,13 @@
 """Sign-matrix synthesis and checking for decoupling, selective coupling,
 pair coupling and time reversal.
 
-A zz-framework scheme is one n x m sign matrix; a general-framework scheme is
-three sign matrices S_x, S_y, S_z tied by the entry-wise product
-S_x * S_y = S_z.  Each is one gather of construction rows (`_gather`), which
+A `Scheme` is its sign blocks: one n x m sign matrix S in the zz framework,
+three S_x, S_y, S_z tied by the entry-wise product S_x * S_y = S_z in the
+general one.  Each is one gather of construction rows (`_gather`), which
 builds only the rows it takes and which `check` reads back by one index
 lookup for every block.  A zz scheme S is the triple (1, S, S), so both are
-checked and lowered by one path, from the blocks a scheme stores
-(`sign_blocks`); the embedding is never built, since 1 * S = S cannot fail.
+checked and lowered by one path, from `Scheme.blocks`; the embedding is
+never built, since 1 * S = S cannot fail.
 A certified check traces at most 2 n m bytes for a general triple and 34 MiB
 for a zz S at n = 4090 (m = 4092), the peak of its index lookup: gate codes
 are built and counted in place.  Each sign column names one conjugating
@@ -35,45 +35,32 @@ GATES = "IXYZ"  # gate code c conjugates with GATES[c]
 
 
 @dataclass(frozen=True)
-class SignMatrix:
-    entries: np.ndarray  # n x m, +/-1, read-only
+class Scheme:
+    """A zz scheme, blocks (S,), or a general one, blocks (S_x, S_y, S_z):
+    read-only n x m int8 arrays of +/-1, all of one shape, with n >= 1.  A
+    zz S stands for the triple (1, S, S), which is never built."""
+
+    blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        e = read_only(self.entries, np.int8)
-        if e.ndim != 2 or not all_signs(e):
+        blocks = tuple(read_only(b, np.int8) for b in self.blocks)
+        if len(blocks) not in (1, 3):
+            raise ValueError(f"a scheme has 1 (zz) or 3 (general) sign blocks, got {len(blocks)}")
+        if any(b.ndim != 2 or not all_signs(b) for b in blocks):
             raise ValueError("sign matrix must be a 2-d array of +1/-1")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def qubits(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def intervals(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
-class SignTriple:
-    sx: SignMatrix
-    sy: SignMatrix
-    sz: SignMatrix
-
-    def __post_init__(self):
-        shapes = {self.sx.entries.shape, self.sy.entries.shape, self.sz.entries.shape}
-        if len(shapes) != 1:
+        if len({b.shape for b in blocks}) != 1:
             raise ValueError("S_x, S_y, S_z must have identical shape")
+        if not blocks[0].shape[0]:
+            raise ValueError(f"bad sign-matrix shape 0 x {blocks[0].shape[1]}")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def qubits(self) -> int:
-        return self.sx.qubits
+        return self.blocks[0].shape[0]
 
     @property
     def intervals(self) -> int:
-        return self.sx.intervals
-
-
-Scheme = SignMatrix | SignTriple
+        return self.blocks[0].shape[1]
 
 
 @dataclass(frozen=True)
@@ -162,12 +149,11 @@ def _gather(rows: Callable, idx: np.ndarray, reverse: bool = False) -> Scheme:
         if blocks.shape[-1] < 2:
             raise ValueError(f"reversal scheme for n={len(idx)} would have no interval")
         blocks = blocks[..., 1:]
-    blocks = [SignMatrix(b) for b in blocks]
-    return blocks[0] if len(blocks) == 1 else SignTriple(*blocks)
+    return Scheme(tuple(blocks))
 
 
 def _zz_scheme(n: int, zero_sums: bool, cap: int, reverse: bool = False,
-               pair: tuple[int, int] | None = None) -> SignMatrix:
+               pair: tuple[int, int] | None = None) -> Scheme:
     """The n qubits take pairwise-orthogonal rows of a normalized Hadamard
     matrix in order: rows 1.. (zero row sums) when zero_sums, rows 0..
     otherwise.  With pair (i, j), qubit j takes qubit i's row instead of one
@@ -199,7 +185,7 @@ def _check_task_pair(task: TaskSpec, n: int) -> None:
 
 
 def synth_decouple_zz(n: int, remove_local_terms: bool = True,
-                      cap: int = DEFAULT_SIZE_CAP) -> SignMatrix:
+                      cap: int = DEFAULT_SIZE_CAP) -> Scheme:
     """n orthogonal rows; m = best constructible order holding them."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -207,14 +193,14 @@ def synth_decouple_zz(n: int, remove_local_terms: bool = True,
 
 
 def synth_select_zz(n: int, i: int, j: int, remove_local_terms: bool = True,
-                    cap: int = DEFAULT_SIZE_CAP) -> SignMatrix:
+                    cap: int = DEFAULT_SIZE_CAP) -> Scheme:
     """All rows orthogonal except rows i and j, which are identical."""
     _check_pair(n, i, j)
     return _zz_scheme(n, remove_local_terms, cap, pair=(i, j))
 
 
 def synth_reverse_zz(n: int, remove_local_terms: bool = True,
-                     cap: int = DEFAULT_SIZE_CAP) -> SignMatrix:
+                     cap: int = DEFAULT_SIZE_CAP) -> Scheme:
     """Drop the first (all +) column of a decoupling matrix: every row pair
     then has inner product -1, and with zero-sum rows every row sum is -1."""
     return _zz_scheme(n, remove_local_terms, cap, reverse=True)
@@ -301,7 +287,7 @@ def _decoupling(n: int, cap: int) -> tuple[Callable, np.ndarray]:
     return _schur_rows(n, cap)[:2]
 
 
-def synth_decouple_general(n: int, cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
+def synth_decouple_general(n: int, cap: int = DEFAULT_SIZE_CAP) -> Scheme:
     """One Schur triple of Hadamard rows per qubit; every pair of distinct
     rows orthogonal, S_x*S_y=S_z by the triple structure, zero row sums."""
     return _gather(*_decoupling(n, cap))
@@ -312,7 +298,7 @@ def _third_label(a: str, b: str) -> str:
 
 
 def synth_select_general(n: int, l: int, k: int, gamma: str, eta: str,
-                         cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
+                         cap: int = DEFAULT_SIZE_CAP) -> Scheme:
     """Decoupling scheme modified so row l of S_gamma equals row k of S_eta.
 
     Uses the five-row feature f1*f2 = f3*f4 = f5: with labels in the order
@@ -334,7 +320,7 @@ def synth_select_general(n: int, l: int, k: int, gamma: str, eta: str,
     return _gather(rows, idx)
 
 
-def synth_select_pair(n: int, i: int, j: int, cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
+def synth_select_pair(n: int, i: int, j: int, cap: int = DEFAULT_SIZE_CAP) -> Scheme:
     """Keep every coupling between qubits i and j: they take row 0 (all +)
     of the construction in S_x, S_y, S_z and the other n-2 qubits are
     decoupled as usual (n = 2 leaves the one interval of sylvester(0))."""
@@ -348,7 +334,7 @@ def synth_select_pair(n: int, i: int, j: int, cap: int = DEFAULT_SIZE_CAP) -> Si
     return _gather(rows, idx)
 
 
-def synth_reverse_general(n: int, cap: int = DEFAULT_SIZE_CAP) -> SignTriple:
+def synth_reverse_general(n: int, cap: int = DEFAULT_SIZE_CAP) -> Scheme:
     """Drop the first column of a general decoupling scheme; the construction
     guarantees that column is all +."""
     return _gather(*_decoupling(n, cap), reverse=True)
@@ -379,14 +365,6 @@ def synth(task: TaskSpec, n: int, cap: int = DEFAULT_SIZE_CAP) -> Scheme:
 # ---------------------------------------------------------------------------
 # criteria checking
 
-def sign_blocks(scheme: Scheme) -> tuple[np.ndarray, ...]:
-    """The sign blocks a scheme stores: (S,) for zz, (S_x, S_y, S_z) for
-    general.  A zz S stands for the triple (1, S, S), which is never built."""
-    if isinstance(scheme, SignMatrix):
-        return (scheme.entries,)
-    return scheme.sx.entries, scheme.sy.entries, scheme.sz.entries
-
-
 def _schur_cells(blocks: tuple[np.ndarray, ...]):
     """Every (row, column) where S_x * S_y != S_z, in row-major order; an
     empty tuple when there is none, so a valid scheme skips argwhere, the
@@ -402,7 +380,7 @@ def gate_codes(scheme: Scheme) -> np.ndarray:
     """n x m conjugating gates as codes 0..3 for I/X/Y/Z: sign column
     (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z.  The phaseless product
     of two gates is the XOR of their codes."""
-    blocks = sign_blocks(scheme)
+    blocks = scheme.blocks
     bad = _schur_cells(blocks)
     if len(bad):
         q, a = (int(v) for v in bad[np.lexsort(bad.T)[0]])  # first by interval, then qubit
@@ -463,12 +441,12 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
     n = scheme.qubits
     m = scheme.intervals
     _check_task_pair(task, n)
-    zz = isinstance(scheme, SignMatrix)
+    blocks = scheme.blocks
+    zz = len(blocks) == 1
     if task.framework != ("zz" if zz else "general"):
         raise ValueError("single sign matrix is a zz-framework scheme" if zz
                          else "a sign triple is a general-framework scheme")
 
-    blocks = sign_blocks(scheme)
     bad_cells = _schur_cells(blocks)
     if not zz:
         checks["schur_product"] = _outcome(bad_cells, "cells violating S_x*S_y=S_z")
@@ -612,8 +590,8 @@ def write_scheme(scheme: Scheme, task: TaskSpec, stream: IO[str]) -> None:
     header = (f"scheme {task.framework} n={scheme.qubits} m={scheme.intervals} "
               f"task={_format_task(task)} local={int(task.remove_local_terms)}\n")
     stream.write(header)
-    for entries in sign_blocks(scheme):
-        _write_block(entries, stream)
+    for block in scheme.blocks:
+        _write_block(block, stream)
 
 
 def header_fields(parts: list[str], required: tuple[str, ...],
@@ -649,9 +627,9 @@ def read_scheme(stream: IO[str]) -> tuple[Scheme, TaskSpec]:
     if local not in ("0", "1"):
         raise ValueError(f"header field local={local} must be 0 or 1")
     task = parse_task(fields["task"], framework, local == "1")
-    blocks = [SignMatrix(_read_block(stream)) for _ in range(1 if framework == "zz" else 3)]
+    blocks = tuple(_read_block(stream) for _ in range(1 if framework == "zz" else 3))
     expect_end(stream, "scheme")
-    scheme = SignTriple(*blocks) if len(blocks) == 3 else blocks[0]
+    scheme = Scheme(blocks)
     if scheme.qubits != int(fields["n"]) or scheme.intervals != int(fields["m"]):
         raise ValueError("scheme header does not match matrix block shape")
     # a scheme with no interval runs for no time and so realizes no task

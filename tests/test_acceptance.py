@@ -20,8 +20,7 @@ from decoupler.hadamard import (
 )
 from decoupler.pulses import compile_general, compile_zz, gate_count, simplify
 from decoupler.schemes import (
-    SignMatrix,
-    SignTriple,
+    Scheme,
     TaskSpec,
     check_scheme,
     synth_decouple_general,
@@ -255,12 +254,11 @@ def test_criterion_14_simplifier_soundness():
             h = PauliHamiltonian(1, tuple(
                 (float(c), w) for c, w in zip(coeffs, ("X", "Y", "Z"))))
         if case % 2 == 0:
-            s = SignMatrix(rng.choice([-1, 1], size=(n, m)))
+            s = Scheme((rng.choice([-1, 1], size=(n, m)),))
             raw = compile_zz(s, tau=0.2, merged=False)
         else:
             cols = signs[rng.integers(0, 4, size=(n, m))]
-            t = SignTriple(SignMatrix(cols[:, :, 0]), SignMatrix(cols[:, :, 1]),
-                           SignMatrix(cols[:, :, 2]))
+            t = Scheme((cols[:, :, 0], cols[:, :, 1], cols[:, :, 2]))
             raw = compile_general(t, tau=0.2, merged=False)
         merged = simplify(raw)
         d = phase_aligned_distance(run_schedule(raw, h), run_schedule(merged, h))

@@ -25,7 +25,7 @@ from test_gram_scan import reference_check
 from decoupler import schemes
 from decoupler.hadamard import (_recipe, best_matrix, build_hadamard, canonical_indices,
                                 is_hadamard, is_normalized, normalize)
-from decoupler.schemes import SignMatrix, SignTriple, TaskSpec, check_scheme, synth
+from decoupler.schemes import Scheme, TaskSpec, check_scheme, synth
 
 
 def _other_orders(limit):
@@ -86,7 +86,7 @@ def test_report_equals_reference_at_other_orders(kind, local, n, corruption, dat
                                           unique=True)))
     task = TaskSpec(kind, "zz", qubits=qubits, remove_local_terms=local)
     reverse = kind == "reverse"
-    s = synth(task, n).entries.copy()
+    s = synth(task, n).blocks[0].copy()
     size = s.shape[1] + reverse
     assume(size & (size - 1))
     m = s.shape[1]
@@ -108,7 +108,7 @@ def test_report_equals_reference_at_other_orders(kind, local, n, corruption, dat
     elif corruption == "restore":  # a reversal with its all-+ column put back
         assume(reverse)
         s = np.hstack([np.ones((n, 1), dtype=np.int8), s])
-    scheme = SignMatrix(s)
+    scheme = Scheme((s,))
     expected = reference_check(scheme, task)
     # a passing scheme of canonical rows is certified without a Gram
     named = canonical_indices([s], reverse) is not None
@@ -128,9 +128,9 @@ def test_every_canonical_row_at_a_task_qubit_equals_the_reference(task, n):
     scheme = synth(task, n)
     table = best_matrix(scheme.intervals).entries
     for k in range(len(table)):
-        s = scheme.entries.copy()
+        s = scheme.blocks[0].copy()
         s[task.qubits[1]] = table[k]
-        bad = SignMatrix(s)
+        bad = Scheme((s,))
         assert check_scheme(bad, task) == reference_check(bad, task)
 
 
@@ -208,7 +208,7 @@ def test_general_triple_of_paley_rows_is_not_read_by_xor():
         if (a, b, c, d) != tuple(sorted((a, b, c, d))):
             continue
         sx, sy = h[[a, c]], h[[b, d]]
-        scheme = SignTriple(SignMatrix(sx), SignMatrix(sy), SignMatrix(sx * sy))
+        scheme = Scheme((sx, sy, sx * sy))
         expected = reference_check(scheme, task)
         assert check_scheme(scheme, task) == expected
         idx = [a, b, a ^ b, c, d, c ^ d]

@@ -87,7 +87,7 @@ class TestSynthCheckPipeline:
         with open(out_file) as fh:
             scheme, task = read_scheme(fh)
         assert task.qubits == (1, 4)
-        assert np.array_equal(scheme.entries[1], scheme.entries[4])
+        assert np.array_equal(scheme.blocks[0][1], scheme.blocks[0][4])
 
     def test_select_flag_spelling(self, tmp_path, capsys):
         out_file = tmp_path / "s.txt"

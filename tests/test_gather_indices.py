@@ -18,7 +18,6 @@ import pytest
 
 from decoupler import schemes
 from decoupler.hadamard import canonical_indices, walsh_indices
-from decoupler.schemes import sign_blocks
 from test_rows_on_demand import construction_order
 from test_synth_golden import GOLDEN, _cases
 
@@ -47,7 +46,7 @@ def test_check_reads_back_the_gathered_indices(monkeypatch, name, cap):
         if not np.array_equal(canon, np.arange(len(rows))):
             assert np.array_equal(canon, walsh_indices(rows)), key
             composed.add(int(key.split()[0]))
-        got = canonical_indices(sign_blocks(scheme), reverse)
+        got = canonical_indices(scheme.blocks, reverse)
         assert got is not None, key
         assert np.array_equal(np.stack(got, axis=1), canon[idx]), key
     # the one composed pick at these sizes is the general selection at n = 19

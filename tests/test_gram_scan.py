@@ -21,8 +21,7 @@ from decoupler.schemes import (
     LABELS,
     CheckOutcome,
     SchemeReport,
-    SignMatrix,
-    SignTriple,
+    Scheme,
     TaskSpec,
     _outcome,
     check_scheme,
@@ -34,16 +33,17 @@ from decoupler.schemes import (
 
 def embedded(scheme):
     """(S_x, S_y, S_z) of a scheme, a zz S as the triple (1, S, S)."""
-    if isinstance(scheme, SignMatrix):
-        return np.ones_like(scheme.entries), scheme.entries, scheme.entries
-    return scheme.sx.entries, scheme.sy.entries, scheme.sz.entries
+    if len(scheme.blocks) == 1:
+        (s,) = scheme.blocks
+        return np.ones_like(s), s, s
+    return scheme.blocks
 
 
 def reference_check(scheme, task):
     """check_scheme with a target Gram matrix plus a mask of skipped pairs."""
     checks = {}
     n, m = scheme.qubits, scheme.intervals
-    zz = isinstance(scheme, SignMatrix)
+    zz = len(scheme.blocks) == 1
     sx, sy, sz = embedded(scheme)
     bad_cells = np.argwhere(sx * sy != sz)
     if not zz:
@@ -114,8 +114,7 @@ def test_report_equals_target_and_mask_reference(spec, corruption, data):
         scheme = synth(task, n, 256)
     except ValueError:  # a zz reversal with no interval left
         assume(False)
-    mats = [m.entries.copy() for m in (
-        [scheme] if isinstance(scheme, SignMatrix) else [scheme.sx, scheme.sy, scheme.sz])]
+    mats = [b.copy() for b in scheme.blocks]
     m = scheme.intervals
     if corruption != "valid" and m:
         hit = data.draw(st.lists(st.sampled_from(range(len(mats))), min_size=1, unique=True))
@@ -126,8 +125,7 @@ def test_report_equals_target_and_mask_reference(spec, corruption, data):
                 mats[t][q, a] *= -1
             else:
                 mats[t][q] = data.draw(arrays(np.int8, m, elements=st.sampled_from([-1, 1])))
-    scheme = (SignMatrix(mats[0]) if len(mats) == 1
-              else SignTriple(*map(SignMatrix, mats)))
+    scheme = Scheme(tuple(mats))
     assert check_scheme(scheme, task).lines() == reference_check(scheme, task).lines()
 
 

@@ -11,8 +11,8 @@ from decoupler.errors import SizeCapExceeded
 from decoupler.ghm import GhMatrix, compose, gh4_base
 from decoupler.hadamard import HadamardMatrix, build_hadamard, normalize, paley, sylvester
 from decoupler.pulses import PulseSchedule
-from decoupler.schemes import (SignMatrix, SignTriple, synth_decouple_zz, synth_reverse_zz,
-                               synth_select_zz)
+from decoupler.schemes import (Scheme, TaskSpec, check_scheme, synth_decouple_zz,
+                               synth_reverse_zz, synth_select_zz)
 from decoupler.simulate import PauliHamiltonian, random_hamiltonian, run_schedule_diagonal
 
 ZZ_2 = PauliHamiltonian(2, ((0.5, "ZZ"),))
@@ -24,6 +24,10 @@ GUARDS = {
                            ValueError, r"\+1/-1"),
     "hadamard-order-3": (lambda: HadamardMatrix(np.ones((3, 3))),
                          ValueError, "order 3 is not a possible Hadamard order"),
+    **{f"hadamard-entry-{name}": (lambda e=e: HadamardMatrix(np.array([[e, 1], [1, -1]])),
+                                  ValueError, "entries must be exact int8 values")
+       for name, e in (("1.5", 1.5), ("257", 257), ("nan", np.nan), ("inf", np.inf),
+                       ("1j", 1j))},
     "sylvester-cap-negative": (lambda: sylvester(2, cap=-5),
                                SizeCapExceeded, r"2\^2 exceeds cap -5"),
     "sylvester-order-1-cap-negative": (lambda: sylvester(0, cap=-1),
@@ -36,15 +40,28 @@ GUARDS = {
                        SizeCapExceeded, "paley order 12 exceeds cap 8"),
     "recipe-unknown": (lambda: build_hadamard(("hadamard", 4)),
                        ValueError, "unknown recipe"),
-    "sign-matrix-not-signs": (lambda: SignMatrix(np.zeros((2, 2))),
+    "sign-matrix-not-signs": (lambda: Scheme((np.zeros((2, 2)),)),
                               ValueError, "2-d array of"),
-    "sign-matrix-1d": (lambda: SignMatrix(np.ones(3)), ValueError, "2-d array of"),
-    "sign-triple-shapes": (lambda: SignTriple(SignMatrix(np.ones((2, 2))),
-                                              SignMatrix(np.ones((2, 2))),
-                                              SignMatrix(np.ones((2, 3)))),
+    "sign-matrix-1d": (lambda: Scheme((np.ones(3),)), ValueError, "2-d array of"),
+    "sign-triple-shapes": (lambda: Scheme((np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 3)))),
                            ValueError, "identical shape"),
+    **{f"scheme-{k}-blocks": (lambda k=k: Scheme((np.ones((2, 2)),) * k),
+                              ValueError, f"1 \\(zz\\) or 3 \\(general\\) sign blocks, got {k}")
+       for k in (0, 2, 4)},
+    **{f"scheme-entry-{name}": (lambda e=e: Scheme((np.array([[e, -e]]),)),
+                                ValueError, "entries must be exact int8 values")
+       for name, e in (("1.5", 1.5), ("257", 257))},
+    # n = 0 is refused as read_scheme refuses it in a file, so check_scheme
+    # never divides by 3n = 0
+    "scheme-no-qubit": (lambda: check_scheme(Scheme((np.ones((0, 4)),) * 3),
+                                             TaskSpec("decouple", "general")),
+                        ValueError, "bad sign-matrix shape 0 x 4"),
     "gh-entry-4": (lambda: GhMatrix(np.full((4, 4), 4), lam=1),
                    ValueError, r"entries must be 0\.\.3"),
+    **{f"gh-entry-{name}": (lambda d=d: GhMatrix(gh4_base().entries.astype(np.int64)
+                                                 + d * np.eye(4, dtype=np.int64), lam=1),
+                            ValueError, "entries must be exact uint8 values")
+       for name, d in (("256", 256), ("-256", -256))},
     "compose-over-cap": (lambda: compose(normalize(sylvester(2)), [1, 2, 3], [0],
                                          gh4_base(), cap=8),
                          SizeCapExceeded, "composed order 16 exceeds cap 8"),

@@ -10,7 +10,7 @@ from decoupler.ghm import (Composition, GhMatrix, compose, compose_sylvester, gh
                            gh_for_lambda, gh_kron, gh_search)
 from decoupler.hadamard import (HadamardMatrix, best_matrix, kron_product, normalize, paley,
                                 read_matrix, sylvester, write_matrix)
-from decoupler.schemes import SignMatrix, TaskSpec, read_scheme, synth, write_scheme
+from decoupler.schemes import Scheme, TaskSpec, read_scheme, synth, write_scheme
 from decoupler.schur import partition_sylvester
 
 
@@ -25,60 +25,71 @@ def _general_scheme():
     return synth(TaskSpec("decouple", "general"), 3)
 
 
+# each value's stored entries
 CONSTRUCTORS = {
-    "HadamardMatrix": lambda: HadamardMatrix(np.array([[1, 1], [1, -1]])),
-    "sylvester": lambda: sylvester(3),
-    "paley1": lambda: paley(11, 1),
-    "paley2": lambda: paley(5, 2),
-    "kron_product": lambda: kron_product(sylvester(1), paley(3, 1)),
-    "normalize": lambda: normalize(paley(11, 1)),
-    "best_matrix": lambda: best_matrix(20),
-    "read_matrix": lambda: read_matrix(_text(write_matrix, sylvester(2))),
-    "compose": lambda: compose_sylvester(2, gh4_base()).hprime,
-    "SignMatrix": lambda: SignMatrix(np.ones((2, 3))),
-    "synth_zz": lambda: synth(TaskSpec("select", "zz", (0, 2)), 4),
-    "synth_general": lambda: _general_scheme().sy,
+    "HadamardMatrix": lambda: HadamardMatrix(np.array([[1, 1], [1, -1]])).entries,
+    "sylvester": lambda: sylvester(3).entries,
+    "paley1": lambda: paley(11, 1).entries,
+    "paley2": lambda: paley(5, 2).entries,
+    "kron_product": lambda: kron_product(sylvester(1), paley(3, 1)).entries,
+    "normalize": lambda: normalize(paley(11, 1)).entries,
+    "best_matrix": lambda: best_matrix(20).entries,
+    "read_matrix": lambda: read_matrix(_text(write_matrix, sylvester(2))).entries,
+    "compose": lambda: compose_sylvester(2, gh4_base()).hprime.entries,
+    "Scheme": lambda: Scheme((np.ones((2, 3)),)).blocks[0],
+    "synth_zz": lambda: synth(TaskSpec("select", "zz", (0, 2)), 4).blocks[0],
+    "synth_general": lambda: _general_scheme().blocks[1],
     "read_scheme": lambda: read_scheme(
         _text(lambda s, buf: write_scheme(s, TaskSpec("decouple", "general"), buf),
-              _general_scheme()))[0].sz,
-    "GhMatrix": lambda: GhMatrix(np.zeros((4, 4)), lam=1),
-    "gh4_base": gh4_base,
-    "gh_for_lambda": lambda: gh_for_lambda(1),
-    "gh_for_lambda_2": lambda: gh_for_lambda(2),
-    "gh_kron": lambda: gh_kron(gh4_base(), gh4_base()),
-    "gh_search": lambda: gh_search(1),
+              _general_scheme()))[0].blocks[2],
+    "GhMatrix": lambda: GhMatrix(np.zeros((4, 4)), lam=1).entries,
+    "gh4_base": lambda: gh4_base().entries,
+    "gh_for_lambda": lambda: gh_for_lambda(1).entries,
+    "gh_for_lambda_2": lambda: gh_for_lambda(2).entries,
+    "gh_kron": lambda: gh_kron(gh4_base(), gh4_base()).entries,
+    "gh_search": lambda: gh_search(1).entries,
 }
 
 
 @pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
 def test_entries_cannot_be_written(make):
-    value = make()
-    before = value.entries.copy()
-    assert not value.entries.flags.writeable
+    entries = make()
+    before = entries.copy()
+    assert not entries.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        value.entries[0, 0] = value.entries[0, 1]
+        entries[0, 0] = entries[0, 1]
     with pytest.raises(ValueError, match="read-only"):
-        value.entries[...] *= 1
-    np.testing.assert_array_equal(value.entries, before)
+        entries[...] *= 1
+    np.testing.assert_array_equal(entries, before)
 
 
-@pytest.mark.parametrize("cls,array", [
-    (HadamardMatrix, np.array([[1, 1], [1, -1]], dtype=np.int8)),
-    (SignMatrix, np.array([[1, -1, 1]], dtype=np.int8)),
-    (lambda a: GhMatrix(a, lam=1), gh4_base().entries.copy()),
-], ids=["HadamardMatrix", "SignMatrix", "GhMatrix"])
-def test_the_callers_array_stays_the_callers(cls, array):
-    value = cls(array)
-    kept = value.entries.copy()
+@pytest.mark.parametrize("stored,array", [
+    (lambda a: HadamardMatrix(a).entries, np.array([[1, 1], [1, -1]], dtype=np.int8)),
+    (lambda a: Scheme((a,)).blocks[0], np.array([[1, -1, 1]], dtype=np.int8)),
+    (lambda a: Scheme((a, a, np.ones_like(a))).blocks[1], np.array([[1, -1, 1]], dtype=np.int8)),
+    (lambda a: GhMatrix(a, lam=1).entries, gh4_base().entries.copy()),
+], ids=["HadamardMatrix", "Scheme", "Scheme-general", "GhMatrix"])
+def test_the_callers_array_stays_the_callers(stored, array):
+    entries = stored(array)
+    kept = entries.copy()
     array[0, 1] += 1
-    np.testing.assert_array_equal(value.entries, kept)
+    np.testing.assert_array_equal(entries, kept)
 
 
 def test_a_view_of_writable_entries_is_copied():
     base = np.array([[1, 1, 1], [1, -1, 1]], dtype=np.int8)
-    value = SignMatrix(base[:, 1:])
+    value = Scheme((base[:, 1:],))
     base[0, 1] = -1
-    assert value.entries[0, 0] == 1
+    assert value.blocks[0][0, 0] == 1
+
+
+def test_a_synthesized_scheme_keeps_its_blocks_in_its_one_gather():
+    # the three blocks are read-only views of the one array the gather built:
+    # disjoint slices of it, so they share its base and no memory
+    s = _general_scheme()
+    assert s.blocks[0].base is not None
+    assert all(b.base is s.blocks[0].base for b in s.blocks)
+    assert not any(b.flags.writeable for b in s.blocks)
 
 
 def test_the_cached_gh_cannot_be_poisoned():

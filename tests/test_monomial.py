@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from decoupler import simulate
 from decoupler.pulses import PulseSchedule, compile_general
 from decoupler.schemes import (
-    SignMatrix,
-    SignTriple,
+    Scheme,
     TaskSpec,
     synth_decouple_general,
     synth_decouple_zz,
@@ -65,9 +64,9 @@ def diagonal_hamiltonian(n, rng, local=True):
 def random_scheme(n, m, rng):
     """A random zz sign matrix or a random realizable sign triple."""
     if rng.random() < 0.5:
-        return SignMatrix(rng.choice([-1, 1], size=(n, m)))
+        return Scheme((rng.choice([-1, 1], size=(n, m)),))
     cols = SIGNS[rng.integers(0, 4, size=(n, m))]
-    return SignTriple(*(SignMatrix(cols[..., t]) for t in range(3)))
+    return Scheme(tuple(cols[..., t] for t in range(3)))
 
 
 def max_diff(a, b):

@@ -17,18 +17,18 @@ from decoupler.pulses import (
     simplify,
     write_schedule,
 )
-from decoupler.schemes import SignMatrix, SignTriple, TaskSpec, synth, synth_select_zz
+from decoupler.schemes import Scheme, TaskSpec, synth, synth_select_zz
 
-S2 = SignMatrix(np.array([[1, 1], [1, -1]]))
-S4 = SignMatrix(np.array([
+S2 = Scheme((np.array([[1, 1], [1, -1]]),))
+S4 = Scheme((np.array([
     [1, 1, 1, 1],
     [1, 1, -1, -1],
     [1, -1, -1, 1],
     [1, -1, 1, -1],
-]))
+]),))
 
 
-def triple_from_gates(gates: list[str]) -> SignTriple:
+def triple_from_gates(gates: list[str]) -> Scheme:
     """Sign triple whose compilation should reproduce the given gate grid."""
     signs = {"I": (1, 1, 1), "X": (1, -1, -1), "Y": (-1, 1, -1), "Z": (-1, -1, 1)}
     n, m = len(gates), len(gates[0])
@@ -37,7 +37,7 @@ def triple_from_gates(gates: list[str]) -> SignTriple:
         for a in range(m):
             for c, v in enumerate(signs[gates[q][a]]):
                 mats[c][q, a] = v
-    return SignTriple(SignMatrix(mats[0]), SignMatrix(mats[1]), SignMatrix(mats[2]))
+    return Scheme((mats[0], mats[1], mats[2]))
 
 
 class TestCompileZz:
@@ -54,7 +54,7 @@ class TestCompileZz:
         assert p.total_intervals == 4
 
     def test_all_plus_matrix_compiles_gate_free(self):
-        s = SignMatrix(np.ones((3, 5), dtype=int))
+        s = Scheme((np.ones((3, 5), dtype=int),))
         p = compile_zz(s)
         assert p.total_intervals == 5
         assert gate_count(p) == 0
@@ -84,11 +84,11 @@ class TestCompileGeneral:
         assert gate_count(compile_general(t)) == 0
 
     def test_corrupted_sign_column_rejected(self):
-        sx = SignMatrix(np.array([[1, 1]]))
-        sy = SignMatrix(np.array([[1, 1]]))
-        sz = SignMatrix(np.array([[1, -1]]))  # (+,+,-) unrealizable
+        sx = np.array([[1, 1]])
+        sy = np.array([[1, 1]])
+        sz = np.array([[1, -1]])  # (+,+,-) unrealizable
         with pytest.raises(ValueError, match="corrupt"):
-            compile_general(SignTriple(sx, sy, sz))
+            compile_general(Scheme((sx, sy, sz)))
 
 
 class TestSimplify:
@@ -176,8 +176,7 @@ class TestScheduleFormat:
         qubits: lines of about 2 KB, so its 257 or 384 steps span several
         blocks of text."""
         scheme = synth(TaskSpec("decouple", "general"), 30)
-        wide = SignTriple(*(SignMatrix(np.tile(b.entries, (67, 1))[:2000])
-                            for b in (scheme.sx, scheme.sy, scheme.sz)))
+        wide = Scheme(tuple(np.tile(b, (67, 1))[:2000] for b in scheme.blocks))
         p = compile_general(wide, 0.25, merged)
         buf = io.StringIO()
         write_schedule(p, buf)
@@ -205,7 +204,7 @@ class TestScheduleFormat:
 @settings(max_examples=40, deadline=None)
 def test_compile_merge_consistency(n, m, seed):
     rng = np.random.default_rng(seed)
-    s = SignMatrix(rng.choice([-1, 1], size=(n, m)))
+    s = Scheme((rng.choice([-1, 1], size=(n, m)),))
     raw = compile_zz(s, merged=False)
     merged = compile_zz(s)
     assert simplify(raw).steps == merged.steps

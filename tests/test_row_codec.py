@@ -28,7 +28,7 @@ from decoupler import hadamard
 from decoupler.ghm import ELEMENT_CHARS, compose_sylvester, gh_for_lambda
 from decoupler.hadamard import (decode_rows, format_rows, paley, parse_signs, read_matrix,
                                 write_matrix, write_signs)
-from decoupler.schemes import (GATES, TaskSpec, check_scheme, read_scheme, sign_blocks, synth,
+from decoupler.schemes import (GATES, TaskSpec, check_scheme, read_scheme, synth,
                               write_scheme)
 
 ALPHABETS = ["+-", GATES, ELEMENT_CHARS]
@@ -284,7 +284,7 @@ def test_a_canonical_file_is_read_by_blocks_after_each_header(block):
     with blocks_of(block):
         got, _ = read_scheme(BlockStream(buf.getvalue()))
         h = read_matrix(BlockStream(f"order 12\n{reference_rows(H12_CODES, '+-')}"))
-    for a, b in zip(sign_blocks(got), sign_blocks(scheme)):
+    for a, b in zip(got.blocks, scheme.blocks):
         assert np.array_equal(a, b)
     assert np.array_equal(h.entries, 1 - 2 * H12_CODES)
 

@@ -23,7 +23,7 @@ from decoupler import cli, schemes
 from decoupler.errors import SizeCapExceeded
 from decoupler.ghm import Composition, compose_sylvester, gh_for_lambda
 from decoupler.hadamard import HadamardMatrix, sylvester, walsh_rows, write_matrix
-from decoupler.schemes import TaskSpec, sign_blocks, synth
+from decoupler.schemes import TaskSpec,  synth
 from decoupler.schur import five_rows, partition_sylvester
 
 
@@ -102,7 +102,7 @@ def test_general_schemes_are_the_rows_idx_of_their_construction(kind, n, cap):
     matrix = _materialized(rows)
     assert matrix.shape == (construction_order(rows),) * 2
     expected = matrix[idx.T][..., int(reverse):]
-    assert np.array_equal(np.stack(sign_blocks(scheme)), expected)
+    assert np.array_equal(np.stack(scheme.blocks), expected)
 
 
 def test_the_composed_construction_is_gathered_from_its_kernel():
@@ -110,7 +110,7 @@ def test_the_composed_construction_is_gathered_from_its_kernel():
     scheme, rows, idx, _ = _recorded_gather("select", 19, 4096)
     assert isinstance(getattr(rows, "__self__", None), Composition)
     assert construction_order(rows) == 64
-    assert np.array_equal(np.stack(sign_blocks(scheme)), _materialized(rows)[idx.T])
+    assert np.array_equal(np.stack(scheme.blocks), _materialized(rows)[idx.T])
 
 
 def test_general_synth_holds_the_scheme_and_no_construction_matrix():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from decoupler.pulses import (PulseSchedule, compile_general, gate_count, read_schedule,
                               simplify, write_schedule)
-from decoupler.schemes import SignMatrix, SignTriple, TaskSpec, synth
+from decoupler.schemes import Scheme, TaskSpec, synth
 
 # sign column (x, y, z) -> the conjugating gate
 LETTER = {(1, 1, 1): "I", (1, -1, -1): "X", (-1, 1, -1): "Y", (-1, -1, 1): "Z"}
@@ -30,11 +30,11 @@ def product(a: str, b: str) -> str:
 
 def letter_layers(scheme) -> list[str]:
     """The gate layer of each interval, a letter a qubit from its sign column."""
-    if isinstance(scheme, SignMatrix):
-        s = scheme.entries
+    if len(scheme.blocks) == 1:
+        (s,) = scheme.blocks
         blocks = (np.ones_like(s), s, s)
     else:
-        blocks = (scheme.sx.entries, scheme.sy.entries, scheme.sz.entries)
+        blocks = scheme.blocks
     n, m = blocks[0].shape
     return ["".join(LETTER[tuple(int(b[q, a]) for b in blocks)] for q in range(n))
             for a in range(m)]
@@ -60,9 +60,9 @@ def schemes(draw):
     signs = st.lists(st.sampled_from([1, -1]), min_size=n * m, max_size=n * m)
     sx = np.array(draw(signs), dtype=np.int8).reshape(n, m)
     if draw(st.booleans()):
-        return SignMatrix(sx)
+        return Scheme((sx,))
     sy = np.array(draw(signs), dtype=np.int8).reshape(n, m)
-    return SignTriple(SignMatrix(sx), SignMatrix(sy), SignMatrix(sx * sy))
+    return Scheme((sx, sy, sx * sy))
 
 
 def text_of(p: PulseSchedule) -> str:

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from decoupler.errors import SizeCapExceeded
 from decoupler.schemes import (
-    SignMatrix,
-    SignTriple,
+    Scheme,
     TaskSpec,
     check_scheme,
     parse_task,
@@ -25,47 +24,47 @@ from decoupler.schemes import (
 )
 from decoupler.hadamard import sylvester
 
-S2 = SignMatrix(np.array([[1, 1], [1, -1]]))
-S4 = SignMatrix(np.array([
+S2 = Scheme((np.array([[1, 1], [1, -1]]),))
+S4 = Scheme((np.array([
     [1, 1, 1, 1],
     [1, 1, -1, -1],
     [1, -1, -1, 1],
     [1, -1, 1, -1],
-]))
+]),))
 
 
 def gram(entries):
     return entries.astype(np.int64) @ entries.astype(np.int64).T
 
 
-def stacked(triple: SignTriple) -> np.ndarray:
+def stacked(triple: Scheme) -> np.ndarray:
     rows = []
     for q in range(triple.qubits):
-        for label in "xyz":
-            rows.append(getattr(triple, "s" + label).entries[q])
+        for block in triple.blocks:
+            rows.append(block[q])
     return np.stack(rows)
 
 
 class TestDecoupleZz:
     def test_n2_without_local_removal_is_the_two_qubit_scheme(self):
         s = synth_decouple_zz(2, remove_local_terms=False)
-        assert np.array_equal(s.entries, S2.entries)
+        assert np.array_equal(s.blocks[0], S2.blocks[0])
 
     def test_n4_without_local_removal_matches_four_qubit_rows(self):
         s = synth_decouple_zz(4, remove_local_terms=False)
         assert s.intervals == 4
-        assert {tuple(r) for r in s.entries} == {tuple(r) for r in S4.entries}
+        assert {tuple(r) for r in s.blocks[0]} == {tuple(r) for r in S4.blocks[0]}
 
     def test_n9_needs_twelve_intervals(self):
         s = synth_decouple_zz(9)
         assert s.intervals == 12
-        assert np.all(s.entries.sum(axis=1) == 0)
+        assert np.all(s.blocks[0].sum(axis=1) == 0)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
     def test_gram_is_m_identity(self, n):
         s = synth_decouple_zz(n)
         m = s.intervals
-        assert np.array_equal(gram(s.entries), m * np.eye(n, dtype=np.int64))
+        assert np.array_equal(gram(s.blocks[0]), m * np.eye(n, dtype=np.int64))
 
     def test_report_passes(self):
         report = check_scheme(synth_decouple_zz(5), TaskSpec("decouple", "zz"))
@@ -76,23 +75,23 @@ class TestDecoupleZz:
 class TestSelectZz:
     def test_couple_last_two_of_nine(self):
         s = synth_select_zz(9, 7, 8)
-        assert s.entries.shape == (9, 12)
-        assert np.array_equal(s.entries[7], s.entries[8])
-        assert np.all(s.entries.sum(axis=1) == 0)
-        g = gram(s.entries)
+        assert s.blocks[0].shape == (9, 12)
+        assert np.array_equal(s.blocks[0][7], s.blocks[0][8])
+        assert np.all(s.blocks[0].sum(axis=1) == 0)
+        g = gram(s.blocks[0])
         expected = 12 * np.eye(9, dtype=np.int64)
         expected[7, 8] = expected[8, 7] = 12
         assert np.array_equal(g, expected)
 
     def test_three_qubits_structure_forced(self):
         s = synth_select_zz(3, 0, 1, remove_local_terms=False)
-        assert np.array_equal(s.entries[0], s.entries[1])
-        assert int(s.entries[0] @ s.entries[2]) == 0
+        assert np.array_equal(s.blocks[0][0], s.blocks[0][1])
+        assert int(s.blocks[0][0] @ s.blocks[0][2]) == 0
 
     def test_gram_with_designated_pair(self):
         s = synth_select_zz(6, 1, 4)
         m = s.intervals
-        g = gram(s.entries)
+        g = gram(s.blocks[0])
         expected = m * np.eye(6, dtype=np.int64)
         expected[1, 4] = expected[4, 1] = m
         assert np.array_equal(g, expected)
@@ -113,9 +112,9 @@ class TestDecoupleGeneral:
         t = synth_decouple_general(1)
         h = sylvester(2)
         assert t.intervals == 4
-        assert np.array_equal(t.sx.entries[0], h.row(0b01))
-        assert np.array_equal(t.sy.entries[0], h.row(0b10))
-        assert np.array_equal(t.sz.entries[0], h.row(0b11))
+        assert np.array_equal(t.blocks[0][0], h.row(0b01))
+        assert np.array_equal(t.blocks[1][0], h.row(0b10))
+        assert np.array_equal(t.blocks[2][0], h.row(0b11))
 
     def test_five_qubits_sixteen_intervals(self):
         assert synth_decouple_general(5).intervals == 16
@@ -130,7 +129,7 @@ class TestDecoupleGeneral:
         rows = stacked(t)
         m = t.intervals
         assert np.array_equal(gram(rows), m * np.eye(3 * n, dtype=np.int64))
-        assert np.array_equal(t.sx.entries * t.sy.entries, t.sz.entries)
+        assert np.array_equal(t.blocks[0] * t.blocks[1], t.blocks[2])
         assert np.all(rows.sum(axis=1) == 0)
 
     @given(st.integers(min_value=1, max_value=40))
@@ -214,8 +213,7 @@ class TestSelectGeneral:
 class TestSelectPair:
     def test_three_qubits(self):
         t = synth_select_pair(3, 0, 1)
-        for label in "xyz":
-            e = getattr(t, "s" + label).entries
+        for e in t.blocks:
             assert np.all(e[0] == 1) and np.all(e[1] == 1)
             assert e[2].sum() == 0
         task = TaskSpec("select_pair", "general", qubits=(0, 1))
@@ -224,7 +222,7 @@ class TestSelectPair:
     def test_two_qubits_trivial_single_interval(self):
         t = synth_select_pair(2, 0, 1)
         assert t.intervals == 1
-        assert np.all(t.sx.entries == 1)
+        assert np.all(t.blocks[0] == 1)
 
     def test_interval_count_matches_decoupling_two_fewer(self):
         assert synth_select_pair(7, 0, 1).intervals == synth_decouple_general(5).intervals
@@ -241,9 +239,9 @@ class TestSelectPair:
 class TestReverse:
     def test_zz_two_qubits(self):
         s = synth_reverse_zz(2)
-        assert s.entries.shape == (2, 3)
-        assert int(s.entries[0] @ s.entries[1]) == -1
-        assert np.all(s.entries.sum(axis=1) == -1)
+        assert s.blocks[0].shape == (2, 3)
+        assert int(s.blocks[0][0] @ s.blocks[0][1]) == -1
+        assert np.all(s.blocks[0].sum(axis=1) == -1)
 
     def test_zz_interval_count_examples(self):
         assert synth_reverse_zz(3).intervals == 3  # best order for 4 is 4
@@ -252,7 +250,7 @@ class TestReverse:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_zz_pairwise_inner_products(self, n):
         s = synth_reverse_zz(n)
-        g = gram(s.entries)
+        g = gram(s.blocks[0])
         off = g[~np.eye(n, dtype=bool)]
         assert np.all(off == -1)
 
@@ -274,7 +272,7 @@ class TestReverse:
         # local-term row-sum condition is not demanded
         s = synth_reverse_zz(3, remove_local_terms=False)
         assert s.intervals == 3
-        g = gram(s.entries)
+        g = gram(s.blocks[0])
         assert np.all(g[~np.eye(3, dtype=bool)] == -1)
         task = TaskSpec("reverse", "zz", remove_local_terms=False)
         report = check_scheme(s, task)
@@ -288,18 +286,18 @@ class TestCheckScheme:
         assert report.passed
 
     def test_sign_flip_reports_offending_pair(self):
-        bad = S2.entries.copy()
+        bad = S2.blocks[0].copy()
         bad[1, 1] = 1
-        report = check_scheme(SignMatrix(bad),
+        report = check_scheme(Scheme((bad,)),
                               TaskSpec("decouple", "zz", remove_local_terms=False))
         assert not report.passed
         assert "(0, 1)" in report.checks["orthogonality"].detail
 
     def test_corrupted_schur_product_reports_cells(self):
         t = synth_decouple_general(2)
-        sz = t.sz.entries.copy()
+        sz = t.blocks[2].copy()
         sz[1, 3] = -sz[1, 3]
-        corrupted = SignTriple(t.sx, t.sy, SignMatrix(sz))
+        corrupted = Scheme((*t.blocks[:2], sz))
         report = check_scheme(corrupted, TaskSpec("decouple", "general"))
         assert not report.passed
         assert "(1, 3)" in report.checks["schur_product"].detail
@@ -319,9 +317,9 @@ class TestCheckScheme:
 
     def test_gate_count_zero_for_corrupted_triple(self):
         t = synth_decouple_general(1)
-        sz = t.sz.entries.copy()
+        sz = t.blocks[2].copy()
         sz[0, 0] = -sz[0, 0]
-        report = check_scheme(SignTriple(t.sx, t.sy, SignMatrix(sz)),
+        report = check_scheme(Scheme((*t.blocks[:2], sz)),
                               TaskSpec("decouple", "general"))
         assert report.gate_count == 0 and not report.passed
 
@@ -340,13 +338,12 @@ class TestTaskSpecAndDispatch:
             TaskSpec("select_pair", "zz", qubits=(0, 1))
 
     def test_synth_dispatch(self):
-        assert isinstance(synth(TaskSpec("decouple", "zz"), 3), SignMatrix)
-        assert isinstance(synth(TaskSpec("reverse", "zz"), 3), SignMatrix)
-        assert isinstance(synth(TaskSpec("decouple", "general"), 3), SignTriple)
+        assert len(synth(TaskSpec("decouple", "zz"), 3).blocks) == 1
+        assert len(synth(TaskSpec("reverse", "zz"), 3).blocks) == 1
+        assert len(synth(TaskSpec("decouple", "general"), 3).blocks) == 3
         t = synth(TaskSpec("select", "general", qubits=(0, 1), labels=("x", "z")), 3)
-        assert isinstance(t, SignTriple)
-        assert isinstance(synth(TaskSpec("select_pair", "general", qubits=(0, 2)), 3),
-                          SignTriple)
+        assert len(t.blocks) == 3
+        assert len(synth(TaskSpec("select_pair", "general", qubits=(0, 2)), 3).blocks) == 3
 
     def test_parse_task_round_trip(self):
         for body, framework in [
@@ -381,12 +378,9 @@ class TestSchemeFormat:
         buf.seek(0)
         back, back_task = read_scheme(buf)
         assert back_task == task
-        if isinstance(scheme, SignMatrix):
-            assert np.array_equal(back.entries, scheme.entries)
-        else:
-            for label in "xyz":
-                assert np.array_equal(getattr(back, "s" + label).entries,
-                                      getattr(scheme, "s" + label).entries)
+        assert len(back.blocks) == len(scheme.blocks)
+        for b, block in zip(back.blocks, scheme.blocks):
+            assert np.array_equal(b, block)
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

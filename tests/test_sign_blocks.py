@@ -22,12 +22,10 @@ from hypothesis.extra.numpy import arrays
 from decoupler.cli import main
 from decoupler.pulses import compile_general
 from decoupler.schemes import (
-    SignMatrix,
-    SignTriple,
+    Scheme,
     TaskSpec,
     check_scheme,
     gate_codes,
-    sign_blocks,
     synth,
     synth_decouple_general,
     synth_decouple_zz,
@@ -66,19 +64,18 @@ def _compile(scheme, task) -> tuple[int, str, str]:
 @pytest.mark.parametrize("local", [True, False])
 def test_zz_scheme_stores_and_lowers_one_block(kind, qubits, local):
     scheme = synth(TaskSpec(kind, "zz", qubits, remove_local_terms=local), 5)
-    (block,) = sign_blocks(scheme)
-    assert block is scheme.entries
+    (block,) = scheme.blocks
     codes = gate_codes(scheme)
     assert codes.dtype == np.uint8
-    assert np.array_equal(codes, (scheme.entries < 0).astype(np.uint8))  # X where S is '-'
+    assert np.array_equal(codes, (block < 0).astype(np.uint8))  # X where S is '-'
 
 
 @settings(max_examples=60, deadline=None)
 @given(arrays(np.int8, st.tuples(st.integers(1, 6), st.integers(1, 9)),
               elements=st.sampled_from([-1, 1])))
 def test_zz_block_lowers_as_its_triple(s):
-    scheme = SignMatrix(s)
-    triple = SignTriple(SignMatrix(np.ones_like(s)), scheme, scheme)
+    scheme = Scheme((s,))
+    triple = Scheme((np.ones_like(s), s, s))
     assert np.array_equal(gate_codes(scheme), gate_codes(triple))
     assert compile_general(scheme) == compile_general(triple)
     assert compile_general(scheme, merged=False) == compile_general(triple, merged=False)
@@ -88,7 +85,7 @@ def test_zz_block_lowers_as_its_triple(s):
 @given(st.sampled_from(GENERAL_TASKS), st.integers(3, 12), st.data())
 def test_lowering_refuses_the_first_unrealizable_cell(task, n, data):
     scheme = synth(task, n)
-    mats = [b.copy() for b in sign_blocks(scheme)]
+    mats = [b.copy() for b in scheme.blocks]
     m = scheme.intervals
     cells = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, n - 1),
                                          st.integers(0, m - 1)),
@@ -100,7 +97,7 @@ def test_lowering_refuses_the_first_unrealizable_cell(task, n, data):
     assume(bad)  # two flips of one cell's column can cancel
     a, q = bad[0]
     text = _refusal(*mats, q, a)
-    corrupted = SignTriple(*map(SignMatrix, mats))
+    corrupted = Scheme(tuple(mats))
     with pytest.raises(ValueError) as exc:
         gate_codes(corrupted)
     assert str(exc.value) == text
@@ -112,11 +109,11 @@ def test_lowering_refuses_the_first_unrealizable_cell(task, n, data):
 def test_refusal_orders_cells_by_interval_before_qubit():
     # row-major order would name qubit 0 first; lowering names interval 1 first
     task = GENERAL_TASKS[0]
-    mats = [b.copy() for b in sign_blocks(synth(task, 4))]
+    mats = [b.copy() for b in synth(task, 4).blocks]
     mats[2][0, 5] *= -1
     mats[0][3, 1] *= -1
     mats[1][2, 1] *= -1
-    corrupted = SignTriple(*map(SignMatrix, mats))
+    corrupted = Scheme(tuple(mats))
     text = _refusal(*mats, 2, 1)
     with pytest.raises(ValueError) as exc:
         gate_codes(corrupted)

@@ -5,7 +5,7 @@ import pytest
 
 from decoupler.pulses import PulseSchedule, compile_general, compile_zz, simplify
 from decoupler.schemes import (
-    SignMatrix,
+    Scheme,
     TaskSpec,
     synth_decouple_general,
     synth_decouple_zz,
@@ -28,13 +28,13 @@ from decoupler.simulate import (
     write_hamiltonian,
 )
 
-S2 = SignMatrix(np.array([[1, 1], [1, -1]]))
-S4 = SignMatrix(np.array([
+S2 = Scheme((np.array([[1, 1], [1, -1]]),))
+S4 = Scheme((np.array([
     [1, 1, 1, 1],
     [1, 1, -1, -1],
     [1, -1, -1, 1],
     [1, -1, 1, -1],
-]))
+]),))
 
 TOL = 1e-10
 
@@ -224,7 +224,7 @@ class TestVerify:
 
     def test_failing_scheme_rejected(self):
         task = TaskSpec("decouple", "zz", remove_local_terms=False)
-        bad = SignMatrix(np.ones((2, 2), dtype=int))
+        bad = Scheme((np.ones((2, 2), dtype=int),))
         h = random_hamiltonian(2, seed=0, kind="zz")
         with pytest.raises(ValueError, match="criteria"):
             verify(task, bad, h, 0.1, 1)
@@ -265,7 +265,7 @@ class TestSimplifierSoundness:
     def test_raw_and_simplified_agree_zz(self, seed):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-        s = SignMatrix(rng.choice([-1, 1], size=(n, m)))
+        s = Scheme((rng.choice([-1, 1], size=(n, m)),))
         h = random_hamiltonian(n, seed=seed, kind="zz", with_local=True) \
             if n > 1 else PauliHamiltonian(1, ((0.5, "Z"),))
         raw = compile_zz(s, tau=0.2, merged=False)
@@ -275,14 +275,12 @@ class TestSimplifierSoundness:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_raw_and_simplified_agree_general(self, seed):
-        from decoupler.schemes import SignTriple
         rng = np.random.default_rng(100 + seed)
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
         gates = rng.integers(0, 4, size=(n, m))
         signs = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
         cols = signs[gates]  # (n, m, 3)
-        t = SignTriple(SignMatrix(cols[:, :, 0]), SignMatrix(cols[:, :, 1]),
-                       SignMatrix(cols[:, :, 2]))
+        t = Scheme((cols[:, :, 0], cols[:, :, 1], cols[:, :, 2]))
         h = random_hamiltonian(n, seed=seed, kind="general", with_local=True) \
             if n > 1 else PauliHamiltonian(1, ((0.5, "Z"), (0.3, "X")))
         raw = compile_general(t, tau=0.15, merged=False)

@@ -20,14 +20,12 @@ import pytest
 from decoupler.cli import analyze_csv, analyze_rows
 from decoupler.pulses import compile_general, write_schedule
 from decoupler.schemes import (
-    SignMatrix,
-    SignTriple,
+    Scheme,
     TaskSpec,
     _Candidate,
     _candidates,
     _construction_rows,
     check_scheme,
-    sign_blocks,
     synth_decouple_general,
     synth_decouple_zz,
     synth_reverse_general,
@@ -141,10 +139,10 @@ CHECK_SIZES = [*range(1, 21), 24, 28, 36, 40, 150]
 
 def _flipped(scheme):
     """The scheme with the sign at (n // 2, m // 2) of its first block flipped."""
-    blocks = [b.copy() for b in sign_blocks(scheme)]
+    blocks = [b.copy() for b in scheme.blocks]
     n, m = blocks[0].shape
     blocks[0][n // 2, m // 2] *= -1
-    return SignMatrix(blocks[0]) if len(blocks) == 1 else SignTriple(*map(SignMatrix, blocks))
+    return Scheme(tuple(blocks))
 
 
 def _checked(scheme, task):
@@ -211,9 +209,9 @@ def test_select_n19_uses_the_composed_construction(cap):
     rows, triples, five = _construction_rows(_Candidate(64, "composed", 4, 1), cap)
     free = [t for t in np.asarray(triples).tolist() if not set(t) & set(five)]
     for q, t in zip(range(1, 18), free):
-        for label, row in zip("xyz", t):
-            assert np.array_equal(getattr(scheme, "s" + label).entries[q], rows(row))
-    assert np.array_equal(scheme.sx.entries[0], rows(five[4]))
+        for block, row in zip(scheme.blocks, t):
+            assert np.array_equal(block[q], rows(row))
+    assert np.array_equal(scheme.blocks[0][0], rows(five[4]))
 
 
 # zz ignores --sylvester-only, and at these caps a Sylvester matrix is the

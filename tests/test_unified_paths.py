@@ -7,26 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoupler.pulses import compile_general, compile_zz, gate_count
-from decoupler.schemes import SignMatrix, SignTriple, TaskSpec, check_scheme, synth
+from decoupler.schemes import Scheme, TaskSpec, check_scheme, synth
 
 # sign column (s_x, s_y, s_z) of each conjugating gate
 SIGNS = {0: (1, 1, 1), 1: (1, -1, -1), 2: (-1, 1, -1), 3: (-1, -1, 1)}
 
 
 def zz_matrix(n, m, seed):
-    return SignMatrix(np.random.default_rng(seed).choice([-1, 1], size=(n, m)))
+    return Scheme((np.random.default_rng(seed).choice([-1, 1], size=(n, m)),))
 
 
 def triple_from_codes(codes):
     signs = np.array([SIGNS[c] for c in range(4)])[codes]  # n x m x 3
-    return SignTriple(*(SignMatrix(signs[..., t]) for t in range(3)))
+    return Scheme(tuple(signs[..., t] for t in range(3)))
 
 
 @given(st.integers(1, 6), st.integers(0, 8), st.integers(0, 2**16 - 1))
 @settings(max_examples=60, deadline=None)
 def test_zz_lowers_as_embedded_triple(n, m, seed):
     s = zz_matrix(n, m, seed)
-    embedded = SignTriple(SignMatrix(np.ones((n, m), dtype=int)), s, s)
+    (block,) = s.blocks
+    embedded = Scheme((np.ones((n, m), dtype=int), block, block))
     for merged in (True, False):
         assert (compile_zz(s, 0.3, merged).steps
                 == compile_general(embedded, 0.3, merged).steps)
@@ -48,7 +49,7 @@ def _flip(entries, cells):
     e = entries.copy()
     for q, a in cells:
         e[q, a] = -e[q, a]
-    return SignMatrix(e)
+    return e
 
 
 # (task, n, cells to flip per matrix ("s" for zz), expected report lines)
@@ -106,9 +107,6 @@ CORRUPTED = [
                          ids=[f"{t.framework}-{t.kind}" for t, *_ in CORRUPTED])
 def test_corrupted_report_lines(task, n, cells, expected):
     scheme = synth(task, n)
-    if isinstance(scheme, SignMatrix):
-        scheme = _flip(scheme.entries, cells["s"])
-    else:
-        scheme = SignTriple(*(_flip(getattr(scheme, "s" + l).entries, cells.get(l, []))
-                              for l in "xyz"))
+    labels = "s" if len(scheme.blocks) == 1 else "xyz"
+    scheme = Scheme(tuple(_flip(b, cells.get(l, [])) for b, l in zip(scheme.blocks, labels)))
     assert check_scheme(scheme, task).lines() == expected

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from decoupler.hadamard import sylvester
-from decoupler.schemes import SignMatrix, SignTriple, TaskSpec, synth
+from decoupler.schemes import Scheme, TaskSpec, synth
 from decoupler.simulate import DIAGONAL_QUBIT_CAP, PauliHamiltonian, pair_words, verify
 
 # operators of the backend's size a pass may hold at once, and room for the
@@ -23,12 +23,12 @@ def spanning_scheme(framework, n, r):
     63% of the 2^r + 1 gate layers are too."""
     rows = sylvester(r).entries[:, np.random.default_rng(r).permutation(1 << r)]
     if framework == "zz":
-        return SignMatrix(rows[[1 << k for k in range(r)] + [3, 5][:n - r]])
+        return Scheme((rows[[1 << k for k in range(r)] + [3, 5][:n - r]],))
     # triples (a, b, a ^ b) of distinct nonzero indices: row a times row b is row a ^ b
     half = r // 2
     idx = (np.array([(1, 2, 3)] * half + [(5, 10, 15)] * half)
            << 2 * (np.arange(2 * half) % half)[:, None])[:n]
-    return SignTriple(*(SignMatrix(rows[idx[:, t]]) for t in range(3)))
+    return Scheme(tuple(rows[idx[:, t]] for t in range(3)))
 
 
 def coupling_hamiltonian(framework, n):

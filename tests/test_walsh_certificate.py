@@ -23,11 +23,9 @@ from decoupler import schemes
 from decoupler.ghm import compose_sylvester, gh_for_lambda
 from decoupler.hadamard import build_hadamard, normalize, sylvester, walsh_indices
 from decoupler.schemes import (
-    SignMatrix,
-    SignTriple,
+    Scheme,
     TaskSpec,
     check_scheme,
-    sign_blocks,
     synth,
 )
 
@@ -46,8 +44,8 @@ def test_report_equals_reference_on_every_path(spec, corruption, data):
         scheme = synth(task, n, 256)
     except ValueError:  # a zz reversal with no interval left
         assume(False)
-    zz = isinstance(scheme, SignMatrix)
-    mats = [b.copy() for b in sign_blocks(scheme)]
+    zz = len(scheme.blocks) == 1
+    mats = [b.copy() for b in scheme.blocks]
     m = scheme.intervals
     reverse = task.kind == "reverse"
     # a task's own qubits, half the time: their rows carry its exceptions
@@ -79,7 +77,7 @@ def test_report_equals_reference_on_every_path(spec, corruption, data):
     elif corruption == "restore":  # a reversal with its all-+ column put back
         assume(reverse)
         mats = [np.hstack([np.ones((n, 1), dtype=np.int8), t]) for t in mats]
-    scheme = SignMatrix(mats[0]) if zz else SignTriple(*map(SignMatrix, mats))
+    scheme = Scheme(tuple(mats))
     expected = reference_check(scheme, task)
     walsh = all(walsh_indices(t, reverse) is not None for t in mats)
     # a passing scheme of Sylvester rows is certified without a Gram
@@ -98,14 +96,14 @@ def test_report_equals_reference_on_every_path(spec, corruption, data):
 def test_every_sylvester_row_at_a_task_qubit_equals_the_reference(task, n):
     # still Sylvester rows, so only the indices can refuse the certificate
     scheme = synth(task, n)
-    zz = isinstance(scheme, SignMatrix)
+    zz = len(scheme.blocks) == 1
     size = scheme.intervals
     for kx in range(size):
         for ky in [kx] if zz else range(size):
-            mats = [b.copy() for b in sign_blocks(scheme)]
+            mats = [b.copy() for b in scheme.blocks]
             for t, k in zip(mats, [ky] if zz else [kx, ky, kx ^ ky]):
                 t[task.qubits[1]] = _walsh_row(k, size, False)
-            bad = SignMatrix(mats[0]) if zz else SignTriple(*map(SignMatrix, mats))
+            bad = Scheme(tuple(mats))
             assert check_scheme(bad, task) == reference_check(bad, task)
 
 
