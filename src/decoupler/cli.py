@@ -180,6 +180,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         # every refusal comes before the first byte, an order past the cap
         # before GH(4, lambda) is built; the matrix is never built whole
         check_composed_order(args.r, args.lam, args.cap)
+        if 4 * args.lam > DEFAULT_SIZE_CAP:  # verify_gh's Grams grow as its order cubed
+            raise SizeCapExceeded(f"GH(4,{args.lam}) has order {4 * args.lam}, past the bound "
+                                  f"{DEFAULT_SIZE_CAP} on a GH(4,lambda); --cap does not raise it")
         comp = compose_sylvester(args.r, gh_for_lambda(args.lam), cap=args.cap)
         write_matrix(comp, sys.stdout)
         triples = 4 * comp.lam * comp.n_base_triples  # len(comp.triples), not built

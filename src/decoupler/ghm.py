@@ -28,7 +28,7 @@ TRIPLE_SIGNS = np.array(
 ELEMENT_CHARS = "exyz"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GhMatrix:
     """(4 lam) x (4 lam) array over GF(4); every row-pair quotient sequence
     contains each element exactly lam times."""

@@ -79,7 +79,7 @@ def all_signs(e: np.ndarray) -> bool:
     return np.count_nonzero(e) == e.size and e.min(initial=-1) >= -1 and e.max(initial=1) <= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HadamardMatrix:
     """A square +/-1 matrix with pairwise orthogonal rows; read-only entries."""
 

@@ -34,7 +34,7 @@ LABELS = ("x", "y", "z")
 GATES = "IXYZ"  # gate code c conjugates with GATES[c]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scheme:
     """A zz scheme, blocks (S,), or a general one, blocks (S_x, S_y, S_z):
     read-only n x m int8 arrays of +/-1, all of one shape, with n >= 1.  A
@@ -69,7 +69,7 @@ class TaskSpec:
 
     kind: decouple | select | select_pair | reverse.
     select carries (l, k) in `qubits` plus Pauli `labels` (general framework);
-    select_pair carries (i, j).
+    select_pair carries (i, j); decouple and reverse carry neither.
     """
 
     kind: str
@@ -90,10 +90,22 @@ class TaskSpec:
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError("select tasks need two distinct qubit indices")
         if self.kind == "select" and self.framework == "general":
-            if self.labels is None or any(l not in LABELS for l in self.labels):
+            if len(self.labels or ()) != 2 or any(l not in LABELS for l in self.labels):
                 raise ValueError("general selection needs two Pauli labels x/y/z")
         if self.kind == "select_pair" and self.framework != "general":
             raise ValueError("pair selection only exists in the general framework")
+        if self.qubits and self.kind in ("decouple", "reverse"):
+            raise ValueError(f"a {self.kind} task takes no qubits, got qubits={self.qubits}")
+        if self.labels is not None and (self.kind, self.framework) != ("select", "general"):
+            raise ValueError(f"only a general selection takes labels, got labels={self.labels} "
+                             f"for a {self.framework} {self.kind} task")
+
+    @property
+    def selected(self) -> tuple[tuple[int, str], ...]:
+        """The coupling a select task keeps, ((l, gamma), (k, eta)), Z_l Z_k in
+        the zz framework; () for every other kind."""
+        labels = ("z", "z") if self.framework == "zz" else self.labels
+        return tuple(zip(self.qubits, labels)) if self.kind == "select" else ()
 
 
 @dataclass(frozen=True)
@@ -459,8 +471,7 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
     local = task.remove_local_terms and task.kind != "select_pair"
     twins, pair = (), []  # the rows each task exempts
     if task.kind == "select":
-        l, k = task.qubits
-        gamma, eta = ("z", "z") if zz else task.labels
+        (l, gamma), (k, eta) = task.selected
         twins = a, b = row(gamma, l), row(eta, k)
     elif task.kind == "select_pair":
         i, j = task.qubits
@@ -550,13 +561,8 @@ _TASK_TEXT = {"decouple": ("decouple", 0, 0), "select": ("select", 2, 4),
 _TASK_KIND = {head: kind for kind, (head, *_) in _TASK_TEXT.items()}
 
 
-def _argument_count(kind: str, framework: str) -> int:
-    return _TASK_TEXT[kind][2 if framework == "general" else 1]
-
-
 def _format_task(task: TaskSpec) -> str:
     args = [str(q + 1) for q in task.qubits] + list(task.labels or ())
-    args = args[:_argument_count(task.kind, task.framework)]
     head = _TASK_TEXT[task.kind][0]
     return f"{head}:{','.join(args)}" if args else head
 
@@ -566,7 +572,7 @@ def parse_task(body: str, framework: str, remove_local_terms: bool) -> TaskSpec:
     head, colon, rest = body.partition(":")
     kind = _TASK_KIND.get(head)
     args = rest.split(",") if colon else []
-    if kind is None or len(args) != _argument_count(kind, framework):
+    if kind is None or len(args) != _TASK_TEXT[kind][2 if framework == "general" else 1]:
         raise ValueError(f"cannot parse task {body!r}")
     return TaskSpec(kind, framework, tuple(int(q) - 1 for q in args[:2]),
                     tuple(args[2:]) or None, remove_local_terms)

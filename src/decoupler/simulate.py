@@ -40,7 +40,7 @@ from 0.0, whatever the chunks, and a phase is a float +/-1 row times i^y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -124,19 +124,6 @@ class PauliHamiltonian:
             raise ValueError(f"non-finite coefficient for {word!r}")
         object.__setattr__(self, "codes", frozen(codes))
         object.__setattr__(self, "coefficients", frozen(coefficients))
-
-    def coefficient(self, word: str) -> float:
-        codes, valid = decode_rows([word], self.qubits, GATES)
-        hits = np.flatnonzero((self.codes == codes[:valid]).all(axis=1)) if valid else ()
-        return float(sum(self.terms[k][0] for k in hits))
-
-    def restricted(self, qubits: Iterable[int]) -> "PauliHamiltonian":
-        """Terms supported entirely on the given qubits (identity elsewhere)."""
-        keep = set(qubits)
-        outside = [q for q in range(self.qubits) if q not in keep]
-        inside = ~self.codes[:, outside].any(axis=1)
-        return PauliHamiltonian(self.qubits,
-                                tuple(t for t, k in zip(self.terms, inside) if k))
 
     def is_diagonal(self) -> bool:
         return not _FLIPS[self.codes].any()
@@ -390,29 +377,26 @@ def monomial_distance(flip: int, u: np.ndarray, target: np.ndarray) -> float:
 
 
 def selection_word(task: TaskSpec, n: int) -> str:
-    """The coupling a select task keeps; a zz selection keeps Z_l Z_k."""
-    l, k = task.qubits
-    g, e = ("z", "z") if task.framework == "zz" else task.labels
-    return _word(n, {l: g.upper(), k: e.upper()})
+    """The coupling a select task keeps, `TaskSpec.selected`, as a word."""
+    return _word(n, {q: label.upper() for q, label in task.selected})
 
 
 def _target_hamiltonian(task: TaskSpec, h: PauliHamiltonian, total_time: float,
                         intervals: int) -> tuple[PauliHamiltonian, float]:
-    """(H', t') such that the task's target unitary is e^{-iH't'}; H' is
-    Z-diagonal whenever h is."""
-    if task.kind == "decouple":
-        return PauliHamiltonian(h.qubits, ()), total_time
-    if task.kind == "select":
-        word = selection_word(task, h.qubits)
-        g = h.coefficient(word)
-        # a word h lacks (g = 0) targets the identity, Z-diagonal or not
-        return PauliHamiltonian(h.qubits, ((g, word),) if g else ()), total_time
-    if task.kind == "select_pair":
-        return h.restricted(task.qubits), total_time
+    """(H', t') such that the task's target unitary is e^{-iH't'}: h run back
+    for reverse, else the terms of h the task keeps, for the whole time: none
+    for decouple, those whose codes are the selected word's for select, those
+    with no letter off the pair for select_pair.  H' is Z-diagonal if h is."""
     if task.kind == "reverse":
         # one pass reverses for the duration of a single interval
         return h, -total_time / intervals
-    raise ValueError(f"unknown task kind {task.kind!r}")
+    keep = np.zeros(len(h.terms), dtype=bool)  # decouple keeps no term
+    if task.kind == "select":
+        word, _ = decode_rows([selection_word(task, h.qubits)], h.qubits, GATES)
+        keep = (h.codes == word).all(axis=1)
+    elif task.kind == "select_pair":
+        keep = ~np.delete(h.codes, task.qubits, axis=1).any(axis=1)
+    return PauliHamiltonian(h.qubits, tuple(t for t, k in zip(h.terms, keep) if k)), total_time
 
 
 def target_unitary(task: TaskSpec, h: PauliHamiltonian, total_time: float,

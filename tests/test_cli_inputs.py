@@ -3,6 +3,7 @@ never a traceback."""
 
 import io
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -142,6 +143,21 @@ def test_compose_lambda_below_one_exits_2(capsys, lam):
     code, err = run_cli(capsys, ["compose", "--r", "3", "--lambda", lam])
     assert code == 2
     assert "lambda must be >= 1" in err and "Traceback" not in err
+
+
+def test_compose_refuses_a_gh_past_the_default_cap_before_building_it(capsys):
+    # order 4 * 2048 * 4 is within --cap, but GH(4, 2048) has order 8192 > 4096;
+    # building it first traced 8.48 MiB, and building the parser takes ~0.25 MiB
+    tracemalloc.start()
+    try:
+        code, err = run_cli(capsys, ["--cap", "65536", "compose", "--r", "2", "--lambda", "2048"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == ("error: GH(4,2048) has order 8192, past the bound 4096 on a "
+                   "GH(4,lambda); --cap does not raise it\n")
+    assert peak < 1 << 20, f"peak {peak} B"
 
 
 @pytest.mark.parametrize("argv", [

@@ -56,6 +56,17 @@ GUARDS = {
     "scheme-no-qubit": (lambda: check_scheme(Scheme((np.ones((0, 4)),) * 3),
                                              TaskSpec("decouple", "general")),
                         ValueError, "bad sign-matrix shape 0 x 4"),
+    # a field the task's kind never reads is refused, not lost in its file
+    "task-zz-select-labels": (lambda: TaskSpec("select", "zz", (0, 1), ("x", "y")),
+                              ValueError, r"labels=\('x', 'y'\) for a zz select task"),
+    "task-decouple-labels": (lambda: TaskSpec("decouple", "general", (), ("x", "y")),
+                             ValueError, r"labels=\('x', 'y'\) for a general decouple task"),
+    "task-pair-labels": (lambda: TaskSpec("select_pair", "general", (0, 1), ("x", "y")),
+                         ValueError, r"labels=\('x', 'y'\) for a general select_pair task"),
+    "task-one-label": (lambda: TaskSpec("select", "general", (0, 1), ("x",)),
+                       ValueError, "general selection needs two Pauli labels x/y/z"),
+    "task-decouple-qubits": (lambda: TaskSpec("decouple", "zz", (3,)),
+                             ValueError, r"decouple task takes no qubits, got qubits=\(3,\)"),
     "gh-entry-4": (lambda: GhMatrix(np.full((4, 4), 4), lam=1),
                    ValueError, r"entries must be 0\.\.3"),
     **{f"gh-entry-{name}": (lambda d=d: GhMatrix(gh4_base().entries.astype(np.int64)

@@ -76,6 +76,15 @@ def test_the_callers_array_stays_the_callers(stored, array):
     np.testing.assert_array_equal(entries, kept)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: synth(TaskSpec("decouple", "general"), 5), lambda: sylvester(2), gh4_base,
+], ids=["Scheme", "HadamardMatrix", "GhMatrix"])
+def test_array_values_compare_and_hash_by_identity(make):
+    a = make()
+    assert a == a
+    assert hash(a) == hash(a) and a in {a}
+
+
 def test_a_view_of_writable_entries_is_copied():
     base = np.array([[1, 1, 1], [1, -1, 1]], dtype=np.int8)
     value = Scheme((base[:, 1:],))

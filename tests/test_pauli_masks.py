@@ -17,9 +17,13 @@ from decoupler.hadamard import sylvester, walsh_rows
 from decoupler.schemes import GATES, TaskSpec, synth
 from decoupler.simulate import (
     PauliHamiltonian,
+    _diagonal_evolution,
+    _target_hamiltonian,
     evolve,
     hamiltonian_matrix,
     random_hamiltonian,
+    selection_word,
+    target_unitary,
     verify,
     word_masks,
     word_monomial,
@@ -73,18 +77,69 @@ def test_first_bad_term_is_named_as_the_letter_loop_names_it(case):
     assert str(err.value) == want
 
 
-@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_coefficient_and_restricted_read_the_codes_as_words_compare(n, seed):
-    rng = np.random.default_rng(seed)
-    h = random_hamiltonian(n, seed, str(rng.choice(["zz", "general"])), bool(rng.integers(2)))
-    words = {w for _, w in h.terms} | {"Z" * n, "X" * n, "Q" * n, "Z" * (n + 1)}
-    for word in words:
-        assert h.coefficient(word) == float(sum(c for c, w in h.terms if w == word))
-    keep = set(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
-    want = tuple((c, w) for c, w in h.terms
-                 if all(ch == "I" or q in keep for q, ch in enumerate(w)))
-    assert h.restricted(keep) == PauliHamiltonian(n, want)
+def letter_target(task, h, total_time, intervals):
+    """The target rule the mask over h.codes replaces, read letter by letter:
+    no term for decouple, the selected word with its coefficients summed (no
+    term when they sum to 0) for select, the terms on the pair for
+    select_pair, and h for one interval backwards for reverse."""
+    n = h.qubits
+    if task.kind == "reverse":
+        return h, -total_time / intervals
+    if task.kind == "decouple":
+        return PauliHamiltonian(n, ()), total_time
+    if task.kind == "select":
+        l, k = task.qubits
+        g, e = ("Z", "Z") if task.framework == "zz" else (x.upper() for x in task.labels)
+        word = "".join({l: g, k: e}.get(q, "I") for q in range(n))
+        c = float(sum(c for c, w in h.terms if w == word))
+        return PauliHamiltonian(n, ((c, word),) if c else ()), total_time
+    return PauliHamiltonian(n, tuple((c, w) for c, w in h.terms
+                                     if all(ch == "I" or q in task.qubits
+                                            for q, ch in enumerate(w)))), total_time
+
+
+@st.composite
+def targets(draw):
+    """(task, h): any task in either framework at n <= 6, h drawn around the
+    words the rule tells apart: the selected word, repeated, words on the
+    pair, the all-I word, coefficients 0.0 and -0.0, and pairs that cancel."""
+    framework = draw(st.sampled_from(["zz", "general"]))
+    kinds = ["decouple", "select", "reverse"] + (["select_pair"] if framework == "general" else [])
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(2 if kind.startswith("select") else 1, 6))
+    qubits = (tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+              if kind.startswith("select") else ())
+    labels = (tuple(draw(st.sampled_from("xyz")) for _ in range(2))
+              if kind == "select" and framework == "general" else None)
+    task = TaskSpec(kind, framework, qubits, labels)
+    letters = draw(st.sampled_from(["Z", "XYZ"]))
+    spots = st.lists(st.integers(0, n - 1), max_size=2, unique=True)
+    words = st.builds(lambda spots, ls: "".join(dict(zip(spots, ls)).get(q, "I") for q in range(n)),
+                      spots, st.lists(st.sampled_from(letters), min_size=2, max_size=2))
+    if kind == "select":
+        words = st.one_of(st.just(selection_word(task, n)), words)
+    coefficient = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+                            st.floats(-2, 2, allow_nan=False))
+    terms = []
+    for c, w, cancel in draw(st.lists(st.tuples(coefficient, words, st.booleans()), max_size=12)):
+        terms += [(c, w), (-c, w)] if cancel else [(c, w)]
+    return task, PauliHamiltonian(n, tuple(terms))
+
+
+@given(targets(), st.floats(0.01, 3), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_target_unitary_is_bit_for_bit_the_letter_rule(target, total_time, intervals):
+    """The kept terms, summed by _pauli_sums in term order from 0.0, give the
+    bytes of the letter rule's pre-summed target: dense, or its diagonal for
+    a Z-diagonal h, as verify computes them."""
+    task, h = target
+    want = letter_target(task, h, total_time, intervals)
+    if h.is_diagonal():
+        got = _diagonal_evolution(*_target_hamiltonian(task, h, total_time, intervals))
+        assert got.tobytes() == _diagonal_evolution(*want).tobytes()
+    else:
+        got = target_unitary(task, h, total_time, intervals)
+        assert got.tobytes() == evolve(*want).tobytes()
 
 
 def test_word_masks_follow_the_letter_rule():

@@ -9,6 +9,7 @@ from decoupler.errors import SizeCapExceeded
 from decoupler.schemes import (
     Scheme,
     TaskSpec,
+    _format_task,
     check_scheme,
     parse_task,
     read_scheme,
@@ -355,6 +356,20 @@ class TestTaskSpecAndDispatch:
         ]:
             task = parse_task(body, framework, True)
             assert task.framework == framework
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_valid_task_round_trips_through_its_text(self, data):
+        framework = data.draw(st.sampled_from(["zz", "general"]))
+        kind = data.draw(st.sampled_from(["decouple", "select", "reverse"]
+                                         + ["select_pair"] * (framework == "general")))
+        qubits = (tuple(data.draw(st.lists(st.integers(0, 99), min_size=2, max_size=2,
+                                           unique=True)))
+                  if kind.startswith("select") else ())
+        labels = (data.draw(st.tuples(st.sampled_from("xyz"), st.sampled_from("xyz")))
+                  if (kind, framework) == ("select", "general") else None)
+        task = TaskSpec(kind, framework, qubits, labels, data.draw(st.booleans()))
+        assert parse_task(_format_task(task), framework, task.remove_local_terms) == task
 
     def test_parse_task_rejects_garbage(self):
         with pytest.raises(ValueError):
