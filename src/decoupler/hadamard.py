@@ -5,7 +5,8 @@ simulator's sign rows); `gram`, the exact float32 Gram by which all
 orthogonality is tested, with `upper_pairs` its one scan;
 `canonical_indices`, which names rows by their index in the canonical matrix
 of their order instead, Sylvester rows by `walsh_indices` (`walsh_rows`
-undone) with no matrix, other rows by a lookup in the matrix they came from;
+undone, and checked by redoing it a block of rows at a time) with no matrix,
+other rows by binary search in the matrix they came from;
 and the one row codec, `write_signs` / `parse_signs` for '+'/'-' rows and
 `format_rows` / `decode_rows` for letters.  `parse_signs` is the one reader
 of rows from a file; `decode_rows` decodes letters already held in memory.
@@ -130,15 +131,23 @@ class OrderCatalogEntry:
         )
 
 
-def gram(rows) -> np.ndarray:
-    """Exact rows @ rows.T of +/-1 rows, in float32 by BLAS: every partial
-    sum is an integer of magnitude <= the row width, exact in float32 in any
-    summation order while the width is <= 2^24; wider rows raise ValueError."""
+_SCAN_BYTES = 1 << 18  # a block of every full-size scan of the sign rows or codes
+
+
+def _scan_rows(width: int) -> int:  # rows of `width` bytes in one scan block, at least 1
+    return max(1, _SCAN_BYTES // max(width, 1))
+
+
+def gram(rows, other=None) -> np.ndarray:
+    """Exact rows @ other.T (other defaults to rows) of +/-1 rows, in float32
+    by BLAS: every partial sum is an integer of magnitude <= the row width,
+    exact in float32 in any summation order while the width is <= 2^24;
+    wider rows raise ValueError.  float32 rows are used as they are."""
     rows = np.asarray(rows)
     if rows.shape[1] > 1 << 24:
         raise ValueError(f"row width {rows.shape[1]} exceeds the exact float32 bound 2^24")
-    f = rows.astype(np.float32)
-    return f @ f.T
+    f = rows.astype(np.float32, copy=False)
+    return f @ (f if other is None else np.asarray(other, dtype=np.float32)).T
 
 
 def walsh_indices(rows, dropped_first: bool = False) -> np.ndarray | None:
@@ -148,20 +157,24 @@ def walsh_indices(rows, dropped_first: bool = False) -> np.ndarray | None:
 
     Two such rows are orthogonal exactly when their indices differ, and a
     row sums to zero exactly when its index is not 0.  Checked in O(N m)
-    with no 2^r x 2^r matrix: x is a Walsh row iff x[0] = 1 and
-    x[2^b:2^(b+1)] = x[:2^b] * x[2^b] for every b; bit b of k is x[2^b] < 0.
+    with no 2^r x 2^r matrix: bit b of k is x[2^b] < 0, and x must be
+    walsh_rows(k), regenerated and compared a scan block of rows at a time;
+    at widths up to 2, x[0] = 1 alone makes x a Walsh row.
     """
     rows = np.asarray(rows)
     off = int(dropped_first)  # x[:, j] is rows[:, j - off]
     size = rows.shape[1] + off
     if size & (size - 1) or not size or not (off or (rows[:, 0] == 1).all()):
         return None
-    powers = 1 << np.arange(size.bit_length() - 1)
-    for k in powers.tolist():  # x[j] == x[j - k] * x[k] for k < j < 2k
-        if not (rows[:, k + 1 - off:2 * k - off]
-                == rows[:, 1 - off:k - off] * rows[:, k - off, None]).all():
+    r = size.bit_length() - 1
+    powers = 1 << np.arange(r)
+    keys = (rows[:, powers - off] < 0) @ powers
+    step = _scan_rows(size)
+    for start in range(0, len(rows) if r > 1 else 0, step):
+        block = rows[start:start + step]
+        if not (walsh_rows(keys[start:start + step], r)[:, off:] == block).all():
             return None
-    return (rows[:, powers - off] < 0) @ powers
+    return keys
 
 
 # Rows 0..63 of sylvester(6) as walsh_rows' bytes: the parity of
@@ -183,8 +196,11 @@ def walsh_rows(k, r: int, parity: bool = False) -> np.ndarray:
     of the bytes (0x01 for +1, 0xFF for -1; 0 and 1 for the parity) with 0xFE
     (1) where bit b is set.  The first 2^min(r, 6) entries of each row are
     copied from one table of sylvester(6), so that no level is narrower than
-    64 entries a row, where numpy's per-row overhead would dominate."""
+    64 entries a row, where numpy's per-row overhead would dominate; up to
+    r = 6 the rows are that one copy."""
     k = np.asarray(k, dtype=np.int64)
+    if r <= _NARROW_BITS:
+        return _NARROW[parity][k & 63, :1 << r].view(bool if parity else np.int8)
     x = np.empty(k.shape + (1 << r,), dtype=np.uint8)
     s = min(r, _NARROW_BITS)
     x[..., :1 << s] = _NARROW[parity][k & 63, :1 << s]
@@ -370,7 +386,7 @@ def canonical_indices(blocks, dropped_first: bool = False) -> list[np.ndarray] |
     is not 0.  A Sylvester width is read by `walsh_indices`, with no matrix.
     Any other width with a recipe builds the matrix for this call only, and
     only while it is no larger than the float32 Gram of all the rows, and
-    finds each row by its packed bits.
+    finds each row by binary search among its sorted packed rows.
     """
     width = blocks[0].shape[1]
     size = width + dropped_first
@@ -380,12 +396,25 @@ def canonical_indices(blocks, dropped_first: bool = False) -> list[np.ndarray] |
     rows = sum(len(b) for b in blocks)
     if size * size > 4 * rows * (width + rows) or _recipe(size) is None:
         return None
-    table = best_matrix(size, cap=size).entries[:, int(dropped_first):]
-    index = {key.tobytes(): k for k, key in enumerate(np.packbits(table < 0, axis=1))}
-    del table  # freed before the rows are packed
-    keys = [np.fromiter((index.get(key.tobytes(), -1) for key in np.packbits(b < 0, axis=1)),
-                        dtype=np.intp, count=len(b)) for b in blocks]
-    return None if any((k < 0).any() for k in keys) else keys
+    table = _packed(best_matrix(size, cap=size).entries[:, int(dropped_first):])
+    order = np.argsort(table)
+    table = table[order]
+    keys = []
+    for b in blocks:
+        packed = _packed(b)
+        at = np.searchsorted(table, packed) % size  # past the end: row 0, which is smaller
+        if not (table[at] == packed).all():
+            return None
+        keys.append(order[at])
+    return keys
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """The bits rows < 0 of each row as one np.void key, packed a scan block of rows at a time."""
+    step = _scan_rows(rows.shape[1])
+    packed = (np.packbits(rows < 0, axis=1) if len(rows) <= step else np.concatenate(
+        [np.packbits(rows[i:i + step] < 0, axis=1) for i in range(0, len(rows), step)]))
+    return packed.view(f"V{packed.shape[1]}").reshape(-1)
 
 
 def catalog_gaps(limit: int, cap: int = DEFAULT_SIZE_CAP) -> list[tuple[int, int]]:
@@ -418,10 +447,10 @@ def _block_rows(m: int) -> int:
     return max(1, _BLOCK_BYTES // (m + 1))
 
 
-def format_rows(codes, alphabet: str, prefix: str = "") -> str:
+def format_rows(codes, alphabet: str, prefix: str = "", suffix: str = "") -> str:
     """The row codec of every letter format: row i of a 2-d array of codes
     0..len(alphabet)-1 becomes a line whose character j is alphabet[codes[i, j]],
-    after `prefix`; any other code raises IndexError."""
+    after `prefix` and followed by `suffix`; any other code raises IndexError."""
     codes = np.asarray(codes)
     codes = codes.view(np.uint8) if codes.dtype.itemsize == 1 else codes.astype(np.uint8)
     top = codes.max(initial=0)
@@ -429,13 +458,15 @@ def format_rows(codes, alphabet: str, prefix: str = "") -> str:
         raise IndexError(f"code {top} is outside the alphabet {alphabet!r}")
     n, m = codes.shape
     head = np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
-    text = np.full((n, len(head) + m + 1), ord("\n"), dtype=np.uint8)
+    tail = np.frombuffer(f"\n{suffix}".encode("ascii"), dtype=np.uint8)
+    text = np.empty((n, len(head) + m + len(tail)), dtype=np.uint8)
     text[:, :len(head)] = head
+    text[:, len(head) + m:] = tail
     table = alphabet.encode("ascii").ljust(256, b"\0")
     step = _block_rows(text.shape[1] - 1)
     for start in range(0, n, step):  # bytes.translate: no intp copy of the codes, as in np.take
         block = codes[start:start + step]
-        text[start:start + step, len(head):-1] = np.frombuffer(
+        text[start:start + step, len(head):len(head) + m] = np.frombuffer(
             block.tobytes().translate(table), dtype=np.uint8).reshape(block.shape)
     return str(text.reshape(-1).data, "ascii")
 

@@ -10,9 +10,10 @@ With I/X/Y/Z coded as 0..3 that product is the XOR of the codes.
 
 A schedule keeps its layers as gate codes, one read-only (layers x n) uint8
 array, and which steps are intervals as one bool array: the lowering builds
-them from the scheme's codes and never formats a layer, a schedule given as
-text decodes its layers once, and `steps` and `layers` are formatted on first
-use.  `simplify`, `gate_count`, the simulator and the writer read the codes.
+them from the scheme's signs a block of columns at a time and never formats
+a layer, a schedule given as text decodes its layers once, and `steps` and
+`layers` are formatted on first use.  `simplify`, `gate_count`, the
+simulator and the writer read the codes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .hadamard import _block_rows, decode_rows, format_rows, frozen
-from .schemes import GATES, Scheme, gate_codes, header_fields, merged_codes
+from .schemes import GATES, Scheme, gate_codes, header_fields
 
 Step = str | None
 
@@ -99,15 +100,24 @@ def compile_zz(s: Scheme, tau: float = 1.0, merged: bool = True) -> PulseSchedul
 
 def compile_general(scheme: Scheme, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
     """Sign column (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z conjugation;
-    a zz scheme S lowers as the triple (1, S, S)."""
-    if merged:  # the gate codes are freed once merged
-        return _alternating(scheme.qubits, tau, merged_codes(gate_codes(scheme)))
-    # layer a, interval a, layer a again, for every interval a
-    codes = gate_codes(scheme)
-    layers = np.empty((scheme.intervals, 2, scheme.qubits), dtype=np.uint8)
-    layers[:] = codes.T[:, None]
-    free = np.tile([False, True, False], scheme.intervals)
-    return PulseSchedule(scheme.qubits, tau, codes=layers.reshape(-1, scheme.qubits), free=free)
+    a zz scheme S lowers as the triple (1, S, S).  Each codec block of columns
+    writes its gate codes transposed into the layers (merged, then XORed in
+    place; unmerged, layer a, interval a, layer a again): no n x m codes."""
+    n, m = scheme.qubits, scheme.intervals
+    layers = np.zeros((m + 1, n) if merged else (m, 2, n), dtype=np.uint8)
+    step = _block_rows(n)
+    for start in range(0, m, step):
+        codes = gate_codes(scheme, start, start + step).T
+        layers[start:start + len(codes)] = codes if merged else codes[:, None]
+    if not merged:
+        return PulseSchedule(n, tau, codes=layers.reshape(-1, n),
+                             free=np.tile([False, True, False], m))
+    # row a ^= row a-1, from the last row up a block at a time: numpy copies
+    # the rows a block reads, which overlap it, so the copy is one block
+    for stop in range(m + 1, 1, -step):
+        start = max(1, stop - step)
+        layers[start:stop] ^= layers[start - 1:stop - 1]
+    return _alternating(n, tau, layers)
 
 
 def _alternating(qubits: int, tau: float, layers: np.ndarray) -> PulseSchedule:
@@ -137,9 +147,18 @@ def gate_count(p: PulseSchedule) -> int:
 
 def write_schedule(p: PulseSchedule, stream: IO[str]) -> None:
     """The header, then the steps a codec block of text at a time, never all
-    of it: a block's G lines formatted from its codes, joined with its F lines."""
+    of it.  A merged schedule (layer, interval, layer, ..., layer) is written
+    as its layers' G lines, each followed by an F line but the last,
+    formatted from the codes into one buffer a block; any other joins each
+    block's G lines with its F lines."""
     free = f"F {p.tau!r}\n"
     stream.write(f"pulses n={p.qubits} m={p.total_intervals} tau={p.tau!r}\n")
+    if p.free.tobytes() == b"\0\1" * (len(p.free) // 2) + b"\0":  # a merged schedule
+        block, rows = _block_rows(p.qubits + 2 + len(free)), len(p.codes)
+        for start in range(0, rows, block):
+            text = format_rows(p.codes[start:start + block], GATES, "G ", free)
+            stream.write(text if start + block < rows else text[:-len(free)])
+        return
     block, done = _block_rows(p.qubits + 2), 0  # a "G <layer>" line has n + 3 characters
     for i in range(0, len(p.free), block):
         kinds = p.free[i:i + block].tolist()

@@ -8,11 +8,13 @@ builds only the rows it takes and which `check` reads back by one index
 lookup for every block.  A zz scheme S is the triple (1, S, S), so both are
 checked and lowered by one path, from `Scheme.blocks`; the embedding is
 never built, since 1 * S = S cannot fail.
-A certified check traces at most 2 n m bytes for a general triple and 34 MiB
-for a zz S at n = 4090 (m = 4092), the peak of its index lookup: gate codes
-are built and counted in place.  Each sign column names one conjugating
-gate, coded 0..3 for I/X/Y/Z; the phaseless product of two gates is the XOR
-of their codes.  Qubit indices in the public API are 0-based.
+Beyond the scheme, a certified check of Sylvester rows holds one scan block
+(256 KiB) and reads the Schur product and gate count from the row indices;
+a zz S at n = 4090 (m = 4092) traces 32 MiB, the peak of its index lookup
+in the canonical matrix; every other scan runs a block at a time.  Each
+sign column names one conjugating gate, coded 0..3 for I/X/Y/Z; the
+phaseless product of two gates is the XOR of their codes.  Qubit indices in
+the public API are 0-based.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .errors import SizeCapExceeded
-from .hadamard import (DEFAULT_SIZE_CAP, _block_rows, all_signs, best_matrix, canonical_indices,
+from .hadamard import (DEFAULT_SIZE_CAP, _scan_rows, all_signs, best_matrix, canonical_indices,
                        expect_end, frozen, gram, parse_signs, read_only, sylvester, upper_pairs,
                        walsh_rows, write_signs)
 from .ghm import compose_sylvester, constructible_lambdas, gh_for_lambda
@@ -79,6 +81,9 @@ class TaskSpec:
     remove_local_terms: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "qubits", tuple(self.qubits))  # lists too: hashable, equal
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
         if self.kind not in ("decouple", "select", "select_pair", "reverse"):
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.framework not in ("zz", "general"):
@@ -377,63 +382,103 @@ def synth(task: TaskSpec, n: int, cap: int = DEFAULT_SIZE_CAP) -> Scheme:
 # ---------------------------------------------------------------------------
 # criteria checking
 
-def _schur_cells(blocks: tuple[np.ndarray, ...]):
-    """Every (row, column) where S_x * S_y != S_z, in row-major order; an
-    empty tuple when there is none, so a valid scheme skips argwhere, the
-    slow part of the scan.  A zz block is (1, S, S), which has none."""
+def _row_blocks(blocks) -> list[tuple[int, list[np.ndarray]]]:
+    """(start, the rows start.. of each block) for each scan block of rows."""
+    step = _scan_rows(blocks[0].shape[1])
+    return [(0, blocks)] if len(blocks[0]) <= step else [
+        (i, [b[i:i + step] for b in blocks]) for i in range(0, len(blocks[0]), step)]
+
+
+def _schur_cells(blocks) -> np.ndarray | tuple:
+    """Every (row, column) where S_x * S_y != S_z, in row-major order, found a
+    scan block of rows at a time; an empty tuple when there is none, so a
+    valid scheme skips argwhere, the slow part of the scan.  A zz block is
+    (1, S, S), which has none."""
     if len(blocks) == 1:
         return ()
-    sx, sy, sz = blocks
-    bad = sx * sy != sz
-    return np.argwhere(bad) if bad.any() else ()
+    cells = []
+    for start, (sx, sy, sz) in _row_blocks(blocks):
+        bad = sx * sy != sz
+        if bad.any():
+            cells.append(np.argwhere(bad) + (start, 0))
+    return np.concatenate(cells) if cells else ()
 
 
-def gate_codes(scheme: Scheme) -> np.ndarray:
-    """n x m conjugating gates as codes 0..3 for I/X/Y/Z: sign column
+def gate_codes(scheme: Scheme, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """The conjugating gates of intervals start..stop-1 (all by default) as
+    n x (stop - start) codes 0..3 for I/X/Y/Z: sign column
     (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z.  The phaseless product
-    of two gates is the XOR of their codes."""
+    of two gates is the XOR of their codes.  The first of those columns, by
+    interval and then qubit, that no gate realizes raises ValueError."""
     blocks = scheme.blocks
+    if start or stop is not None and stop < scheme.intervals:
+        blocks = [b[:, start:stop] for b in blocks]
     bad = _schur_cells(blocks)
     if len(bad):
         q, a = (int(v) for v in bad[np.lexsort(bad.T)[0]])  # first by interval, then qubit
         signs = tuple(int(b[q, a]) for b in blocks)
-        raise ValueError(f"sign column {signs} at qubit {q}, interval {a} "
+        raise ValueError(f"sign column {signs} at qubit {q}, interval {start + a} "
                          "is not realizable (corrupted input)")
     return _codes(blocks)
 
 
-def _codes(blocks: tuple[np.ndarray, ...]) -> np.ndarray:  # where S_x * S_y = S_z
+def _codes(blocks) -> np.ndarray:  # where S_x * S_y = S_z
+    # a sign's byte is 0x01 for +1 and 0xFF for -1: its bit 1 and bit 7 are set for -1
     if len(blocks) == 1:  # a zz S is S_y of (1, S, S): its '-' entries are X
-        return (blocks[0] < 0).view(np.uint8)
+        return blocks[0].view(np.uint8) >> 7
     sx, sy, _ = blocks
-    codes = (sx < 0).view(np.uint8)  # in place: one more n x m mask at most
-    codes <<= 1
-    codes |= (sy < 0).view(np.uint8)
+    codes = sx.view(np.uint8) & 2
+    codes |= sy.view(np.uint8) >> 7
     return codes
 
 
-def merged_codes(codes: np.ndarray) -> np.ndarray:
-    """The m+1 layers of the merged schedule as the rows of a C-contiguous
-    (m+1) x n array: codes[:, 0] before the first interval, codes[:, a-1] ^
-    codes[:, a] between intervals a-1 and a, and codes[:, -1] after the last."""
-    n, m = codes.shape
-    layers = np.empty((m + 1, n), dtype=codes.dtype)
-    layers[:m] = codes.T  # the one transposing pass
-    layers[m] = 0
-    # row a ^= row a-1, from the last row up a block at a time: numpy copies
-    # the rows a block reads, which overlap it, so the copy is one block
-    step = _block_rows(n)
-    for stop in range(m + 1, 1, -step):
-        start = max(1, stop - step)
-        layers[start:stop] ^= layers[start - 1:stop - 1]
-    return layers
+def merged_gate_count(blocks) -> int:
+    """The gates of the merged schedule of the blocks' gate codes, counted
+    without it a scan block of rows at a time: the gates of the first and
+    last column, and every change along a row."""
+    count = 0
+    for _, part in _row_blocks(blocks):
+        codes = _codes(part)
+        count += (np.count_nonzero(codes[:, :1]) + np.count_nonzero(codes[:, -1:])
+                  + np.count_nonzero(codes[:, 1:] != codes[:, :-1]))
+    return count
 
 
-def merged_gate_count(codes: np.ndarray) -> int:
-    """The nonzero entries of `merged_codes(codes)`, counted without it: the
-    gates of the first and last column, and every change along a row."""
-    return (np.count_nonzero(codes[:, :1]) + np.count_nonzero(codes[:, -1:])
-            + np.count_nonzero(codes[:, 1:] != codes[:, :-1]))
+def _walsh_gate_count(keys: list[np.ndarray], size: int) -> int:
+    """`merged_gate_count` of rows k of sylvester(r), 2^r = size, from their
+    indices (k_x, k_y, k_z), or (k,) for zz's (0, k, k).  Codes change from
+    column j - 1 to j iff popcount(k & (2^(b+1) - 1)) is odd for k_x or k_y,
+    b the trailing zeros of j, which 2^(r-1-b) columns j >= 1 have; the last
+    column adds 1 at b = r - 1, column 0 holds no gate, and without it (reverse)
+    column 1 counts as first instead of as a change, the same."""
+    r = size.bit_length() - 1
+    bits = np.array(keys[:2])[..., None] >> np.arange(r) & 1
+    odd = (np.cumsum(bits, axis=-1) & 1).any(axis=0)  # the parity of bits 0..b, k_x or k_y
+    weights = 1 << np.arange(r - 1, -1, -1)
+    weights[-1:] += 1
+    return int(odd.sum(axis=0) @ weights)
+
+
+# The fallback Gram's blocks: a strip's float32 rows take at most this many
+# bytes, and a strip at most 1024 rows (a 4 MiB Gram block).
+_GRAM_BYTES = 1 << 22
+
+
+def _gram_blocks(blocks: tuple[np.ndarray, ...]):
+    """(i, j, g) for each block on or above the diagonal of the Gram of the
+    stacked rows (row L q + l is row q of the l-th of L blocks): g is the
+    exact Gram of the strip of rows from i with the strip from j >= i."""
+    n, m = blocks[0].shape
+    step = max(1, min(1024, _GRAM_BYTES // max(4 * m, 1)) // len(blocks))  # qubits a strip
+
+    def rows(q: int) -> np.ndarray:  # the float32 rows of qubits q..q+step-1
+        part = np.stack([b[q:q + step] for b in blocks], axis=1)
+        return part.reshape(len(part) * len(blocks), m).astype(np.float32)
+
+    for q in range(0, n, step):
+        strip = rows(q)
+        for p in range(q, n, step):
+            yield len(blocks) * q, len(blocks) * p, gram(strip, strip if p == q else rows(p))
 
 
 def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
@@ -444,10 +489,13 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
     general.  When every row is a row of the canonical Hadamard matrix of
     its order (`canonical_indices`: Sylvester rows read in O(N m), Paley and
     Kronecker rows looked up in the matrix they came from), each criterion
-    is a statement about row indices: a pass is certified from them.
+    is a statement about row indices: a pass is certified from them.  Walsh
+    rows k and k' multiply to row k ^ k', so a Sylvester triple's Schur
+    product and every Sylvester scheme's gate count are read from them too.
     Otherwise, or when any criterion fails, each task compares the
     off-diagonal Gram with one scalar, 0, or -1 for reverse, after writing
-    its one exception into the Gram, and names every offender.
+    its one exception into the Gram, and names every offender; the Gram is
+    computed and scanned a strip of rows at a time.
     """
     checks: dict[str, CheckOutcome] = {}
     n = scheme.qubits
@@ -459,7 +507,12 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
         raise ValueError("single sign matrix is a zz-framework scheme" if zz
                          else "a sign triple is a general-framework scheme")
 
-    bad_cells = _schur_cells(blocks)
+    reverse = task.kind == "reverse"
+    size = m + reverse  # the order of the canonical matrix the rows may come from
+    keys = canonical_indices(blocks, reverse)
+    walsh = keys is not None and not size & (size - 1)  # rows k, k' multiply to row k ^ k'
+    xor = walsh and (zz or np.array_equal(keys[0] ^ keys[1], keys[2]))
+    bad_cells = () if xor else _schur_cells(blocks)
     if not zz:
         checks["schur_product"] = _outcome(bad_cells, "cells violating S_x*S_y=S_z")
     labels = LABELS[-len(blocks):]  # a zz S is the S_z of (1, S, S)
@@ -467,31 +520,37 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
     def row(label: str, qubit: int) -> int:
         return len(labels) * qubit + labels.index(label)
 
-    reverse = task.kind == "reverse"
     local = task.remove_local_terms and task.kind != "select_pair"
     twins, pair = (), []  # the rows each task exempts
     if task.kind == "select":
         (l, gamma), (k, eta) = task.selected
-        twins = a, b = row(gamma, l), row(eta, k)
+        twins = row(gamma, l), row(eta, k)
     elif task.kind == "select_pair":
         i, j = task.qubits
         pair = [row(lb, q) for q in (i, j) for lb in labels]
-    if not len(bad_cells) and _certify(blocks, reverse, local, twins, pair):
+    if not len(bad_cells) and keys is not None and _certify(keys, local, twins, pair):
         bad = bad_sums = ()
         same = all_plus = True
     else:
-        rows = np.stack(blocks, axis=1).reshape(len(labels) * n, m)
         target = -1 if reverse else 0
-        g = gram(rows)
-        if task.kind == "select":
-            # +/-1 rows are identical iff their inner product is m
-            same = bool(g[a, b] == m)
-            g[[a, b], [b, a]] -= m  # an even integer within 2^25: exact in float32
-        elif task.kind == "select_pair":
-            g[np.ix_(pair, pair)] = target  # the pair's couplings are kept, not checked
-            all_plus = bool(np.all(rows[pair] == 1))
-        bad = upper_pairs(g != target)
-        bad_sums = np.nonzero(rows.sum(axis=1) != target)[0] if local else ()
+        found = []
+        for i0, j0, g in _gram_blocks(blocks):
+            lo, hi = (min(twins) - i0, max(twins) - j0) if twins else (-1, -1)
+            if 0 <= lo < len(g) and 0 <= hi < g.shape[1]:
+                same = bool(g[lo, hi] == m)  # +/-1 rows are identical iff their inner product is m
+                g[lo, hi] -= m  # an even integer within 2^25: exact in float32
+            if mine := [p - i0 for p in pair if 0 <= p - i0 < len(g)]:
+                # the pair's couplings are kept, not checked
+                g[np.ix_(mine, [p - j0 for p in pair if 0 <= p - j0 < g.shape[1]])] = target
+            found.append((upper_pairs(g != target) if i0 == j0 else np.argwhere(g != target))
+                         + (i0, j0))
+        bad = np.concatenate(found)
+        if len(found) > 1:  # by row, stably: the blocks of a row come in column order
+            bad = bad[np.argsort(bad[:, 0], kind="stable")]
+        if pair:
+            all_plus = all(np.all(s[[i, j]] == 1) for s in blocks)
+        sums = np.stack([s.sum(axis=1) for s in blocks], axis=1).reshape(-1)
+        bad_sums = np.nonzero(sums != target)[0] if local else ()
     if task.kind == "select":
         checks["designated_pair"] = CheckOutcome(
             same, f"rows {l} and {k} must be identical" if zz
@@ -510,7 +569,8 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
             checks["zero_row_sums"] = _outcome(bad_sums, "rows with nonzero sum")
 
     # a triple violating the Schur constraint has no gate realization
-    gates = 0 if len(bad_cells) else merged_gate_count(_codes(blocks))
+    gates = (0 if len(bad_cells) else _walsh_gate_count(keys, size) if walsh
+             else merged_gate_count(blocks))
     return SchemeReport(
         qubits=n,
         framework=task.framework,
@@ -521,24 +581,21 @@ def check_scheme(scheme: Scheme, task: TaskSpec) -> SchemeReport:
     )
 
 
-def _certify(blocks, reverse: bool, local: bool, twins: tuple, plus: list) -> bool:
-    """True when every row of the stacked blocks is a row of the canonical
-    Hadamard matrix of order M (the width, +1 for reverse), S_z's as any
-    other, and their indices pass every criterion.  Gram entry (i, j)
-    is M [k_i = k_j] - c and row sum M [k_i = 0] - c, for c = 1 when the
-    first column is dropped (reverse), else 0.  So the indices must be
-    distinct, and nonzero when local terms are removed, once the exempt rows
-    are set aside: the `twins` (a, b) must share an index, the `plus` rows
-    must have index 0 (all +)."""
-    keys = canonical_indices(blocks, reverse)
-    if keys is None:
-        return False
+def _certify(keys: list[np.ndarray], local: bool, twins: tuple, plus: list) -> bool:
+    """True when the indices of the rows of each block, `canonical_indices`
+    in the canonical Hadamard matrix of order M (the width, +1 for reverse),
+    S_z's as any other, pass every criterion.  Gram entry (i, j) is
+    M [k_i = k_j] - c and row sum M [k_i = 0] - c, for c = 1 when the first
+    column is dropped (reverse), else 0.  So the indices must be distinct,
+    and nonzero when local terms are removed, once the exempt rows are set
+    aside: the `twins` (a, b) must share an index, the `plus` rows must have
+    index 0 (all +)."""
     idx = np.stack(keys, axis=1).reshape(-1)
     keep = np.ones(len(idx), dtype=bool)
-    keep[[*twins[:1], *plus[1:]]] = False
+    keep[[*twins[:1], *plus[1:]] or slice(0)] = False
     rest = np.sort(idx[keep])  # not np.unique: its first call costs 15 ms and 1.6 MB
-    return ((not twins or idx[twins[0]] == idx[twins[1]]) and not idx[list(plus)].any()
-            and not np.any(rest[1:] == rest[:-1]) and not (local and np.any(rest == 0)))
+    return ((not twins or idx[twins[0]] == idx[twins[1]]) and not (plus and idx[plus].any())
+            and not (rest[1:] == rest[:-1]).any() and not (local and (rest == 0).any()))
 
 
 def _outcome(bad: np.ndarray, what: str = "non-orthogonal row pairs") -> CheckOutcome:

@@ -26,9 +26,9 @@ from decoupler.schemes import (
     _outcome,
     check_scheme,
     gate_codes,
-    merged_codes,
     synth,
 )
+from test_block_scans import merged_codes
 
 
 def embedded(scheme):

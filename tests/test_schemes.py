@@ -368,8 +368,11 @@ class TestTaskSpecAndDispatch:
                   if kind.startswith("select") else ())
         labels = (data.draw(st.tuples(st.sampled_from("xyz"), st.sampled_from("xyz")))
                   if (kind, framework) == ("select", "general") else None)
-        task = TaskSpec(kind, framework, qubits, labels, data.draw(st.booleans()))
-        assert parse_task(_format_task(task), framework, task.remove_local_terms) == task
+        as_given = data.draw(st.sampled_from([tuple, list]))  # a list is kept as a tuple
+        task = TaskSpec(kind, framework, as_given(qubits), labels and as_given(labels),
+                        data.draw(st.booleans()))
+        back = parse_task(_format_task(task), framework, task.remove_local_terms)
+        assert back == task and hash(back) == hash(task)
 
     def test_parse_task_rejects_garbage(self):
         with pytest.raises(ValueError):
