@@ -1,6 +1,8 @@
 """Decoupling, selective-coupling and time-reversal schemes for pairwise
 qubit Hamiltonians, built from Hadamard and generalized Hadamard matrices."""
 
+from importlib import import_module as _import_module
+
 from .hadamard import (
     HadamardMatrix,
     OrderCatalogEntry,
@@ -39,14 +41,18 @@ from .schemes import (
     synth_select_zz,
 )
 from .pulses import PulseSchedule, compile_general, compile_zz, gate_count, simplify
-from .simulate import (
-    PauliHamiltonian,
-    VerificationResult,
-    evolve,
-    phase_aligned_distance,
-    random_hamiltonian,
-    run_schedule,
-    verify,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the simulator loads on first use of one of its names (PEP 562), so only
+# verify pays for it
+_SIMULATE = ("PauliHamiltonian", "VerificationResult", "evolve", "phase_aligned_distance",
+             "random_hamiltonian", "run_schedule", "verify")
+
+
+def __getattr__(name):
+    if name == "simulate" or name in _SIMULATE:
+        simulate = _import_module(f"{__name__}.simulate")
+        return simulate if name == "simulate" else getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + ["simulate", *_SIMULATE]

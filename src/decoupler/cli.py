@@ -23,7 +23,6 @@ from .ghm import check_composed_order, compose_sylvester, gh_for_lambda
 from .schemes import _candidates, check_scheme, parse_task, read_scheme, synth, write_scheme
 from .pulses import compile_general, write_schedule
 from .schur import partition_sylvester, write_partition
-from .simulate import random_hamiltonian, read_hamiltonian, verify
 
 
 @dataclass(frozen=True)
@@ -229,6 +228,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "check":
         report = check_scheme(scheme, task)
     elif args.command == "verify":
+        from .simulate import random_hamiltonian, read_hamiltonian, verify
+
         head, _, tail = args.ham.partition(":")
         if head == "random":
             seed = int(tail) if tail else args.seed

@@ -100,16 +100,21 @@ def compile_zz(s: Scheme, tau: float = 1.0, merged: bool = True) -> PulseSchedul
 
 def compile_general(scheme: Scheme, tau: float = 1.0, merged: bool = True) -> PulseSchedule:
     """Sign column (+,+,+)/(+,-,-)/(-,+,-)/(-,-,+) maps to I/X/Y/Z conjugation;
-    a zz scheme S lowers as the triple (1, S, S).  Each codec block of columns
-    writes its gate codes transposed into the layers (merged, then XORed in
-    place; unmerged, layer a, interval a, layer a again): no n x m codes."""
+    a zz scheme S lowers as the triple (1, S, S).  The gate codes are written
+    transposed into the layers (merged, then XORed in place; unmerged, layer
+    a, interval a, layer a again), a zz S's in one pass and a triple's a codec
+    block of columns at a time: no n x m codes."""
     n, m = scheme.qubits, scheme.intervals
     layers = np.zeros((m + 1, n) if merged else (m, 2, n), dtype=np.uint8)
+    codes = layers[:m] if merged else layers[:, 0]
     step = _block_rows(n)
-    for start in range(0, m, step):
-        codes = gate_codes(scheme, start, start + step).T
-        layers[start:start + len(codes)] = codes if merged else codes[:, None]
+    if len(scheme.blocks) == 1:  # no Schur cell to scan: S's '-' entries are X, in one pass
+        np.right_shift(scheme.blocks[0].view(np.uint8).T, 7, out=codes)
+    else:
+        for start in range(0, m, step):
+            codes[start:start + step] = gate_codes(scheme, start, start + step).T
     if not merged:
+        layers[:, 1] = codes
         return PulseSchedule(n, tau, codes=layers.reshape(-1, n),
                              free=np.tile([False, True, False], m))
     # row a ^= row a-1, from the last row up a block at a time: numpy copies

@@ -27,10 +27,16 @@ target of every decouple task, has no flip and skips the kernel.
 
 Every pass of a schedule under a Z-diagonal Hamiltonian is a monomial too,
 (flip, u) with U|x> = u[x] |x ^ flip>, and runs on 2^n vectors; any other
-Hamiltonian runs on dense 2^n x 2^n matrices, which stay the reference the
-vector path is tested against.  Each evolution a verify needs, the pass's and
-the target's, sums its Hamiltonian once (and, dense, eigendecomposes it
-once), and nothing outlives the call.
+Hamiltonian runs on dense 2^n x 2^n matrices.  run_schedule and evolve stay
+the reference both verify paths are tested against.  A dense verify
+eigendecomposes h once: the pass's e^{-iH tau} and a reversal's target come
+from that one spectrum, and another target sums its own Hamiltonian.  When a
+schedule's frames, the XORs of its layer codes up to each interval, obey the
+group law of GF(2)^r (every natural-order Sylvester scheme), its pass is
+built by doubling over the r generators in r products instead of m; and the
+distance is read from a Hermitian eigenproblem when every eigenphase lies
+within 60 degrees of the trace's.  Both round differently from the reference,
+within 1e-12 of it.  Nothing outlives the call.
 
 Every array is bit for bit what the letter-by-letter rule gives: each entry
 of a flip's row adds c i^y (-1)^popcount(x & z) of its terms in term order
@@ -278,15 +284,25 @@ def _diagonal_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:
     return np.exp(-1j * (sums[0] if len(flips) else np.zeros(1 << h.qubits)) * t)
 
 
+def _spectrum(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the dense H, once it is checked Hermitian."""
+    m = hamiltonian_matrix(h)
+    if not np.allclose(m, m.conj().T, atol=1e-12):
+        raise ValueError("assembled Hamiltonian is not Hermitian")
+    return np.linalg.eigh(m)
+
+
+def _exp(spectrum: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """e^{-iHt} from H's spectrum (eigenvalues, eigenvectors)."""
+    vals, vecs = spectrum
+    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+
+
 def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:
     """Exact e^{-iHt} via eigendecomposition (diagonal fast path for Z/I)."""
     if h.is_diagonal():
         return np.diag(_diagonal_evolution(h, t))
-    m = hamiltonian_matrix(h)
-    if not np.allclose(m, m.conj().T, atol=1e-12):
-        raise ValueError("assembled Hamiltonian is not Hermitian")
-    vals, vecs = np.linalg.eigh(m)
-    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    return _exp(_spectrum(h), t)
 
 
 def run_schedule(p: PulseSchedule, h: PauliHamiltonian) -> np.ndarray:
@@ -296,19 +312,62 @@ def run_schedule(p: PulseSchedule, h: PauliHamiltonian) -> np.ndarray:
     number of 2^n x 2^n matrices however many layers it has."""
     if p.qubits != h.qubits:
         raise ValueError(f"schedule is for {p.qubits} qubits, Hamiltonian for {h.qubits}")
-    dim = 2 ** h.qubits
-    u_free = evolve(h, p.tau)
-    idx = np.arange(dim)
-    layers = _layers(p)
-    u = np.eye(dim, dtype=np.complex128)
-    for free in p.free.tolist():
-        if free:
-            u = u_free @ u
-        else:
-            flip, z, y, parity = next(layers)
-            u = u[idx ^ flip]
-            u *= _phase(z, y, parity, flip)[:, None]
+    return _run(p, evolve(h, p.tau))
+
+
+def _apply(u: np.ndarray, flip: int, z: int, y: int, parity: np.ndarray) -> np.ndarray:
+    """P u for the word P|x> = phase[x] |x ^ flip>: u's rows permuted and signed."""
+    u = u[np.arange(len(u)) ^ flip]
+    u *= _phase(z, y, parity, flip)[:, None]
     return u
+
+
+def _run(p: PulseSchedule, u_free: np.ndarray) -> np.ndarray:
+    """run_schedule with the free evolution u_free given."""
+    layers = _layers(p)
+    u = np.eye(len(u_free), dtype=np.complex128)
+    for free in p.free.tolist():
+        u = u_free @ u if free else _apply(u, *next(layers))
+    return u
+
+
+def _walsh_frames(p: PulseSchedule) -> np.ndarray | None:
+    """The frames F_1, F_2, F_4, ..., F_{m/2} and F_m of a merged schedule
+    (layer, interval, ..., layer) whose frames obey the group law, else None.
+    Frame F_t is the XOR of the codes of layers 0..t, and the law is: m = 2^r,
+    F_0 = 0, and F_t the XOR of F_{2^b} over the set bits b of t for t < m."""
+    m = p.total_intervals
+    if m & (m - 1) or p.free.tobytes() != b"\0\1" * m + b"\0":
+        return None
+    frames = np.bitwise_xor.accumulate(p.codes, axis=0)
+    law = np.zeros_like(frames[:1])
+    while len(law) < m:
+        law = np.concatenate([law, law ^ frames[len(law)]])
+    if not np.array_equal(law, frames[:m]):
+        return None
+    return frames[[1 << j for j in range(m.bit_length() - 1)] + [m]]
+
+
+def _pass(p: PulseSchedule, u_free: np.ndarray) -> np.ndarray:
+    """The pass of p with free evolution u_free, up to a global phase.  When
+    its frames obey the group law it is P B_r, P the word of F_m, B_0 = u_free
+    and B_{j+1} = (Q_j^dag B_j Q_j) B_j with Q_j the word of F_{2^j}: log2(m)
+    products.  Q^dag B Q is B[a ^ flip, b ^ flip] s[a] s[b], s Q's sign row.
+    Any other schedule runs step by step."""
+    frames = _walsh_frames(p)
+    if frames is None:
+        return _run(p, u_free)
+    flips, z, y = word_masks(frames)
+    parity = walsh_rows(z, p.qubits, parity=True)
+    u = u_free
+    for flip, zj, row in zip(flips[:-1].tolist(), z[:-1].tolist(), parity):
+        perm = np.arange(len(u)) ^ flip
+        signs = _phase(zj, 0, row)
+        conjugated = u[np.ix_(perm, perm)]
+        conjugated *= signs[:, None]
+        conjugated *= signs
+        u = conjugated @ u
+    return _apply(u, int(flips[-1]), int(z[-1]), int(y[-1]), parity[-1])
 
 
 def run_schedule_diagonal(p: PulseSchedule, h: PauliHamiltonian) -> tuple[int, np.ndarray]:
@@ -358,9 +417,27 @@ def phase_aligned_distance(u: np.ndarray, target: np.ndarray) -> float:
     """min over phi of the spectral norm of (u - e^{i phi} target).
 
     Both operands unitary: W = target^dag u is normal, so the norm equals the
-    largest eigenvalue distance to e^{i phi}.
+    largest eigenvalue distance to e^{i phi}.  With V = e^{-i phi0} W, phi0 the
+    phase of tr W, C = (V + V^dag)/2 and K = (V - V^dag)/2i are Hermitian and
+    hold the cosines and sines of V's eigenphases.  When Gershgorin's discs put
+    every eigenvalue of C above 1/2, every phase is within 60 degrees of phi0
+    and is the arcsine of an eigenvalue of K; any other W, tr W = 0 included,
+    takes the general eigenvalues.
     """
-    return _arc_distance(np.linalg.eigvals(target.conj().T @ u))
+    w = target.conj().T @ u
+    trace = np.trace(w)
+    if trace:
+        phase = trace / abs(trace)
+        k = w.conj().T * phase   # V^dag
+        c = w * phase.conjugate()
+        c += k   # V + V^dag = 2C
+        if (2 * c.diagonal().real - np.abs(c).sum(axis=1) > 1).all():  # Gershgorin
+            c *= 0.5
+            k -= c
+            k *= 1j   # K = (V^dag - V) i/2 = (V^dag - C) i
+            s = np.arcsin(np.linalg.eigvalsh(k))
+            return float(2 * np.sin((s[-1] - s[0]) / 4))
+    return _arc_distance(np.linalg.eigvals(w))
 
 
 def monomial_distance(flip: int, u: np.ndarray, target: np.ndarray) -> float:
@@ -406,17 +483,20 @@ def target_unitary(task: TaskSpec, h: PauliHamiltonian, total_time: float,
 
 def _dense_distance(task: TaskSpec, schedule: PulseSchedule, h: PauliHamiltonian,
                     total_time: float, reps: int, intervals: int) -> float:
-    u_pass = run_schedule(schedule, h)
-    if not np.allclose(u_pass @ u_pass.conj().T, np.eye(u_pass.shape[0]),
-                       atol=UNITARITY_TOL):
+    spectrum = _spectrum(h)   # of the pass's evolution and a reversal's target
+    u = _pass(schedule, _exp(spectrum, schedule.tau))
+    if not np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=UNITARITY_TOL):
         raise AssertionError("schedule unitary failed the unitarity check")
     # the pass's rounding grows with the power, past float range for a huge reps
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.linalg.matrix_power(u_pass, reps)
+        u = np.linalg.matrix_power(u, reps)
     if not np.isfinite(u).all():
         raise ValueError(f"the pass to the power --reps {reps} is not finite; "
                          "use a smaller --reps")
-    return phase_aligned_distance(u, target_unitary(task, h, total_time, intervals))
+    target_h, t = _target_hamiltonian(task, h, total_time, intervals)
+    target = _exp(spectrum, t) if target_h is h else evolve(target_h, t)
+    del spectrum   # the distance holds no operator it does not read
+    return phase_aligned_distance(u, target)
 
 
 def _diagonal_distance(task: TaskSpec, schedule: PulseSchedule, h: PauliHamiltonian,

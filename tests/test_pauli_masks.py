@@ -233,14 +233,14 @@ def counted(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("task,eighs", [
     (TaskSpec("decouple", "general"), 1),
-    (TaskSpec("reverse", "general"), 2),
+    (TaskSpec("reverse", "general"), 1),
     (TaskSpec("select", "general", (0, 2), ("x", "y")), 2),
     (TaskSpec("select_pair", "general", (0, 2)), 2),
 ], ids=["decouple", "reverse", "select", "pair"])
 def test_dense_verify_eigendecomposes_once_per_evolution(monkeypatch, task, eighs):
-    """run_schedule decomposes h once, and target_unitary decomposes a target
-    other than the identity once more: for a reversal that is h again, at
-    its own time."""
+    """verify decomposes h once, and a target other than h and the identity
+    once more: a reversal's target is h at its own time, read from the pass's
+    spectrum."""
     h = random_hamiltonian(4, 3, "general", with_local=True)
     calls = counted(monkeypatch, np.linalg, "eigh")
     result = verify(task, synth(task, 4), h, 0.1, 4)

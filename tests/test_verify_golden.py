@@ -89,7 +89,7 @@ def operator_digest():
     return digest.hexdigest()
 
 
-VERIFY_GOLDEN = "8258d34d7c1f2faa61e5305081775dd65fbd67085cf8e7e2c18cecf9e66e8a5f"
+VERIFY_GOLDEN = "a0634cf4667f6235369678a0d42d6368ea5605e5483ea3a89524b186e247eda2"
 OPERATOR_GOLDEN = "7bed2080d044fe69ebb27940b231e750ef110adea7e89898d38268c13d608c90"
 
 

@@ -47,9 +47,11 @@ def operator_bytes(framework, n):
 @pytest.mark.parametrize("framework,n,r", [
     ("general", 6, 10), ("general", 6, 12), ("general", 7, 10),
     ("zz", 12, 12), ("zz", 14, 12),
+    ("general", 7, None),   # r None: the synthesized natural-order scheme, its pass by doubling
 ])
 def test_verify_peak_is_a_few_operators_whatever_m(framework, n, r):
-    task, scheme = TaskSpec("decouple", framework), spanning_scheme(framework, n, r)
+    task = TaskSpec("decouple", framework)
+    scheme = synth(task, n) if r is None else spanning_scheme(framework, n, r)
     h = coupling_hamiltonian(framework, n)
     tracemalloc.start()
     try:
