@@ -28,15 +28,24 @@ target of every decouple task, has no flip and skips the kernel.
 Every pass of a schedule under a Z-diagonal Hamiltonian is a monomial too,
 (flip, u) with U|x> = u[x] |x ^ flip>, and runs on 2^n vectors; any other
 Hamiltonian runs on dense 2^n x 2^n matrices.  run_schedule and evolve stay
-the reference both verify paths are tested against.  A dense verify
-eigendecomposes h once: the pass's e^{-iH tau} and a reversal's target come
-from that one spectrum, and another target sums its own Hamiltonian.  When a
-schedule's frames, the XORs of its layer codes up to each interval, obey the
-group law of GF(2)^r (every natural-order Sylvester scheme), its pass is
-built by doubling over the r generators in r products instead of m; and the
-distance is read from a Hermitian eigenproblem when every eigenphase lies
-within 60 degrees of the trace's.  Both round differently from the reference,
-within 1e-12 of it.  Nothing outlives the call.
+the reference both verify paths are tested against.  A dense verify solves
+one 2^n x 2^n eigenproblem, the distance's.  The pass's e^{-iH tau} is the
+Taylor series of the least degree k >= 1 with x^{k+1}/(k+1)! e^x <= 2^-53,
+x = tau sum |c| >= ||H tau||_2, evaluated Paterson-Stockmeyer while x <= 1,
+and evolve's spectrum past 1.  When a schedule's frames, the XORs of its
+layer codes up to each interval, obey the group law of GF(2)^r once a
+frame-0 interval is put first where the first frame is not 0 (every
+natural-order Sylvester scheme, a reversal's columns 1..2^r - 1 included),
+its pass is built by doubling over the r generators in r products instead
+of m, and one more takes the leading interval off.  The doubling carries
+B - I, so first-order terms cancel exactly and a pass's Trotter error keeps
+its relative precision at any reps.  A decoupling's target is I and
+multiplies nothing, a reversal's, e^{+iHT/m}, is the inverse interval
+exponential to the power reps, and a select or select_pair target is a 4 x 4
+unitary on its qubit pair.  The distance is read from a Hermitian
+eigenproblem when every eigenphase lies within 60 degrees of the trace's.
+All of these round differently from the reference, within 1e-12 of it.
+Nothing outlives the call.
 
 Every array is bit for bit what the letter-by-letter rule gives: each entry
 of a flip's row adds c i^y (-1)^popcount(x & z) of its terms in term order
@@ -45,6 +54,7 @@ from 0.0, whatever the chunks, and a phase is a float +/-1 row times i^y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterator
 
@@ -270,10 +280,17 @@ def word_matrix(word: str) -> np.ndarray:
 
 
 def hamiltonian_matrix(h: PauliHamiltonian) -> np.ndarray:
-    out = np.zeros((2 ** h.qubits,) * 2, dtype=np.complex128)
-    idx = np.arange(len(out))
+    """The dense H, checked Hermitian first on the entries it can hold:
+    (x ^ f, x) is row f's sum at x, so (x, x ^ f), the same row at x ^ f, must
+    be its conjugate, every other entry being 0."""
     flips, sums = _pauli_sums(h)
-    out[idx ^ flips[:, None], idx] = sums
+    idx = np.arange(sums.shape[1])
+    pairs = idx ^ flips[:, None]
+    if not np.allclose(np.take_along_axis(sums, pairs, axis=1), sums.conj(),
+                                     atol=1e-12):
+        raise ValueError("assembled Hamiltonian is not Hermitian")
+    out = np.zeros((len(idx),) * 2, dtype=np.complex128)
+    out[pairs, idx] = sums
     return out
 
 
@@ -285,17 +302,81 @@ def _diagonal_evolution(h: PauliHamiltonian, t: float) -> np.ndarray:
 
 
 def _spectrum(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the dense H, once it is checked Hermitian."""
-    m = hamiltonian_matrix(h)
-    if not np.allclose(m, m.conj().T, atol=1e-12):
-        raise ValueError("assembled Hamiltonian is not Hermitian")
-    return np.linalg.eigh(m)
+    """eigh of the dense H."""
+    return np.linalg.eigh(hamiltonian_matrix(h))
 
 
 def _exp(spectrum: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
     """e^{-iHt} from H's spectrum (eigenvalues, eigenvectors)."""
     vals, vecs = spectrum
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+
+
+def _series_degree(x: float) -> int:
+    """The least degree k >= 1 with x^{k+1}/(k+1)! e^x <= 2^-53: for
+    ||A||_2 <= x that bounds the norm of what the degree-k Taylor series of
+    e^A leaves out.  Never 0, however small x: I + A rounds none of A's
+    entries (its diagonal is imaginary), and a pass's Trotter error is made of
+    their products."""
+    k, rest = 1, x * x / 2 * math.exp(x)
+    while rest > 2.0 ** -53:
+        k += 1
+        rest *= x / (k + 1)
+    return k
+
+
+def _add_identity(u: np.ndarray, c: float) -> None:
+    """u += c I, in place."""
+    idx = np.arange(len(u))
+    u[idx, idx] += c
+
+
+def _series(a: np.ndarray, k: int) -> np.ndarray:
+    """sum over j <= k of a^j / j! by Paterson-Stockmeyer: a^2..a^s once, then
+    Horner's rule in a^s over blocks of s coefficients, with s the block size
+    of fewest products, s - 1 + floor(k/s) less one when s divides k (the top
+    block is then a scalar)."""
+    s = min(range(1, k + 1), key=lambda s: s - 1 + k // s - (k % s == 0))
+    powers = [a]
+    while len(powers) < s:
+        powers.append(powers[-1] @ a)
+    c = [1 / math.factorial(j) for j in range(k + 1)]
+
+    def block(q: int, u: np.ndarray) -> None:
+        """u += the sum over l < s, sq + l <= k, of c[sq + l] a^l."""
+        for l in range(1, min(s, k - s * q + 1)):
+            u += powers[l - 1] * c[s * q + l]
+        _add_identity(u, c[s * q])
+
+    q = k // s
+    if k % s:
+        u = np.zeros_like(a)
+    else:   # the top block is c[k] I, so a^s times it is a scaling
+        q -= 1
+        u = powers[-1] * c[k]
+    block(q, u)
+    while q:
+        q -= 1
+        u = powers[-1] @ u   # the old u is released before its block adds in
+        block(q, u)
+    return u
+
+
+def _interval_exponential(h: PauliHamiltonian,
+                          tau: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """(e^{-iH tau}, A) for a dense pass, A = -iH tau when e^{-iH tau} is
+    I + A to the last bit (else None).  x = tau sum |c| bounds ||H tau||_2
+    (each word has norm 1); for x <= 1 it is the Taylor series of degree
+    _series_degree(x), about 3 products at x ~ 0.016 and no eigensolve; past 1
+    the series would need squaring, whose rounding grows as 2^s, so it is
+    evolve's _exp(_spectrum(h), tau), bit for bit."""
+    x = tau * float(np.abs(h.coefficients).sum())
+    if not x <= 1:
+        return _exp(_spectrum(h), tau), None
+    a = hamiltonian_matrix(h)
+    a *= -1j * tau   # in place: no second operator beside a and its powers
+    k = _series_degree(x)
+    return _series(a, k), a if k == 1 else None
 
 
 def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:
@@ -331,43 +412,80 @@ def _run(p: PulseSchedule, u_free: np.ndarray) -> np.ndarray:
     return u
 
 
-def _walsh_frames(p: PulseSchedule) -> np.ndarray | None:
-    """The frames F_1, F_2, F_4, ..., F_{m/2} and F_m of a merged schedule
-    (layer, interval, ..., layer) whose frames obey the group law, else None.
-    Frame F_t is the XOR of the codes of layers 0..t, and the law is: m = 2^r,
-    F_0 = 0, and F_t the XOR of F_{2^b} over the set bits b of t for t < m."""
+def _walsh_frames(p: PulseSchedule) -> tuple[np.ndarray, bool] | None:
+    """(the frames F_1, F_2, F_4, ..., F_{m/2} and F_m, lead) of a merged
+    schedule (layer, interval, ..., layer) whose frames obey the group law
+    once a frame-0 interval is put first where F_0 is not 0 (lead), else
+    None.  Frame F_t is the XOR of the codes of layers 0..t, and the law is:
+    m = 2^r intervals, F_0 = 0, and F_t the XOR of F_{2^b} over the set bits
+    b of t for t < m.  A reversal's columns 1..2^r - 1 obey it with the lead."""
     m = p.total_intervals
-    if m & (m - 1) or p.free.tobytes() != b"\0\1" * m + b"\0":
+    if p.free.tobytes() != b"\0\1" * m + b"\0":
         return None
     frames = np.bitwise_xor.accumulate(p.codes, axis=0)
+    lead = bool(frames[0].any())
+    if lead:
+        frames = np.concatenate([np.zeros_like(frames[:1]), frames])
+        m += 1
+    if m & (m - 1):
+        return None
     law = np.zeros_like(frames[:1])
     while len(law) < m:
         law = np.concatenate([law, law ^ frames[len(law)]])
     if not np.array_equal(law, frames[:m]):
         return None
-    return frames[[1 << j for j in range(m.bit_length() - 1)] + [m]]
+    return frames[[1 << j for j in range(m.bit_length() - 1)] + [m]], lead
 
 
-def _pass(p: PulseSchedule, u_free: np.ndarray) -> np.ndarray:
+def _pass(p: PulseSchedule, u_free: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
     """The pass of p with free evolution u_free, up to a global phase.  When
     its frames obey the group law it is P B_r, P the word of F_m, B_0 = u_free
     and B_{j+1} = (Q_j^dag B_j Q_j) B_j with Q_j the word of F_{2^j}: log2(m)
-    products.  Q^dag B Q is B[a ^ flip, b ^ flip] s[a] s[b], s Q's sign row.
-    Any other schedule runs step by step."""
-    frames = _walsh_frames(p)
-    if frames is None:
+    products, and one more, B_r u_free^dag, to take a leading frame-0
+    interval off.  Q^dag B Q is B[a ^ flip, b ^ flip] s[a] s[b], s Q's sign
+    row.  Any other schedule runs step by step.
+
+    The doubling carries D_j = B_j - I, D_{j+1} = (Q^dag D_j Q + D_j) +
+    (Q^dag D_j Q) D_j: first-order terms, signed copies of each other, cancel
+    exactly before the second-order ones, a pass's Trotter error, are added.
+    With first, the A of u_free = I + A to the last bit, A's images are kept
+    apart from the higher orders, which they would otherwise round away once
+    ||A|| is near the unit roundoff."""
+    walsh = _walsh_frames(p)
+    if walsh is None:
         return _run(p, u_free)
+    frames, lead = walsh
     flips, z, y = word_masks(frames)
     parity = walsh_rows(z, p.qubits, parity=True)
-    u = u_free
+    if first is None:
+        d = u_free.copy()
+        _add_identity(d, -1)
+    else:
+        d = np.zeros_like(first)
+    idx = np.arange(len(d))
     for flip, zj, row in zip(flips[:-1].tolist(), z[:-1].tolist(), parity):
-        perm = np.arange(len(u)) ^ flip
+        perm = idx ^ flip
         signs = _phase(zj, 0, row)
-        conjugated = u[np.ix_(perm, perm)]
-        conjugated *= signs[:, None]
+        signs = signs[:, None] * signs
+        conjugated = d.take(perm, axis=0).take(perm, axis=1)
         conjugated *= signs
-        u = conjugated @ u
-    return _apply(u, int(flips[-1]), int(z[-1]), int(y[-1]), parity[-1])
+        if first is None:
+            product = conjugated @ d
+        else:
+            images = first.take(perm, axis=0).take(perm, axis=1)
+            images *= signs
+            product = (images + conjugated) @ (first + d)
+            images += first
+            first = images
+        conjugated += d
+        conjugated += product
+        d = conjugated
+    if first is not None:
+        d += first
+    _add_identity(d, 1)
+    if lead:
+        d = d @ u_free.conj().T
+    return _apply(d, int(flips[-1]), int(z[-1]), int(y[-1]), parity[-1])
 
 
 def run_schedule_diagonal(p: PulseSchedule, h: PauliHamiltonian) -> tuple[int, np.ndarray]:
@@ -414,17 +532,22 @@ def _arc_distance(eigenvalues: np.ndarray) -> float:
 
 
 def phase_aligned_distance(u: np.ndarray, target: np.ndarray) -> float:
-    """min over phi of the spectral norm of (u - e^{i phi} target).
+    """min over phi of the spectral norm of (u - e^{i phi} target), both
+    operands unitary: _aligned_distance of W = target^dag u."""
+    return _aligned_distance(target.conj().T @ u)
 
-    Both operands unitary: W = target^dag u is normal, so the norm equals the
-    largest eigenvalue distance to e^{i phi}.  With V = e^{-i phi0} W, phi0 the
-    phase of tr W, C = (V + V^dag)/2 and K = (V - V^dag)/2i are Hermitian and
-    hold the cosines and sines of V's eigenphases.  When Gershgorin's discs put
-    every eigenvalue of C above 1/2, every phase is within 60 degrees of phi0
-    and is the arcsine of an eigenvalue of K; any other W, tr W = 0 included,
-    takes the general eigenvalues.
+
+def _aligned_distance(w: np.ndarray) -> float:
+    """phase_aligned_distance read from W = target^dag u.
+
+    W is normal, so the norm equals the largest eigenvalue distance to
+    e^{i phi}.  With V = e^{-i phi0} W, phi0 the phase of tr W, C = (V + V^dag)/2
+    and K = (V - V^dag)/2i are Hermitian and hold the cosines and sines of V's
+    eigenphases.  When Gershgorin's discs put every eigenvalue of C above 1/2,
+    every phase is within 60 degrees of phi0 and is the arcsine of an
+    eigenvalue of K; any other W, tr W = 0 included, takes the general
+    eigenvalues.
     """
-    w = target.conj().T @ u
     trace = np.trace(w)
     if trace:
         phase = trace / abs(trace)
@@ -481,22 +604,64 @@ def target_unitary(task: TaskSpec, h: PauliHamiltonian, total_time: float,
     return evolve(*_target_hamiltonian(task, h, total_time, intervals))
 
 
+def _pair_target(task: TaskSpec, h: PauliHamiltonian,
+                 total_time: float) -> tuple[tuple[int, int], np.ndarray]:
+    """A select or select_pair target as ((q0, q1), G), q0 < q1: the target is
+    the 4 x 4 unitary G on qubits q0 and q1 times I elsewhere, since the terms
+    it keeps act on that pair only.  select keeps one word P, so G is
+    cos(cT) I - i sin(cT) P with c their summed coefficient; select_pair
+    exponentiates its kept terms as two-qubit words."""
+    target_h, t = _target_hamiltonian(task, h, total_time, 1)
+    pair = tuple(sorted(task.qubits))
+    if task.kind == "select":
+        angle = t * sum(c for c, _ in target_h.terms)
+        p = word_matrix("".join(selection_word(task, h.qubits)[q] for q in pair))
+        return pair, np.cos(angle) * np.eye(4) - 1j * np.sin(angle) * p
+    terms = tuple((c, "".join(w[q] for q in pair)) for c, w in target_h.terms)
+    return pair, evolve(PauliHamiltonian(2, terms), t)
+
+
+def _on_pair(g: np.ndarray, pair: tuple[int, int], u: np.ndarray) -> np.ndarray:
+    """(G on qubits pair = (q0, q1), q0 < q1, times I elsewhere) u, qubit 0
+    the most significant bit of a row index: one 4 x 4 product over the pair's
+    row bits."""
+    q0, q1 = pair
+    split = (1 << q0, 1 << (q1 - q0 - 1))
+    rows = u.reshape(split[0], 2, split[1], 2, -1).transpose(1, 3, 0, 2, 4)
+    out = (g @ rows.reshape(4, -1)).reshape(2, 2, *split, -1)
+    return out.transpose(2, 0, 3, 1, 4).reshape(u.shape)
+
+
+def _is_unitary(u: np.ndarray) -> bool:
+    """Every entry of u u^dag - I within UNITARITY_TOL of 0."""
+    g = u @ u.conj().T
+    _add_identity(g, -1)
+    return bool(np.abs(g).max() <= UNITARITY_TOL)
+
+
 def _dense_distance(task: TaskSpec, schedule: PulseSchedule, h: PauliHamiltonian,
                     total_time: float, reps: int, intervals: int) -> float:
-    spectrum = _spectrum(h)   # of the pass's evolution and a reversal's target
-    u = _pass(schedule, _exp(spectrum, schedule.tau))
-    if not np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=UNITARITY_TOL):
+    u_free, first = _interval_exponential(h, schedule.tau)
+    u = _pass(schedule, u_free, first)
+    del first
+    if not _is_unitary(u):
         raise AssertionError("schedule unitary failed the unitarity check")
     # the pass's rounding grows with the power, past float range for a huge reps
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.linalg.matrix_power(u, reps)
-    if not np.isfinite(u).all():
+        w = np.linalg.matrix_power(u, reps)
+        del u
+        # W = target^dag w: a decouple target is I, a reversal's, e^{+iHT/m},
+        # is (u_free^dag)^reps, and any other is G on a pair
+        if task.kind == "reverse":
+            w = np.linalg.matrix_power(u_free, reps) @ w
+        elif task.kind != "decouple":
+            pair, g = _pair_target(task, h, total_time)
+            w = _on_pair(g.conj().T, pair, w)
+    del u_free   # the distance holds no operator it does not read
+    if not np.isfinite(w).all():
         raise ValueError(f"the pass to the power --reps {reps} is not finite; "
                          "use a smaller --reps")
-    target_h, t = _target_hamiltonian(task, h, total_time, intervals)
-    target = _exp(spectrum, t) if target_h is h else evolve(target_h, t)
-    del spectrum   # the distance holds no operator it does not read
-    return phase_aligned_distance(u, target)
+    return _aligned_distance(w)
 
 
 def _diagonal_distance(task: TaskSpec, schedule: PulseSchedule, h: PauliHamiltonian,

@@ -470,7 +470,7 @@ def test_verify_reps_past_float_range_is_refused_naming_reps(tmp_path, capsys):
     path = _general_scheme(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, err = run_cli(capsys, ["verify", path, "--ham", "random:1",
+        code, err = run_cli(capsys, ["verify", path, "--ham", "random:1", "--time", "1e100",
                                      "--reps", str(10 ** 18)])
     assert code == 2
     assert err.startswith("error: ") and "--reps" in err and len(err.splitlines()) == 1

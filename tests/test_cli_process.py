@@ -63,11 +63,25 @@ def test_one_flipped_sign_fails_the_check(scheme):
 
 
 def test_verify_reps_past_float_range_exits_2_with_one_line(scheme):
-    done = decoupler("verify", "-", "--ham", "random:1", "--reps", str(10 ** 18),
-                     stdin=scheme)
+    done = decoupler("verify", "-", "--ham", "random:1", "--time", "1e100",
+                     "--reps", str(10 ** 18), stdin=scheme)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: ") and "--reps" in done.stderr
     assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("time,reps", [("1e12", 10 ** 18), ("1e18", 10 ** 18), ("1e200", 10 ** 18),
+                                       ("1e6", 1), ("1e300", 7)])
+def test_verify_far_past_the_series_domain_exits_without_traceback(scheme, time, reps):
+    """tau sum |c| from about 1 to 1e300: the interval exponential leaves its
+    series for the spectrum, and verify reports, fails or refuses in one line."""
+    done = decoupler("verify", "-", "--ham", "random:1", "--time", time, "--reps", str(reps),
+                     stdin=scheme)
+    assert done.returncode in (0, 1, 2) and "Traceback" not in done.stderr
+    if done.returncode == 2:
+        assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    else:
+        assert done.stderr == "" and done.stdout.startswith("task=decouple")
 
 
 def test_missing_scheme_exits_2(tmp_path):

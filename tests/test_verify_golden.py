@@ -89,7 +89,7 @@ def operator_digest():
     return digest.hexdigest()
 
 
-VERIFY_GOLDEN = "a0634cf4667f6235369678a0d42d6368ea5605e5483ea3a89524b186e247eda2"
+VERIFY_GOLDEN = "1f8193c5276a6d6a42aae8edb54ced164be5e8fdb3b02a01e94cbd150339c50c"
 OPERATOR_GOLDEN = "7bed2080d044fe69ebb27940b231e750ef110adea7e89898d38268c13d608c90"
 
 

@@ -44,19 +44,32 @@ def operator_bytes(framework, n):
     return 16 * (4 ** n if framework == "general" else 2 ** n)
 
 
-@pytest.mark.parametrize("framework,n,r", [
-    ("general", 6, 10), ("general", 6, 12), ("general", 7, 10),
-    ("zz", 12, 12), ("zz", 14, 12),
-    ("general", 7, None),   # r None: the synthesized natural-order scheme, its pass by doubling
+DENSE_TASKS = {
+    "reverse": TaskSpec("reverse", "general"),
+    "select": TaskSpec("select", "general", (1, 5), ("x", "y")),
+    "select_pair": TaskSpec("select_pair", "general", (5, 1)),
+}
+
+
+@pytest.mark.parametrize("framework,n,r,task,reps,tolerance", [
+    pytest.param(*case, TaskSpec("decouple", case[0]), 1, None, id="-".join(map(str, case)))
+    for case in [("general", 6, 10), ("general", 6, 12), ("general", 7, 10),
+                 ("zz", 12, 12), ("zz", 14, 12),
+                 # r None: the synthesized natural-order scheme, its pass by doubling
+                 ("general", 7, None)]
+] + [
+    # every other dense task; the pair's Trotter error at reps 1 is 0.023,
+    # above the general default tolerance of 0.02
+    pytest.param("general", 7, None, task, reps, 0.05, id=f"general-7-None-{kind}-{reps}")
+    for kind, task in DENSE_TASKS.items() for reps in (1, 16)
 ])
-def test_verify_peak_is_a_few_operators_whatever_m(framework, n, r):
-    task = TaskSpec("decouple", framework)
+def test_verify_peak_is_a_few_operators_whatever_m(framework, n, r, task, reps, tolerance):
     scheme = synth(task, n) if r is None else spanning_scheme(framework, n, r)
     h = coupling_hamiltonian(framework, n)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        result = verify(task, scheme, h, 0.1, reps=1)
+        result = verify(task, scheme, h, 0.1, reps=reps, tolerance=tolerance)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

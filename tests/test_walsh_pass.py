@@ -1,10 +1,12 @@
 """verify's dense path against the reference it replaces.  A schedule whose
-frames obey the group law of GF(2)^r runs its pass by doubling over the r
-generators; the phase-aligned distance comes from a Hermitian eigenproblem
-when every eigenphase lies within 60 degrees of the trace's; h is
-eigendecomposed once per verify.  The reference is run_schedule,
-np.linalg.matrix_power, evolve (through target_unitary) and the general
-eigenvalues: the two round differently, so they agree within TOL."""
+frames obey the group law of GF(2)^r, a reversal's once a frame-0 interval is
+put first, runs its pass by doubling over the r generators; the
+phase-aligned distance comes from a Hermitian eigenproblem when every
+eigenphase lies within 60 degrees of the trace's; the free evolution is a
+Taylor series and each target acts without a second exponential of h.  The
+reference is run_schedule, np.linalg.matrix_power, evolve (through
+target_unitary) and the general eigenvalues: the two round differently, so
+they agree within TOL."""
 
 import numpy as np
 import pytest
@@ -64,7 +66,8 @@ def test_verify_matches_the_reference_path(n, frameworks, local, with_local, rep
 
 def natural_order_schemes():
     """Synthesized schemes on Sylvester rows in natural column order, at
-    power-of-two orders: every task but reverse (column 0 dropped)."""
+    power-of-two orders: every task but reverse, and reverse (column 0
+    dropped) with a frame-0 interval put first."""
     for n in range(2, 7):
         for task in tasks("general", n):
             if task.kind != "reverse":
@@ -73,12 +76,13 @@ def natural_order_schemes():
         for task in tasks("zz", n):
             if task.kind != "reverse":
                 yield pytest.param(synth(task, n), id=f"zz-{task.kind}-{n}")
+    for framework, n in (("general", 3), ("general", 6), ("zz", 5)):
+        task = TaskSpec("reverse", framework)
+        yield pytest.param(synth(task, n), id=f"{framework}-reverse-{n}")
 
 
 def refused_schemes():
-    for framework, n in (("general", 3), ("general", 6), ("zz", 5), ("zz", 9)):
-        task = TaskSpec("reverse", framework)
-        yield pytest.param(synth(task, n), id=f"{framework}-reverse-{n}")
+    yield pytest.param(synth(TaskSpec("reverse", "zz"), 9), id="zz-reverse-9")  # order 12
     natural = synth(TaskSpec("decouple", "general"), 6)
     order = np.random.default_rng(6).permutation(natural.intervals)
     yield pytest.param(Scheme(tuple(b[:, order] for b in natural.blocks)), id="column-permuted")
@@ -98,16 +102,16 @@ def pass_distance(got, want):
 def test_frame_law_holds_and_the_doubled_pass_is_the_schedules(scheme):
     """The pass by doubling is run_schedule's, up to a global phase."""
     p = compile_general(scheme, 0.37)
-    frames = _walsh_frames(p)
-    assert frames is not None and len(frames) == p.total_intervals.bit_length()
+    frames, lead = _walsh_frames(p)
+    assert len(frames) == (p.total_intervals + lead).bit_length()
     h = random_hamiltonian(scheme.qubits, 11, "general", with_local=True)
     assert pass_distance(_pass(p, evolve(h, p.tau)), run_schedule(p, h)) <= TOL
 
 
 @pytest.mark.parametrize("scheme", refused_schemes())
 def test_frame_law_refuses_other_orders(scheme):
-    """Reversal, permuted columns and Paley or Kronecker orders keep the
-    schedule's own product, bit for bit."""
+    """A zz reversal at order 12, permuted columns and Paley or Kronecker
+    orders keep the schedule's own product, bit for bit."""
     p = compile_general(scheme, 0.21)
     assert _walsh_frames(p) is None
     if scheme.qubits <= 6:
